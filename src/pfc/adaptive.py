@@ -7,8 +7,11 @@ step is then min{max{tau_min, tau_ada}, tau_max} with the update factor
   tau_ada(e, tau) = min{ratio_cap, rho * sqrt(tol / e)} * tau.
 
 A too-large increment triggers recomputation with the shrunken step unless
-the trial step already sits at tau_min, which forces acceptance.  Rejection
-discards the trial solution only; history is untouched.
+the trial step already sits at tau_min, which forces acceptance.  A trial
+step whose nonlinear solve fails (SolverError or ConditioningError) is also
+rejected, and the step shrinks by the fixed factor FAIL_SHRINK; the failure
+is raised only when it happens at tau_min.  Rejection discards the trial
+solution only; history is untouched.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ import numpy as np
 from .grid import Field
 from .mesh import R_SUP
 from .model import PfcParams
-from .steppers import SolveStats, StepperState, bdf2_step
+from .steppers import (ConditioningError, SolverError, SolveStats, StepperState,
+                       bdf2_step)
+
+FAIL_SHRINK = 0.25  # step factor after a failed nonlinear solve
 
 
 @dataclass
@@ -78,7 +84,14 @@ def adaptive_advance(state: StepperState, tau_trial: float, cfg: AdaptiveConfig,
     rejections = 0
     area = state.phi_prev.grid.cell_area
     while True:
-        phi_new, stats = bdf2_step(state, tau, p)
+        try:
+            phi_new, stats = bdf2_step(state, tau, p)
+        except (SolverError, ConditioningError):
+            if tau <= cfg.tau_min * (1.0 + 1e-12):
+                raise
+            tau = max(cfg.tau_min, FAIL_SHRINK * tau)
+            rejections += 1
+            continue
         e = _increment_norm(phi_new.values - state.phi_prev.values,
                             phi_new.values, area, cfg.err_norm)
         if e < cfg.tol:

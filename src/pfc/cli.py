@@ -38,6 +38,50 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+            "false": False, "no": False, "off": False, "0": False}
+
+
+def config_value(action: argparse.Action, key: str, text: str):
+    """Parse a config-file value the way the matching flag would.
+
+    On/off flags take true/false, yes/no, on/off or 1/0; repeatable options
+    take a comma-separated list; everything else goes through the option's
+    type, and choices are enforced.
+    """
+    if action.nargs == 0:
+        try:
+            return BOOLEANS[text.lower()]
+        except KeyError:
+            raise ValueError(f"{key}: expected true or false, got {text!r}") from None
+    repeatable = isinstance(action, argparse._AppendAction)
+    convert = action.type or str
+    values = [convert(item.strip()) for item in (text.split(",") if repeatable else [text])]
+    for v in values:
+        if action.choices is not None and v not in action.choices:
+            raise ValueError(f"{key}: {v!r} is not one of {', '.join(action.choices)}")
+    return values if repeatable else values[0]
+
+
+def apply_config(parser: argparse.ArgumentParser, args, file_cfg: dict):
+    """Fill options still at their defaults from the config file.
+
+    Keys of another subcommand are skipped; a key that names no option at
+    all is an error.
+    """
+    parsers = [parser, *parser.subcommands.values()]
+    known = {a.dest for p in parsers for a in p._actions}
+    actions = {a.dest: a for a in parser.subcommands[args.command]._actions}
+    for key, text in file_cfg.items():
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        action = actions.get(dest)
+        # command-line flags win: only fill values still at default
+        if action is not None and getattr(args, dest) == action.default:
+            setattr(args, dest, config_value(action, key, text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pfc",
                                      description="Variable-step PFC solver")
@@ -146,20 +190,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            file_cfg = load_config(args.config)
-            sub = parser.subcommands[args.command]
-            for key, val in file_cfg.items():
-                attr = key.replace("-", "_")
-                if not hasattr(args, attr):
-                    continue
-                default = sub.get_default(attr)
-                if default is None:
-                    default = parser.get_default(attr)
-                # command-line flags win: only fill values still at default
-                if getattr(args, attr) == default:
-                    cur = getattr(args, attr)
-                    cast = type(cur) if cur is not None else str
-                    setattr(args, attr, cast(val))
+            apply_config(parser, args, load_config(args.config))
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -19,8 +19,8 @@ from .adaptive import AdaptiveConfig, adaptive_run
 from .grid import Field, Grid2D, l2_norm, save_snapshot
 from .kernels import eigen_bounds
 from .mesh import R_SUP, TimeMesh, analyze, random_mesh, uniform_mesh
-from .model import (EnergyRecord, PfcParams, energy, exact_solution,
-                    manufactured_forcing, mass, modified_energy)
+from .model import (EnergyRecord, PfcParams, energy, exact_solution, history_energy,
+                    manufactured_forcing, mass)
 from .rng import SplitMix64
 from .steppers import StepperState, run_fixed_mesh
 
@@ -123,26 +123,11 @@ def run_convergence(M: int = 128, L: float = 8.0, eps: float = 0.02,
     return rows
 
 
-def collect_energy(phi_seq, tau_seq, iters_seq, p: PfcParams) -> list[EnergyRecord]:
-    """Energy/mass log for a stored trajectory (phi_seq[0] is the initial data)."""
-    recs = [EnergyRecord(0.0, 0.0, energy(phi_seq[0], p), energy(phi_seq[0], p),
-                         mass(phi_seq[0]), float(np.max(np.abs(phi_seq[0].values))), 0)]
-    t = 0.0
-    for k, tau in enumerate(tau_seq):
-        t += tau
-        phi, prev = phi_seq[k + 1], phi_seq[k]
-        r_next = tau_seq[k + 1] / tau if k + 1 < len(tau_seq) else 0.0
-        recs.append(EnergyRecord(t, tau, energy(phi, p),
-                                 modified_energy(phi, prev, tau, r_next, p),
-                                 mass(phi), float(np.max(np.abs(phi.values))),
-                                 iters_seq[k]))
-    return recs
-
-
 def run_with_energy_log(phi0: Field, steps, p: PfcParams, scheme: str = "bdf2"):
     """Fixed-mesh run that records an EnergyRecord per accepted step."""
     state = StepperState(phi0)
-    recs = [EnergyRecord(0.0, 0.0, energy(phi0, p), energy(phi0, p), mass(phi0),
+    e0 = energy(phi0, p)
+    recs = [EnergyRecord(0.0, 0.0, e0, e0, mass(phi0),
                          float(np.max(np.abs(phi0.values))), 0)]
     steps = list(steps)
     stats_all = []
@@ -162,8 +147,9 @@ def run_with_energy_log(phi0: Field, steps, p: PfcParams, scheme: str = "bdf2"):
         prev = state.phi_prev
         state = state.advanced(phi_new, tau)
         r_next = steps[k + 1] / tau if k + 1 < len(steps) else 0.0
-        recs.append(EnergyRecord(state.t, tau, energy(phi_new, p),
-                                 modified_energy(phi_new, prev, tau, r_next, p),
+        e = energy(phi_new, p)
+        recs.append(EnergyRecord(state.t, tau, e,
+                                 e + history_energy(phi_new, prev, tau, r_next),
                                  mass(phi_new),
                                  float(np.max(np.abs(phi_new.values))),
                                  stats.iterations))
@@ -250,11 +236,10 @@ def run_polycrystal(M: int = 256, L: float = 256.0, eps: float = 0.25,
     ada_recs = [uni_recs[0]]
 
     def observer(state, step):
-        prev = state.phi_prev2
+        # logged with r_{k+1} = 0, so the history term vanishes and E_mod = E
+        e = energy(state.phi_prev, p)
         ada_recs.append(EnergyRecord(
-            state.t, step.tau_accepted, energy(state.phi_prev, p),
-            modified_energy(state.phi_prev, prev, step.tau_accepted, 0.0, p),
-            mass(state.phi_prev),
+            state.t, step.tau_accepted, e, e, mass(state.phi_prev),
             float(np.max(np.abs(state.phi_prev.values))),
             step.stats.iterations))
 
@@ -280,9 +265,9 @@ def run_polycrystal_long(M: int = 256, L: float = 256.0, eps: float = 0.25,
     recs = []
 
     def observer(state, step):
+        e = energy(state.phi_prev, p)
         recs.append(EnergyRecord(
-            state.t, step.tau_accepted, energy(state.phi_prev, p),
-            energy(state.phi_prev, p), mass(state.phi_prev),
+            state.t, step.tau_accepted, e, e, mass(state.phi_prev),
             float(np.max(np.abs(state.phi_prev.values))),
             step.stats.iterations))
         while pending and state.t >= pending[0]:

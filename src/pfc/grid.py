@@ -1,12 +1,17 @@
 """Periodic 2D grid with FFT-based discrete differential operators.
 
-Convention: the forward transform (numpy ``fft2``) is unnormalized and the
-backward transform carries the 1/M^2 factor.  Fields are stored as M x M
-real arrays with ``values[i, j]`` the sample at ``(i*h, j*h)``.
+This module owns every transform in the package.  Fields are real, so the
+spectral layer works on the half spectrum: ``forward`` is numpy's ``rfft2``
+(unnormalized, shape M x (M/2 + 1)) and ``backward`` is ``irfft2``, which
+carries the 1/M^2 factor.  Fields are stored as M x M real arrays with
+``values[i, j]`` the sample at ``(i*h, j*h)``.
 
-The first-derivative multiplier is zeroed on the Nyquist mode so that
-derivatives of real fields stay real; the second-derivative multiplier
-keeps the full -nu^2 (M/2)^2 weight there.
+Multipliers come in two layouts: the full plane (``k2``, ``ikx``, ``iky``,
+numpy ``fft2`` order) and the half plane (``k2_half``, ``ikx_half``,
+``iky_half``) that pairs with ``forward``/``backward``.  The first-derivative
+multiplier is zeroed on the Nyquist mode so that derivatives of real fields
+stay real; the second-derivative multiplier keeps the full -nu^2 (M/2)^2
+weight there.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ class Grid2D:
         dy[:, self.M // 2] = 0.0
         self.ikx = dx
         self.iky = dy
+        # half plane: the first M/2 + 1 columns, the layout of rfft2
+        half = np.s_[:, : self.M // 2 + 1]
+        self.k2_half = np.ascontiguousarray(self.k2[half])
+        self.ikx_half = np.ascontiguousarray(dx[half])
+        self.iky_half = np.ascontiguousarray(dy[half])
         x = self.h * np.arange(self.M)
         self.X, self.Y = np.meshgrid(x, x, indexing="ij")
 
@@ -90,14 +100,26 @@ def _check_same_grid(f: Field, g: Field):
         raise GridMismatchError("fields live on different grids")
 
 
-def forward(f: Field) -> np.ndarray:
-    """Unnormalized forward transform of a field."""
-    return np.fft.fft2(f.values)
+def forward(values: np.ndarray) -> np.ndarray:
+    """Unnormalized half-spectrum transform of real M x M values."""
+    return np.fft.rfft2(values)
 
 
-def backward(grid: Grid2D, coeffs: np.ndarray) -> Field:
-    """Normalized backward transform; imaginary roundoff is discarded."""
-    return Field(grid, np.fft.ifft2(coeffs).real)
+def backward(coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Normalized inverse of ``forward``: real M x M values."""
+    return np.fft.irfft2(coeffs, s=(M, M))
+
+
+def sum_of_squares(coeffs: np.ndarray, M: int) -> float:
+    """sum(values**2) of the field whose ``forward`` is ``coeffs`` (Parseval).
+
+    Every half-plane column except the first and the Nyquist column stands
+    for itself and its conjugate partner, so it is counted twice.
+    """
+    power = coeffs.real**2 + coeffs.imag**2
+    total = 2.0 * float(np.sum(power))
+    total -= float(np.sum(power[:, 0])) + float(np.sum(power[:, -1]))
+    return total / (M * M)
 
 
 def inner(f: Field, g: Field) -> float:
@@ -110,8 +132,9 @@ def norms(f: Field) -> tuple[float, float, float]:
     """Return (l2, l4, linf) norms of the field."""
     a = f.grid.cell_area
     v = f.values
-    l2 = float(np.sqrt(a * np.sum(v * v)))
-    l4 = float((a * np.sum(v**4)) ** 0.25)
+    v2 = v * v
+    l2 = float(np.sqrt(a * np.sum(v2)))
+    l4 = float((a * np.sum(v2 * v2)) ** 0.25)
     linf = float(np.max(np.abs(v)))
     return l2, l4, linf
 
@@ -125,15 +148,15 @@ def mean(f: Field) -> float:
 
 
 def laplacian(f: Field) -> Field:
-    out = np.fft.ifft2(-f.grid.k2 * np.fft.fft2(f.values)).real
-    return Field(f.grid, out)
+    g = f.grid
+    return Field(g, backward(-g.k2_half * forward(f.values), g.M))
 
 
 def gradient(f: Field) -> tuple[Field, Field]:
-    fh = np.fft.fft2(f.values)
-    gx = np.fft.ifft2(f.grid.ikx * fh).real
-    gy = np.fft.ifft2(f.grid.iky * fh).real
-    return Field(f.grid, gx), Field(f.grid, gy)
+    g = f.grid
+    fh = forward(f.values)
+    return (Field(g, backward(g.ikx_half * fh, g.M)),
+            Field(g, backward(g.iky_half * fh, g.M)))
 
 
 def inv_laplacian(f: Field, gamma: int = 1) -> Field:
@@ -147,12 +170,11 @@ def inv_laplacian(f: Field, gamma: int = 1) -> Field:
     linf = float(np.max(np.abs(f.values)))
     if abs(m) > 1e-12 * max(linf, 1e-300):
         raise MeanZeroError(f"field has mean {m:.3e}, expected mean zero")
-    fh = np.fft.fft2(f.values)
-    mult = np.zeros_like(f.grid.k2)
-    nz = f.grid.k2 > 0
-    mult[nz] = f.grid.k2[nz] ** (-float(gamma))
-    out = np.fft.ifft2(mult * fh).real
-    return Field(f.grid, out)
+    k2 = f.grid.k2_half
+    mult = np.zeros_like(k2)
+    nz = k2 > 0
+    mult[nz] = k2[nz] ** (-float(gamma))
+    return Field(f.grid, backward(mult * forward(f.values), f.grid.M))
 
 
 def hminus1_norm(f: Field) -> float:

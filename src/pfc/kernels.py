@@ -210,6 +210,8 @@ def tridiag_extreme_eig(d: np.ndarray, e: np.ndarray, which: str,
     hi += tol
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent doubles: tol is below the spacing at this magnitude
         if pred(mid):
             hi = mid
         else:

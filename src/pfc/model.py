@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid2D, constant_field, hminus1_norm, inner
+from .grid import (Field, Grid2D, backward, constant_field, forward, hminus1_norm,
+                   inner, laplacian, sum_of_squares)
 
 
 @dataclass
@@ -31,6 +32,8 @@ class PfcParams:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         # spectral symbol of the linear part of mu: ((1 - k^2)^2 - eps)
         self.lin_symbol = (1.0 - self.grid.k2) ** 2 - self.eps
+        self.lin_symbol_half = np.ascontiguousarray(
+            self.lin_symbol[:, : self.grid.M // 2 + 1])
 
 
 @dataclass
@@ -45,32 +48,38 @@ class EnergyRecord:
 
 
 def chemical_potential(phi: Field, p: PfcParams) -> Field:
-    fh = np.fft.fft2(phi.values)
-    lin = np.fft.ifft2(p.lin_symbol * fh).real
-    return Field(phi.grid, lin + phi.values**3)
+    v = phi.values
+    lin = backward(p.lin_symbol_half * forward(v), phi.grid.M)
+    return Field(phi.grid, lin + v * v * v)
 
 
 def energy(phi: Field, p: PfcParams) -> float:
+    """Free energy; the gradient part is summed in spectral space (Parseval)."""
     g = phi.grid
-    fh = np.fft.fft2(phi.values)
-    one_plus_lap = np.fft.ifft2((1.0 - g.k2) * fh).real
     a = g.cell_area
-    e_interf = 0.5 * a * float(np.sum(one_plus_lap**2))
-    e_bulk = 0.25 * a * float(np.sum((phi.values**2 - p.eps) ** 2))
+    one_plus_lap_hat = (1.0 - g.k2_half) * forward(phi.values)
+    e_interf = 0.5 * a * sum_of_squares(one_plus_lap_hat, g.M)
+    bulk = phi.values * phi.values - p.eps
+    e_bulk = 0.25 * a * float(np.sum(bulk * bulk))
     return e_interf + e_bulk - 0.25 * p.eps**2 * g.volume
+
+
+def history_energy(phi_k: Field, phi_km1: Field, tau_k: float, r_kp1: float) -> float:
+    """Nonnegative step-history term r/(2(1+r)tau) ||phi_k - phi_km1||_{-1}^2."""
+    if tau_k <= 0 or r_kp1 < 0:
+        raise ValueError("need tau_k > 0 and r_kp1 >= 0")
+    if r_kp1 == 0.0:
+        return 0.0
+    diff = Field(phi_k.grid, phi_k.values - phi_km1.values)
+    hm1 = hminus1_norm(diff)
+    return r_kp1 / (2.0 * (1.0 + r_kp1) * tau_k) * hm1**2
 
 
 def modified_energy(phi_k: Field, phi_km1: Field, tau_k: float, r_kp1: float,
                     p: PfcParams) -> float:
     """E[phi_k] plus the nonnegative step-history term in the H^{-1} metric."""
-    if tau_k <= 0 or r_kp1 < 0:
-        raise ValueError("need tau_k > 0 and r_kp1 >= 0")
-    e = energy(phi_k, p)
-    if r_kp1 == 0.0:
-        return e
-    diff = Field(phi_k.grid, phi_k.values - phi_km1.values)
-    hm1 = hminus1_norm(diff)
-    return e + r_kp1 / (2.0 * (1.0 + r_kp1) * tau_k) * hm1**2
+    history = history_energy(phi_k, phi_km1, tau_k, r_kp1)
+    return energy(phi_k, p) + history
 
 
 def mass(phi: Field) -> float:
@@ -103,6 +112,5 @@ def manufactured_forcing(t: float, grid: Grid2D, p: PfcParams) -> Field:
     """
     phi = exact_solution(t, grid)
     dphi_dt = -np.sin(t) * np.sin(0.5 * np.pi * grid.X) * np.sin(0.5 * np.pi * grid.Y)
-    mu = chemical_potential(phi, p)
-    lap_mu = np.fft.ifft2(-grid.k2 * np.fft.fft2(mu.values)).real
-    return Field(grid, dphi_dt - lap_mu)
+    lap_mu = laplacian(chemical_potential(phi, p))
+    return Field(grid, dphi_dt - lap_mu.values)

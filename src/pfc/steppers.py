@@ -14,11 +14,12 @@ Schemes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, backward, forward
 from .model import PfcParams
 
 MAX_ITER = 500
@@ -68,17 +69,28 @@ def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray
                       nonlinear_hat) -> tuple[np.ndarray, SolveStats]:
     """Iterate phi <- S^{-1}(rhs + N(phi)) until the max-norm increment is tiny.
 
-    ``nonlinear_hat(phi)`` returns the spectral contribution of the lagged
-    terms for the current physical-space iterate.
+    ``symbol``, ``rhs_hat`` and the output of ``nonlinear_hat(phi)`` (the
+    spectral contribution of the lagged terms for the current physical-space
+    iterate) are half-spectrum arrays in the layout of ``grid.forward``.  A
+    non-finite increment ends the solve at once with ``SolverError``.
     """
+    M = guess.shape[0]
+    inv_symbol = 1.0 / symbol
+    base_hat = rhs_hat / symbol
     phi = guess
     res = np.inf
-    for it in range(1, MAX_ITER + 1):
-        phi_new = np.fft.ifft2((rhs_hat + nonlinear_hat(phi)) / symbol).real
-        res = float(np.max(np.abs(phi_new - phi)))
-        phi = phi_new
-        if res <= FP_TOL:
-            return phi, SolveStats(it, res, True)
+    # a diverging iterate overflows on its way to inf/nan; that ends the
+    # solve below, so the floating-point warnings carry no extra information
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, MAX_ITER + 1):
+            phi_new = backward(base_hat + nonlinear_hat(phi) * inv_symbol, M)
+            res = float(np.max(np.abs(phi_new - phi)))
+            phi = phi_new
+            if res <= FP_TOL:
+                return phi, SolveStats(it, res, True)
+            if not math.isfinite(res):
+                raise SolverError(f"fixed-point iteration diverged at iteration {it} "
+                                  f"(residual {res:.3e})", SolveStats(it, res, False))
     stats = SolveStats(MAX_ITER, res, False)
     raise SolverError(
         f"fixed-point iteration failed to converge (residual {res:.3e})", stats
@@ -102,18 +114,18 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
         r = tau_n / state.tau_prev
         b0 = (1.0 + 2.0 * r) / (tau_n * (1.0 + r))
         b1 = -(r * r) / (tau_n * (1.0 + r))
-    symbol = b0 + g.k2 * p.lin_symbol
+    k2 = g.k2_half
+    symbol = b0 + k2 * p.lin_symbol_half
     _check_symbol(symbol, tau_n)
     rhs = b0 * state.phi_prev.values
     if b1 != 0.0:
         rhs = rhs - b1 * (state.phi_prev.values - state.phi_prev2.values)
     if forcing is not None:
         rhs = rhs + forcing.values
-    rhs_hat = np.fft.fft2(rhs)
-    k2 = g.k2
+    rhs_hat = forward(rhs)
 
     def nl(phi):
-        return -k2 * np.fft.fft2(phi**3)
+        return -k2 * forward(phi * phi * phi)
 
     vals, stats = fixed_point_solve(symbol, rhs_hat, state.phi_prev.values, nl)
     return Field(g, vals), stats
@@ -124,16 +136,18 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
     if tau <= 0:
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
-    k2 = g.k2
-    symbol = 1.0 / tau + 0.5 * k2 * p.lin_symbol
+    k2 = g.k2_half
+    lin = p.lin_symbol_half
+    symbol = 1.0 / tau + 0.5 * k2 * lin
     _check_symbol(symbol, tau)
     prev = state.phi_prev.values
-    prev_hat = np.fft.fft2(prev)
-    rhs_hat = prev_hat / tau - 0.5 * k2 * p.lin_symbol * prev_hat
+    prev_sq = prev * prev
+    prev_hat = forward(prev)
+    rhs_hat = prev_hat / tau - 0.5 * k2 * lin * prev_hat
 
     def nl(phi):
         mid = 0.5 * (phi + prev)
-        return -k2 * np.fft.fft2(0.5 * (phi**2 + prev**2) * mid)
+        return -k2 * forward(0.5 * (phi * phi + prev_sq) * mid)
 
     vals, stats = fixed_point_solve(symbol, rhs_hat, prev, nl)
     return Field(g, vals), stats
@@ -148,13 +162,13 @@ def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solv
     if tau <= 0:
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
-    k2 = g.k2
-    symbol = 1.0 / tau + k2 * (k2**2 + 1.0 - p.eps)
-    prev_hat = np.fft.fft2(state.phi_prev.values)
-    rhs_hat = prev_hat / tau + 2.0 * k2**2 * prev_hat
+    k2 = g.k2_half
+    symbol = 1.0 / tau + k2 * (k2 * k2 + 1.0 - p.eps)
+    prev_hat = forward(state.phi_prev.values)
+    rhs_hat = prev_hat / tau + 2.0 * (k2 * k2) * prev_hat
 
     def nl(phi):
-        return -k2 * np.fft.fft2(phi**3)
+        return -k2 * forward(phi * phi * phi)
 
     vals, stats = fixed_point_solve(symbol, rhs_hat, state.phi_prev.values, nl)
     return Field(g, vals), stats
@@ -173,20 +187,21 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams,
     if state.phi_prev2 is None:
         raise ValueError("CNCS requires two history levels; use cs1_step to start")
     g = state.phi_prev.grid
-    k2 = g.k2
-    lin = k2**2 + 1.0 - p.eps
+    k2 = g.k2_half
+    lin = k2 * k2 + 1.0 - p.eps
     symbol = 1.0 / tau + 0.5 * k2 * lin
     prev = state.phi_prev.values
-    prev_hat = np.fft.fft2(prev)
+    prev_sq = prev * prev
+    prev_hat = forward(prev)
     extrap = 3.0 * prev - state.phi_prev2.values
     if not literal_extrapolation:
         extrap = 0.5 * extrap
     rhs_hat = (prev_hat / tau - 0.5 * k2 * lin * prev_hat
-               + k2**2 * np.fft.fft2(extrap))
+               + (k2 * k2) * forward(extrap))
 
     def nl(phi):
         mid = 0.5 * (phi + prev)
-        return -k2 * np.fft.fft2(0.5 * (phi**2 + prev**2) * mid)
+        return -k2 * forward(0.5 * (phi * phi + prev_sq) * mid)
 
     vals, stats = fixed_point_solve(symbol, rhs_hat, prev, nl)
     return Field(g, vals), stats

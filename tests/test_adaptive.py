@@ -3,9 +3,10 @@ import pytest
 
 from pfc.adaptive import (AdaptiveConfig, adaptive_advance, adaptive_run,
                           tau_ada)
+from pfc.experiments import patched_initial
 from pfc.grid import Field, Grid2D, constant_field, mean
 from pfc.model import PfcParams
-from pfc.steppers import StepperState
+from pfc.steppers import SolverError, StepperState, bdf2_step
 
 
 @pytest.fixture
@@ -91,6 +92,27 @@ class TestAdvance:
         step = adaptive_advance(state, 1e-4, cfg, p)
         assert step.tau_accepted == pytest.approx(1e-4)
         assert step.e_rel >= cfg.tol
+
+    def test_failed_solve_shrinks_step(self):
+        # at tau = 2 the fixed-point iteration on this patch diverges; the
+        # controller must reject the trial step and retry with a smaller one
+        g = Grid2D(64, 64.0)
+        p = PfcParams(0.25, g)
+        state = StepperState(patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)]))
+        with pytest.raises(SolverError):
+            bdf2_step(state, 2.0, p)
+        step = adaptive_advance(state, 2.0, AdaptiveConfig(tau_max=2.0), p)
+        assert step.tau_accepted < 2.0
+        assert step.rejections >= 1
+        assert step.stats.converged
+        assert np.all(np.isfinite(step.phi.values))
+
+    def test_failed_solve_at_floor_raises(self):
+        g = Grid2D(64, 64.0)
+        p = PfcParams(0.25, g)
+        state = StepperState(patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)]))
+        with pytest.raises(SolverError):
+            adaptive_advance(state, 2.0, AdaptiveConfig(tau_min=1.9, tau_max=2.0), p)
 
     def test_next_step_within_bounds(self, setup):
         g, p = setup

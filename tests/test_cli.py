@@ -105,3 +105,59 @@ class TestCommands:
                    "--seed", "99", "--out", out])
         assert rc == 0
         assert captured["seed"] == 99
+
+
+class TestConfigValues:
+    @staticmethod
+    def run_with_config(tmp_path, monkeypatch, text, argv):
+        import pfc.cli as cli
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        seen = {}
+        for name in ("cmd_compare", "cmd_polycrystal"):
+            monkeypatch.setattr(cli, name, lambda args: seen.update(vars(args)) or 0)
+        return main(["--config", str(cfg), *argv]), seen
+
+    def test_boolean_false_stays_off(self, tmp_path, monkeypatch):
+        rc, seen = self.run_with_config(tmp_path, monkeypatch, "long = false\n",
+                                        ["polycrystal"])
+        assert rc == 0
+        assert seen["long"] is False
+
+    def test_boolean_true_turns_on(self, tmp_path, monkeypatch):
+        rc, seen = self.run_with_config(tmp_path, monkeypatch,
+                                        "skip-energy-runs = yes\n", ["compare"])
+        assert rc == 0
+        assert seen["skip_energy_runs"] is True
+
+    def test_bad_boolean_exit_code(self, tmp_path, monkeypatch):
+        rc, _ = self.run_with_config(tmp_path, monkeypatch, "long = maybe\n",
+                                     ["polycrystal"])
+        assert rc == 3
+
+    def test_append_splits_on_commas(self, tmp_path, monkeypatch):
+        rc, seen = self.run_with_config(tmp_path, monkeypatch, "scheme = cn\n",
+                                        ["compare"])
+        assert rc == 0
+        assert seen["scheme"] == ["cn"]
+        rc, seen = self.run_with_config(tmp_path, monkeypatch,
+                                        "scheme = bdf2, cncs\n", ["compare"])
+        assert rc == 0
+        assert seen["scheme"] == ["bdf2", "cncs"]
+
+    def test_append_checks_choices(self, tmp_path, monkeypatch):
+        rc, _ = self.run_with_config(tmp_path, monkeypatch, "scheme = rk4\n",
+                                     ["compare"])
+        assert rc == 3
+
+    def test_unknown_key_exit_code(self, tmp_path, monkeypatch):
+        rc, _ = self.run_with_config(tmp_path, monkeypatch, "sede = 7\n",
+                                     ["polycrystal"])
+        assert rc == 3
+
+    def test_other_subcommand_key_ignored(self, tmp_path, monkeypatch):
+        rc, seen = self.run_with_config(tmp_path, monkeypatch,
+                                        "grid-m = 32\nseed = 5\n", ["polycrystal"])
+        assert rc == 0
+        assert seen["seed"] == 5
+        assert "grid_m" not in seen

@@ -116,6 +116,26 @@ class TestEnergyLog:
         m0 = recs[0].mass
         assert all(abs(r.mass - m0) < 1e-12 for r in recs)
 
+    def test_energy_computed_once_per_record(self, monkeypatch):
+        import pfc.experiments as ex
+        from pfc.model import modified_energy
+        g = Grid2D(32, 8.0)
+        p = PfcParams(0.2, g)
+        phi0 = random_initial(0.1, 0.02, g, 11)
+        steps = [0.01, 0.02]
+        phi1 = run_with_energy_log(phi0, steps[:1], p)[0].phi_prev
+        calls = []
+        energy = ex.energy
+        monkeypatch.setattr(ex, "energy", lambda phi, q: calls.append(1) or energy(phi, q))
+        _, recs, _ = run_with_energy_log(phi0, steps, p)
+        assert len(calls) == len(steps) + 1
+        # E plus the history term is still the modified energy
+        want = modified_energy(phi1, phi0, steps[0], steps[1] / steps[0], p)
+        assert recs[1].E_mod == pytest.approx(want, rel=1e-14)
+        assert recs[1].E_mod > recs[1].E
+        assert recs[0].E_mod == recs[0].E
+        assert recs[2].E_mod == recs[2].E  # no next step: r = 0
+
 
 class TestOscillation:
     def test_smooth_profile(self):

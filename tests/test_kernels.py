@@ -155,6 +155,18 @@ class TestEigenBounds:
         prod = km.B2t.T @ km.B2t
         assert eb.lam_max == pytest.approx(np.linalg.eigvalsh(prod)[-1], abs=1e-9)
 
+    def test_huge_step_ratio_terminates(self):
+        # a step ratio of 1e6 puts lam_max near 1e6, where adjacent doubles
+        # are 1.2e-10 apart: an absolute tol of 1e-10 cannot be met there,
+        # so the bisection must stop once the bracket stops shrinking
+        m = mesh_from_ratios(1e-3, np.array([1e6, 0.5]))
+        km = kernel_matrices(m)
+        eb = eigen_bounds(m)
+        want = np.linalg.eigvalsh(km.B2t.T @ km.B2t)[-1]
+        assert want > 5e5
+        assert eb.lam_max == pytest.approx(want, rel=1e-12)
+        assert eb.lam_min == pytest.approx(np.linalg.eigvalsh(km.Bt)[0], abs=1e-9)
+
     def test_uniform_mesh_values(self):
         eb = eigen_bounds(uniform_mesh(50, 1.0))
         # interior Gershgorin rows give min_eig_bound(1, 1) = 2 and

@@ -1,0 +1,206 @@
+"""The half-spectrum layer in pfc.grid against full-plane complex transforms.
+
+The references below restate the steppers with numpy's full complex
+``fft2``/``ifft2`` and ``phi**3``, the layout the package used before it
+moved to real transforms.  One step of each scheme must land on the same
+fixed point to roundoff and take the same number of iterations.
+"""
+
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+import pfc
+from pfc.grid import (Field, Grid2D, backward, forward, gradient, inv_laplacian,
+                      laplacian, sum_of_squares)
+from pfc.model import PfcParams, chemical_potential, energy, manufactured_forcing
+from pfc.steppers import (FP_TOL, MAX_ITER, StepperState, bdf2_step, cn_step,
+                          cncs_step, cs1_step)
+
+FIELD_TOL = 1e-13
+CASES = [(32, 8.0, 0.2, 0.05), (128, 64.0, 0.2, 0.1)]
+
+
+def ref_solve(symbol, rhs_hat, guess, nl):
+    phi = guess
+    for it in range(1, MAX_ITER + 1):
+        phi_new = np.fft.ifft2((rhs_hat + nl(phi)) / symbol).real
+        res = float(np.max(np.abs(phi_new - phi)))
+        phi = phi_new
+        if res <= FP_TOL:
+            return phi, it
+    raise AssertionError("reference solve did not converge")
+
+
+def ref_bdf2(phi1, phi2, tau, tau_prev, p, forcing=None):
+    k2 = p.grid.k2
+    if phi2 is None:
+        b0, b1 = 1.0 / tau, 0.0
+    else:
+        r = tau / tau_prev
+        b0 = (1.0 + 2.0 * r) / (tau * (1.0 + r))
+        b1 = -(r * r) / (tau * (1.0 + r))
+    rhs = b0 * phi1
+    if b1 != 0.0:
+        rhs = rhs - b1 * (phi1 - phi2)
+    if forcing is not None:
+        rhs = rhs + forcing
+    return ref_solve(b0 + k2 * p.lin_symbol, np.fft.fft2(rhs), phi1,
+                     lambda phi: -k2 * np.fft.fft2(phi**3))
+
+
+def ref_cn(prev, tau, p):
+    k2 = p.grid.k2
+    prev_hat = np.fft.fft2(prev)
+    rhs_hat = prev_hat / tau - 0.5 * k2 * p.lin_symbol * prev_hat
+
+    def nl(phi):
+        return -k2 * np.fft.fft2(0.5 * (phi**2 + prev**2) * 0.5 * (phi + prev))
+
+    return ref_solve(1.0 / tau + 0.5 * k2 * p.lin_symbol, rhs_hat, prev, nl)
+
+
+def ref_cs1(prev, tau, p):
+    k2 = p.grid.k2
+    prev_hat = np.fft.fft2(prev)
+    return ref_solve(1.0 / tau + k2 * (k2**2 + 1.0 - p.eps),
+                     prev_hat / tau + 2.0 * k2**2 * prev_hat, prev,
+                     lambda phi: -k2 * np.fft.fft2(phi**3))
+
+
+def ref_cncs(prev, prev2, tau, p):
+    k2 = p.grid.k2
+    lin = k2**2 + 1.0 - p.eps
+    prev_hat = np.fft.fft2(prev)
+    extrap = 0.5 * (3.0 * prev - prev2)
+    rhs_hat = (prev_hat / tau - 0.5 * k2 * lin * prev_hat
+               + k2**2 * np.fft.fft2(extrap))
+
+    def nl(phi):
+        return -k2 * np.fft.fft2(0.5 * (phi**2 + prev**2) * 0.5 * (phi + prev))
+
+    return ref_solve(1.0 / tau + 0.5 * k2 * lin, rhs_hat, prev, nl)
+
+
+def two_levels(M, L, eps, seed):
+    g = Grid2D(M, L)
+    p = PfcParams(eps, g)
+    rng = np.random.default_rng(seed)
+    phi2 = Field(g, 0.1 + 0.1 * rng.uniform(-1, 1, size=(M, M)))
+    phi1 = Field(g, phi2.values + 0.01 * rng.uniform(-1, 1, size=(M, M)))
+    return g, p, phi1, phi2
+
+
+def assert_same_step(got, stats, want, want_iters):
+    assert np.max(np.abs(got.values - want)) <= FIELD_TOL
+    assert stats.iterations == want_iters
+
+
+@pytest.mark.parametrize("M,L,eps,tau", CASES)
+class TestStepsMatchFullPlane:
+    def test_bdf1_start(self, M, L, eps, tau):
+        g, p, phi1, _ = two_levels(M, L, eps, 1)
+        got, stats = bdf2_step(StepperState(phi1), tau, p)
+        assert_same_step(got, stats, *ref_bdf2(phi1.values, None, tau, None, p))
+
+    def test_bdf2_with_history(self, M, L, eps, tau):
+        g, p, phi1, phi2 = two_levels(M, L, eps, 2)
+        tau_prev = 0.6 * tau
+        state = StepperState(phi1, phi2, tau_prev)
+        got, stats = bdf2_step(state, tau, p)
+        assert_same_step(got, stats,
+                         *ref_bdf2(phi1.values, phi2.values, tau, tau_prev, p))
+
+    def test_bdf2_forced(self, M, L, eps, tau):
+        g, p, phi1, phi2 = two_levels(M, L, eps, 3)
+        f = manufactured_forcing(tau, g, p)
+        state = StepperState(phi1, phi2, tau)
+        got, stats = bdf2_step(state, tau, p, forcing=f)
+        assert_same_step(got, stats,
+                         *ref_bdf2(phi1.values, phi2.values, tau, tau, p, f.values))
+
+    def test_cn(self, M, L, eps, tau):
+        g, p, phi1, _ = two_levels(M, L, eps, 4)
+        got, stats = cn_step(StepperState(phi1), tau, p)
+        assert_same_step(got, stats, *ref_cn(phi1.values, tau, p))
+
+    def test_cs1(self, M, L, eps, tau):
+        g, p, phi1, _ = two_levels(M, L, eps, 5)
+        got, stats = cs1_step(StepperState(phi1), tau, p)
+        assert_same_step(got, stats, *ref_cs1(phi1.values, tau, p))
+
+    def test_cncs(self, M, L, eps, tau):
+        g, p, phi1, phi2 = two_levels(M, L, eps, 6)
+        got, stats = cncs_step(StepperState(phi1, phi2, tau), tau, p)
+        assert_same_step(got, stats, *ref_cncs(phi1.values, phi2.values, tau, p))
+
+
+class TestLayer:
+    def test_half_multipliers_are_slices(self):
+        g = Grid2D(16, 8.0)
+        p = PfcParams(0.3, g)
+        assert g.k2_half.shape == (16, 9)
+        assert np.array_equal(g.k2_half, g.k2[:, :9])
+        assert np.array_equal(g.ikx_half, g.ikx[:, :9])
+        assert np.array_equal(g.iky_half, g.iky[:, :9])
+        assert np.array_equal(p.lin_symbol_half, p.lin_symbol[:, :9])
+        # the unmatched Nyquist modes stay zeroed in the half plane
+        assert np.all(g.ikx_half[8, :] == 0)
+        assert np.all(g.iky_half[:, 8] == 0)
+
+    def test_forward_backward(self, rng):
+        vals = rng.standard_normal((24, 24))
+        coeffs = forward(vals)
+        assert np.allclose(coeffs, np.fft.fft2(vals)[:, :13], rtol=0, atol=1e-12)
+        assert np.max(np.abs(backward(coeffs, 24) - vals)) < 1e-14
+
+    def test_operators_match_full_plane(self, rng):
+        g = Grid2D(32, 8.0)
+        f = Field(g, rng.standard_normal((32, 32)))
+        fh = np.fft.fft2(f.values)
+        full = lambda mult: np.fft.ifft2(mult * fh).real
+        assert np.max(np.abs(laplacian(f).values - full(-g.k2))) < 1e-12
+        gx, gy = gradient(f)
+        assert np.max(np.abs(gx.values - full(g.ikx))) < 1e-13
+        assert np.max(np.abs(gy.values - full(g.iky))) < 1e-13
+        z = Field(g, f.values - np.mean(f.values))
+        inv = np.zeros_like(g.k2)
+        inv[g.k2 > 0] = 1.0 / g.k2[g.k2 > 0]
+        want = np.fft.ifft2(inv * np.fft.fft2(z.values)).real
+        assert np.max(np.abs(inv_laplacian(z).values - want)) < 1e-12
+
+    def test_chemical_potential_matches_full_plane(self, rng):
+        g = Grid2D(32, 8.0)
+        p = PfcParams(0.2, g)
+        f = Field(g, 0.3 * rng.standard_normal((32, 32)))
+        want = np.fft.ifft2(p.lin_symbol * np.fft.fft2(f.values)).real + f.values**3
+        err = np.max(np.abs(chemical_potential(f, p).values - want))
+        assert err <= 1e-14 * np.max(np.abs(want))
+
+    def test_sum_of_squares_is_parseval(self, rng):
+        for M in (4, 16, 30):
+            vals = rng.standard_normal((M, M))
+            assert sum_of_squares(forward(vals), M) == pytest.approx(
+                float(np.sum(vals * vals)), rel=1e-13)
+
+
+@pytest.mark.parametrize("M,L", [(32, 8.0), (128, 64.0)])
+def test_energy_against_physical_space(M, L, rng):
+    g = Grid2D(M, L)
+    p = PfcParams(0.25, g)
+    f = Field(g, 0.285 + 0.3 * rng.standard_normal((M, M)))
+    opl = np.fft.ifft2((1.0 - g.k2) * np.fft.fft2(f.values)).real
+    a = g.cell_area
+    direct = (0.5 * a * np.sum(opl**2) + 0.25 * a * np.sum((f.values**2 - p.eps) ** 2)
+              - 0.25 * p.eps**2 * g.volume)
+    assert energy(f, p) == pytest.approx(direct, rel=1e-12)
+
+
+def test_only_grid_transforms():
+    src = pathlib.Path(pfc.__file__).parent
+    pattern = re.compile(r"\b(np|numpy)\.fft\b|from numpy import fft|import numpy\.fft")
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if path.name != "grid.py" and pattern.search(path.read_text())]
+    assert offenders == []

@@ -3,7 +3,7 @@ import pytest
 
 from pfc.grid import Field, Grid2D, constant_field, mean
 from pfc.model import PfcParams, energy, manufactured_forcing, modified_energy
-from pfc.steppers import (ConditioningError, SolverError, StepperState,
+from pfc.steppers import (MAX_ITER, ConditioningError, SolverError, StepperState,
                           bdf2_step, cn_step, cncs_step, cs1_step,
                           run_fixed_mesh)
 
@@ -117,6 +117,20 @@ class TestBDF2:
         g, p = setup
         with pytest.raises(ValueError):
             bdf2_step(StepperState(constant_field(g, 0.0)), -0.1, p)
+
+    def test_divergence_stops_early(self):
+        # a large seeded patch at tau = 2: the iterates overflow, and the
+        # solve must stop at the first non-finite residual
+        from pfc.experiments import patched_initial
+        g = Grid2D(64, 64.0)
+        p = PfcParams(0.25, g)
+        phi = patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)])
+        with pytest.raises(SolverError) as exc:
+            bdf2_step(StepperState(phi), 2.0, p)
+        stats = exc.value.stats
+        assert not stats.converged
+        assert not np.isfinite(stats.final_residual)
+        assert stats.iterations < MAX_ITER
 
 
 class TestCN:
