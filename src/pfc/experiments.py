@@ -287,7 +287,7 @@ def kernels_report(mesh: TimeMesh, out_path: str | None = None):
     c = bdf2_coeffs(mesh)
     doc = doc_kernels(mesh)
     row_res = np.abs(doc.row_sums() - mesh.steps) / mesh.steps
-    ortho = verify_orthogonality(mesh)
+    ortho = verify_orthogonality(mesh, doc)
     eb = eigen_bounds(mesh)
     rows = [(n, float(mesh.steps[n - 1]), float(mesh.ratios[n - 1]),
              float(c.b0[n - 1]), float(c.b1[n - 1]) if n > 1 else 0.0,

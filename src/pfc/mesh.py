@@ -93,9 +93,13 @@ def mesh_from_ratios(tau1: float, ratios) -> TimeMesh:
     return TimeMesh(np.array(steps))
 
 
-def stability_bound(z: float, s: float) -> float:
-    """The quadratic-form ratio function (2 + 4z - z^2)/(1+z) - s/(1+s)."""
-    if not (0 <= z < R_SUP and 0 <= s < R_SUP):
+def stability_bound(z: float | np.ndarray,
+                    s: float | np.ndarray) -> float | np.ndarray:
+    """The quadratic-form ratio function (2 + 4z - z^2)/(1+z) - s/(1+s).
+
+    Takes scalars or equal-shape arrays; every argument must lie in [0, r_sup).
+    """
+    if not np.all((0 <= z) & (z < R_SUP) & (0 <= s) & (s < R_SUP)):
         raise ValueError(f"arguments must lie in [0, {R_SUP:.4f}), got z={z}, s={s}")
     return (2.0 + 4.0 * z - z * z) / (1.0 + z) - s / (1.0 + s)
 
@@ -108,24 +112,21 @@ def check_restriction(mesh: TimeMesh, eps: float, lookahead: float = 0.0) -> lis
     """
     if not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    bad = []
-    for n in range(1, mesh.N + 1):
-        rn = mesh.ratios[n - 1]
-        rnp1 = mesh.ratios[n] if n < mesh.N else lookahead
-        if rn >= R_SUP or rnp1 >= R_SUP:
-            bad.append(n)  # outside the domain of the bound: flag conservatively
-            continue
-        bound = (2.0 / (3.0 * eps)) * min(
-            (1.0 + 2.0 * rn) / (1.0 + rn), stability_bound(rn, rnp1)
-        )
-        if mesh.steps[n - 1] > bound:
-            bad.append(n)
-    return bad
+    rn = mesh.ratios
+    rnp1 = np.append(rn[1:], lookahead)
+    # outside the domain of the bound: flag conservatively
+    bad = (rn >= R_SUP) | (rnp1 >= R_SUP)
+    ok = ~bad
+    z, s = rn[ok], rnp1[ok]
+    bound = (2.0 / (3.0 * eps)) * np.minimum((1.0 + 2.0 * z) / (1.0 + z),
+                                             stability_bound(z, s))
+    bad[ok] = mesh.steps[ok] > bound
+    return (np.flatnonzero(bad) + 1).tolist()
 
 
 def analyze(mesh: TimeMesh, eps: float | None = None) -> MeshReport:
     """Populate a MeshReport; restriction checks run only when eps is given."""
-    s1 = [k for k in range(2, mesh.N + 1) if mesh.ratios[k - 1] >= R_SUP]
+    s1 = (np.flatnonzero(mesh.ratios[1:] >= R_SUP) + 2).tolist()
     n0 = int(
         np.sum((mesh.ratios >= R_TRANSITION) & (mesh.ratios < R_SUP))
     )

@@ -8,6 +8,7 @@ from pfc.experiments import (DEFAULT_PATCHES, kernels_report, midline,
                              random_initial, run_bdf2_forced, run_convergence,
                              run_with_energy_log, write_csv)
 from pfc.grid import Field, Grid2D
+from pfc.kernels import kernel_matrices
 from pfc.mesh import random_mesh, uniform_mesh
 from pfc.model import PfcParams
 
@@ -171,3 +172,31 @@ class TestKernelsReport:
         text = open(path).read()
         assert text.startswith("n,tau,r,b0,b1")
         assert "lam_min=" in text
+
+    def test_doc_table_built_once(self, tmp_path, monkeypatch):
+        import pfc.kernels as kernels
+        calls = []
+        orig = kernels.doc_kernels
+        monkeypatch.setattr(kernels, "doc_kernels",
+                            lambda mesh: calls.append(mesh.N) or orig(mesh))
+        kernels_report(random_mesh(50, 1.0, 3), os.path.join(tmp_path, "k.csv"))
+        assert calls == [50]
+
+    def test_cli_on_huge_ratio_mesh(self, tmp_path, capsys):
+        # its largest step ratio is 9.8e5, so lam_max is near 1e6
+        from pfc.cli import main
+        spec = "random:300,1.0,78396460"
+        path = str(tmp_path / "k.csv")
+        assert main(["kernels", "--mesh", spec, "--report", path]) == 0
+        assert "300 levels" in capsys.readouterr().out
+        lines = open(path).read().splitlines()
+        assert lines[0].startswith("n,tau,r,b0,b1")
+        assert len([ln for ln in lines[1:] if not ln.startswith("#")]) == 300
+        footer = dict(kv.split("=") for kv in lines[-1].lstrip("# ").split(","))
+        m = random_mesh(300, 1.0, 78396460)
+        km = kernel_matrices(m)
+        want_min = np.linalg.eigvalsh(km.Bt)[0]
+        want_max = np.linalg.eigvalsh(km.B2t.T @ km.B2t)[-1]
+        assert want_max > 5e5
+        assert float(footer["lam_min"]) == pytest.approx(want_min, rel=1e-8)
+        assert float(footer["lam_max"]) == pytest.approx(want_max, rel=1e-8)

@@ -2,14 +2,87 @@ import numpy as np
 import pytest
 
 from conftest import random_s1_mesh
-from pfc.kernels import (bdf2_coeffs, cross_form_theta, doc_kernels,
+from pfc.kernels import (_sturm_count, bdf2_coeffs, cross_form_theta, doc_kernels,
                          doc_kernels_recursive, eigen_bounds, kernel_matrices,
                          max_eig_bound, min_eig_bound, quad_form_b,
                          quad_form_theta, refined_quad_const,
                          scaled_tridiagonals, tridiag_extreme_eig,
                          verify_orthogonality, verify_telescope)
-from pfc.mesh import (R_SUP, TimeMesh, mesh_from_ratios, stability_bound,
-                      uniform_mesh)
+from pfc.mesh import (R_SUP, TimeMesh, mesh_from_ratios, random_mesh,
+                      stability_bound, uniform_mesh)
+
+
+# Per-entry versions of the certificate code, kept as exact oracles: the
+# library's vectorised forms must return the very same doubles.
+
+def _loop_orthogonality(mesh):
+    c = bdf2_coeffs(mesh)
+    doc = doc_kernels(mesh)
+    worst = 0.0
+    for n in range(1, mesh.N + 1):
+        row = doc.rows[n - 1]
+        for k in range(1, n + 1):
+            s = row[k - 1] * c.b0[k - 1]
+            if k + 1 <= n:
+                s += row[k] * c.b1[k]
+            target = 1.0 if k == n else 0.0
+            worst = max(worst, abs(s - target))
+    return worst
+
+
+def _numpy_sturm_count(d, e, x):
+    count = 0
+    q = d[0] - x
+    if q < 0:
+        count += 1
+    for i in range(1, d.size):
+        if q == 0.0:
+            q = 1e-300
+        q = d[i] - x - e[i - 1] * e[i - 1] / q
+        if q < 0:
+            count += 1
+    return count
+
+
+def _numpy_extreme_eig(d, e, which, tol=1e-10):
+    n = d.size
+    radius = np.zeros(n)
+    if n > 1:
+        radius[:-1] += np.abs(e)
+        radius[1:] += np.abs(e)
+    lo = float(np.min(d - radius)) - tol
+    hi = float(np.max(d + radius)) + tol
+    need = 1 if which == "min" else n
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _numpy_sturm_count(d, e, mid) >= need:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _numpy_eigen_extremes(mesh):
+    tb0, tb1 = scaled_tridiagonals(mesh)
+    lam_min = _numpy_extreme_eig(2.0 * tb0, tb1[1:], "min")
+    d_p = tb0**2
+    d_p[:-1] += tb1[1:] ** 2
+    lam_max = _numpy_extreme_eig(d_p, tb0[1:] * tb1[1:], "max")
+    return lam_min, lam_max
+
+
+def _oracle_meshes():
+    rng = np.random.default_rng(2023)
+    meshes = [random_s1_mesh(rng, n_max=120) for _ in range(20)]
+    meshes += [random_mesh(int(rng.integers(2, 300)), 1.0, int(rng.integers(0, 2**31)))
+               for _ in range(20)]
+    meshes += [uniform_mesh(n, 1.0) for n in (2, 3, 50, 200)]
+    meshes += [TimeMesh(np.array([0.3])), uniform_mesh(1, 2.0),
+               mesh_from_ratios(1e-3, np.array([1e6, 0.5])),
+               random_mesh(300, 1.0, 78396460)]
+    return meshes
 
 
 class TestBDF2Coeffs:
@@ -89,6 +162,17 @@ class TestOrthogonality:
         m = random_s1_mesh(rng, n_max=200, n_min=150)
         assert verify_orthogonality(m) <= 1e-10
 
+    def test_same_double_as_scalar_loop(self):
+        for m in _oracle_meshes():
+            assert verify_orthogonality(m) == _loop_orthogonality(m)
+
+    def test_given_table_is_used(self):
+        m = random_mesh(40, 1.0, 9)
+        doc = doc_kernels(m)
+        assert verify_orthogonality(m, doc) == verify_orthogonality(m)
+        doc.rows[-1] = 2.0 * doc.rows[-1]
+        assert verify_orthogonality(m, doc) > 0.5
+
     def test_matrix_identity(self, rng):
         m = random_s1_mesh(rng, n_max=40, n_min=20)
         km = kernel_matrices(m)
@@ -166,6 +250,22 @@ class TestEigenBounds:
         assert want > 5e5
         assert eb.lam_max == pytest.approx(want, rel=1e-12)
         assert eb.lam_min == pytest.approx(np.linalg.eigvalsh(km.Bt)[0], abs=1e-9)
+
+    def test_same_doubles_as_numpy_scalar_bisection(self):
+        for m in _oracle_meshes():
+            eb = eigen_bounds(m)
+            assert (eb.lam_min, eb.lam_max) == _numpy_eigen_extremes(m)
+
+    def test_sturm_count_matches_numpy_scalars(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(1, 40))
+            d = rng.standard_normal(n)
+            e = rng.standard_normal(n - 1)
+            pairs = list(zip(d[1:].tolist(), (e * e).tolist()))
+            for x in np.concatenate([rng.uniform(-4, 4, 20), d[:1]]):
+                assert _sturm_count(float(d[0]), pairs, float(x)) == _numpy_sturm_count(d, e, x)
+            for which in ("min", "max"):
+                assert tridiag_extreme_eig(d, e, which) == _numpy_extreme_eig(d, e, which)
 
     def test_uniform_mesh_values(self):
         eb = eigen_bounds(uniform_mesh(50, 1.0))

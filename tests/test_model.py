@@ -132,6 +132,16 @@ class TestMass:
         combo = Field(g, 2.0 * f.values + 0.5 * h.values)
         assert mass(combo) == pytest.approx(2 * mass(f) + 0.5 * mass(h), rel=1e-12)
 
+    def test_same_bits_as_inner_with_ones(self, rng):
+        # x * 1.0 == x, so dropping the field of ones changes no bit
+        from pfc.experiments import patched_initial
+        g64 = Grid2D(64, 8.0)
+        g256 = Grid2D(256, 256.0)
+        fields = [Field(g64, rng.standard_normal((64, 64))),
+                  patched_initial(g256, seed=2023)]
+        for f in fields:
+            assert mass(f) == inner(f, constant_field(f.grid, 1.0))
+
 
 class TestLinfMonitor:
     def test_zero_field(self, setup):
