@@ -286,7 +286,17 @@ def kernels_report(mesh: TimeMesh, out_path: str | None = None):
 
     c = bdf2_coeffs(mesh)
     doc = doc_kernels(mesh)
-    row_res = np.abs(doc.row_sums() - mesh.steps) / mesh.steps
+    row_sums = doc.row_sums()
+    # DOC entries are nonnegative, so a row sum is finite iff its whole row is
+    finite = (np.isfinite(mesh.ratios) & np.isfinite(c.b0) & np.isfinite(c.b1)
+              & np.isfinite(row_sums))
+    if not finite.all():
+        n = int(np.argmin(finite)) + 1
+        raise ValueError(
+            f"level {n} has a non-finite step ratio or kernel (r={mesh.ratios[n - 1]:.3e}, "
+            f"b0={c.b0[n - 1]:.3e}, b1={c.b1[n - 1]:.3e}, DOC row sum "
+            f"{row_sums[n - 1]:.3e}); the mesh cannot be certified")
+    row_res = np.abs(row_sums - mesh.steps) / mesh.steps
     ortho = verify_orthogonality(mesh, doc)
     eb = eigen_bounds(mesh)
     rows = [(n, float(mesh.steps[n - 1]), float(mesh.ratios[n - 1]),

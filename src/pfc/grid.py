@@ -3,8 +3,9 @@
 This module owns every transform in the package.  Fields are real, so the
 spectral layer works on the half spectrum: ``forward`` is numpy's ``rfft2``
 (unnormalized, shape M x (M/2 + 1)) and ``backward`` is ``irfft2``, which
-carries the 1/M^2 factor.  Fields are stored as M x M real arrays with
-``values[i, j]`` the sample at ``(i*h, j*h)``.
+carries the 1/M^2 factor; both are written as their two 1-D passes.  Fields
+are stored as M x M real arrays with ``values[i, j]`` the sample at
+``(i*h, j*h)``.
 
 Multipliers come in two layouts: the full plane (``k2``, ``ikx``, ``iky``,
 numpy ``fft2`` order) and the half plane (``k2_half``, ``ikx_half``,
@@ -101,13 +102,17 @@ def _check_same_grid(f: Field, g: Field):
 
 
 def forward(values: np.ndarray) -> np.ndarray:
-    """Unnormalized half-spectrum transform of real M x M values."""
-    return np.fft.rfft2(values)
+    """Unnormalized half-spectrum transform of real M x M values.
+
+    The axis-wise calls are what ``rfft2`` does inside, bit for bit, without
+    its n-d argument handling.
+    """
+    return np.fft.fft(np.fft.rfft(values, axis=1), axis=0)
 
 
 def backward(coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Normalized inverse of ``forward``: real M x M values."""
-    return np.fft.irfft2(coeffs, s=(M, M))
+    """Normalized inverse of ``forward``: real M x M values (``irfft2``, bit for bit)."""
+    return np.fft.irfft(np.fft.ifft(coeffs, axis=0), n=M, axis=1)
 
 
 def sum_of_squares(coeffs: np.ndarray, M: int) -> float:

@@ -98,10 +98,21 @@ def linf_monitor(phi: Field, E0: float, p: PfcParams) -> tuple[float, float]:
     return linf, proxy
 
 
+def _axis_sines(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """sin(pi x / 2) as an M x 1 column and sin(pi y / 2) as a 1 x M row."""
+    return (np.sin(0.5 * np.pi * grid.X[:, :1]),
+            np.sin(0.5 * np.pi * grid.Y[:1, :]))
+
+
 def exact_solution(t: float, grid: Grid2D) -> Field:
-    """cos(t) sin(pi x / 2) sin(pi y / 2), the manufactured profile on (0,8)^2."""
-    return Field(grid, np.cos(t) * np.sin(0.5 * np.pi * grid.X)
-                 * np.sin(0.5 * np.pi * grid.Y))
+    """cos(t) sin(pi x / 2) sin(pi y / 2), the manufactured profile on (0,8)^2.
+
+    The sines are taken on the axes and broadcast; the products are the
+    ones the 2-D formula forms, in the same order, so the values match it
+    bit for bit.
+    """
+    sx, sy = _axis_sines(grid)
+    return Field(grid, (np.cos(t) * sx) * sy)
 
 
 def manufactured_forcing(t: float, grid: Grid2D, p: PfcParams) -> Field:
@@ -112,6 +123,7 @@ def manufactured_forcing(t: float, grid: Grid2D, p: PfcParams) -> Field:
     measured errors are purely temporal.
     """
     phi = exact_solution(t, grid)
-    dphi_dt = -np.sin(t) * np.sin(0.5 * np.pi * grid.X) * np.sin(0.5 * np.pi * grid.Y)
+    sx, sy = _axis_sines(grid)
+    dphi_dt = (-np.sin(t) * sx) * sy
     lap_mu = laplacian(chemical_potential(phi, p))
     return Field(grid, dphi_dt - lap_mu.values)

@@ -3,10 +3,15 @@
 All schemes share one solver pattern: the stiff linear part is inverted
 exactly mode-by-mode (the spectral symbol is diagonal) and the remaining
 terms are lagged in a fixed-point loop that stops when successive iterates
-differ by at most 1e-12 in the max norm.
+differ by at most 1e-12 in the max norm.  Each scheme hands
+``fixed_point_solve`` its symbol, the transformed right-hand side, a
+starting guess and its lagged nonlinearity as a physical-space function
+(``phi**3`` or CN's averaged product); the solver owns the spectral
+multiplier -k^2/symbol that turns that nonlinearity into an update.
 
 Schemes:
-  * variable-step BDF2, fully implicit (reduces to BDF1 without history);
+  * variable-step BDF2, fully implicit (reduces to BDF1 without history),
+    started from the linear extrapolation phi^{n-1} + r_n (phi^{n-1} - phi^{n-2});
   * Crank-Nicolson (CN) with the product-form midpoint nonlinearity;
   * Crank-Nicolson convex splitting (CNCS) with an explicit extrapolated
     gradient term, started by a first-order convex-splitting step.
@@ -66,16 +71,18 @@ def _check_symbol(symbol: np.ndarray, tau: float):
 
 
 def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray,
-                      nonlinear_hat) -> tuple[np.ndarray, SolveStats]:
-    """Iterate phi <- S^{-1}(rhs + N(phi)) until the max-norm increment is tiny.
+                      k2: np.ndarray, nonlinear) -> tuple[np.ndarray, SolveStats]:
+    """Iterate phi <- S^{-1}(rhs - k^2 F[N(phi)]) until the max-norm increment is tiny.
 
-    ``symbol``, ``rhs_hat`` and the output of ``nonlinear_hat(phi)`` (the
-    spectral contribution of the lagged terms for the current physical-space
-    iterate) are half-spectrum arrays in the layout of ``grid.forward``.  A
-    non-finite increment ends the solve at once with ``SolverError``.
+    ``symbol`` S, ``rhs_hat`` and ``k2`` are half-spectrum arrays in the
+    layout of ``grid.forward``; ``nonlinear(phi)`` returns the lagged terms
+    N(phi) in physical space for the current iterate.  The multipliers
+    -k2/S and rhs_hat/S are formed once per solve, so an iteration costs one
+    transform pair.  A non-finite increment ends the solve at once with
+    ``SolverError``.
     """
     M = guess.shape[0]
-    inv_symbol = 1.0 / symbol
+    mult = -k2 / symbol
     base_hat = rhs_hat / symbol
     phi = guess
     res = np.inf
@@ -83,8 +90,16 @@ def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray
     # solve below, so the floating-point warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITER + 1):
-            phi_new = backward(base_hat + nonlinear_hat(phi) * inv_symbol, M)
-            res = float(np.max(np.abs(phi_new - phi)))
+            x = forward(nonlinear(phi))
+            x *= mult
+            x += base_hat
+            phi_new = backward(x, M)
+            d = phi_new - phi
+            np.abs(d, out=d)
+            res = float(d.max())
+            # kept into the next iteration, these two would add two grid
+            # arrays to the solve's peak memory
+            del x, d
             phi = phi_new
             if res <= FP_TOL:
                 return phi, SolveStats(it, res, True)
@@ -97,37 +112,47 @@ def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray
     )
 
 
+def _cube(phi):
+    return phi * phi * phi
+
+
 def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
               forcing: Field | None = None) -> tuple[Field, SolveStats]:
     """Advance one level with the implicit two-step scheme.
 
-    With a single history level the step degenerates to BDF1 (ratio 0).
-    The zero mode carries no dynamics, so the mean is conserved whenever
-    the forcing is absent or mean-free.
+    With a single history level the step degenerates to BDF1 (ratio 0) and
+    the iteration starts from phi^{n-1}; with two it starts from the linear
+    extrapolation phi^{n-1} + r_n (phi^{n-1} - phi^{n-2}), which changes the
+    iteration count but not the fixed point.  The zero mode carries no
+    dynamics, so the mean is conserved whenever the forcing is absent or
+    mean-free.
     """
     if tau_n <= 0:
         raise ValueError("tau_n must be positive")
     g = state.phi_prev.grid
-    if state.phi_prev2 is None or state.tau_prev is None:
-        b0, b1 = 1.0 / tau_n, 0.0
-    else:
+    history = state.phi_prev2 is not None and state.tau_prev is not None
+    if history:
         r = tau_n / state.tau_prev
         b0 = (1.0 + 2.0 * r) / (tau_n * (1.0 + r))
         b1 = -(r * r) / (tau_n * (1.0 + r))
+    else:
+        b0 = 1.0 / tau_n
     k2 = g.k2_half
     symbol = b0 + k2 * p.lin_symbol_half
     _check_symbol(symbol, tau_n)
-    rhs = b0 * state.phi_prev.values
-    if b1 != 0.0:
-        rhs = rhs - b1 * (state.phi_prev.values - state.phi_prev2.values)
+    prev = state.phi_prev.values
+    rhs = b0 * prev
+    guess = prev
+    if history:
+        diff = prev - state.phi_prev2.values
+        rhs -= b1 * diff
+        # the predictor phi^{n-1} + r (phi^{n-1} - phi^{n-2}), built in diff's buffer
+        diff *= r
+        diff += prev
+        guess = diff
     if forcing is not None:
-        rhs = rhs + forcing.values
-    rhs_hat = forward(rhs)
-
-    def nl(phi):
-        return -k2 * forward(phi * phi * phi)
-
-    vals, stats = fixed_point_solve(symbol, rhs_hat, state.phi_prev.values, nl)
+        rhs += forcing.values
+    vals, stats = fixed_point_solve(symbol, forward(rhs), guess, k2, _cube)
     return Field(g, vals), stats
 
 
@@ -147,9 +172,9 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
 
     def nl(phi):
         mid = 0.5 * (phi + prev)
-        return -k2 * forward(0.5 * (phi * phi + prev_sq) * mid)
+        return 0.5 * (phi * phi + prev_sq) * mid
 
-    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, nl)
+    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, k2, nl)
     return Field(g, vals), stats
 
 
@@ -167,10 +192,7 @@ def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solv
     prev_hat = forward(state.phi_prev.values)
     rhs_hat = prev_hat / tau + 2.0 * (k2 * k2) * prev_hat
 
-    def nl(phi):
-        return -k2 * forward(phi * phi * phi)
-
-    vals, stats = fixed_point_solve(symbol, rhs_hat, state.phi_prev.values, nl)
+    vals, stats = fixed_point_solve(symbol, rhs_hat, state.phi_prev.values, k2, _cube)
     return Field(g, vals), stats
 
 
@@ -201,9 +223,9 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams,
 
     def nl(phi):
         mid = 0.5 * (phi + prev)
-        return -k2 * forward(0.5 * (phi * phi + prev_sq) * mid)
+        return 0.5 * (phi * phi + prev_sq) * mid
 
-    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, nl)
+    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, k2, nl)
     return Field(g, vals), stats
 
 

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from pfc.cli import build_parser, load_config, main
@@ -66,6 +67,17 @@ class TestCommands:
         assert rc == 0
         assert os.path.exists(report)
         assert "30 levels" in capsys.readouterr().out
+
+    def test_kernels_rejects_non_finite_kernels(self, tmp_path, capsys):
+        # the second step ratio 1e300 / 1e-300 overflows to inf, so b0 is nan
+        taus = tmp_path / "taus.txt"
+        taus.write_text("1e-300\n1e300\n1\n0.5\n")
+        report = tmp_path / "k.csv"
+        with np.errstate(all="ignore"):
+            rc = main(["kernels", "--mesh", str(taus), "--report", str(report)])
+        assert rc == 3
+        assert "level 2 has a non-finite step ratio or kernel" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_convergence_command_small(self, tmp_path, capsys, monkeypatch):
         # shrink the ladder through the config file override path

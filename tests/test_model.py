@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pfc.grid import Field, Grid2D, constant_field, hminus1_norm, inner
+from pfc.grid import (Field, Grid2D, constant_field, hminus1_norm, inner,
+                      laplacian)
 from pfc.model import (PfcParams, chemical_potential, energy, exact_solution,
                        linf_monitor, manufactured_forcing, mass,
                        modified_energy)
@@ -179,3 +180,15 @@ class TestManufacturedForcing:
         lap_mu = np.fft.ifft2(-g.k2 * np.fft.fft2(mu.values)).real
         res = dphi_dt - lap_mu - manufactured_forcing(t, g, p).values
         assert np.max(np.abs(res)) < 1e-12
+
+    @pytest.mark.parametrize("M", [4, 32, 128, 256])
+    def test_axis_sines_match_2d_formula(self, M):
+        g = Grid2D(M, 8.0)
+        p = PfcParams(0.2, g)
+        sx = np.sin(0.5 * np.pi * g.X)
+        sy = np.sin(0.5 * np.pi * g.Y)
+        for t in (0.0, 0.37, 1.7, 12.5):
+            phi = Field(g, np.cos(t) * sx * sy)
+            assert np.array_equal(exact_solution(t, g).values, phi.values)
+            want = -np.sin(t) * sx * sy - laplacian(chemical_potential(phi, p)).values
+            assert np.array_equal(manufactured_forcing(t, g, p).values, want)

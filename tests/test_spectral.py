@@ -3,7 +3,8 @@
 The references below restate the steppers with numpy's full complex
 ``fft2``/``ifft2`` and ``phi**3``, the layout the package used before it
 moved to real transforms.  One step of each scheme must land on the same
-fixed point to roundoff and take the same number of iterations.
+fixed point to roundoff and take the same number of iterations; a BDF2
+step with history starts the reference from the same extrapolated guess.
 """
 
 import pathlib
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import pfc
+import pfc.steppers as steppers
 from pfc.grid import (Field, Grid2D, backward, forward, gradient, inv_laplacian,
                       laplacian, sum_of_squares)
 from pfc.model import PfcParams, chemical_potential, energy, manufactured_forcing
@@ -34,7 +36,8 @@ def ref_solve(symbol, rhs_hat, guess, nl):
     raise AssertionError("reference solve did not converge")
 
 
-def ref_bdf2(phi1, phi2, tau, tau_prev, p, forcing=None):
+def ref_bdf2(phi1, phi2, tau, tau_prev, p, forcing=None, guess=None):
+    """Full-plane BDF2 step started from ``guess`` (phi1 when not given)."""
     k2 = p.grid.k2
     if phi2 is None:
         b0, b1 = 1.0 / tau, 0.0
@@ -47,8 +50,14 @@ def ref_bdf2(phi1, phi2, tau, tau_prev, p, forcing=None):
         rhs = rhs - b1 * (phi1 - phi2)
     if forcing is not None:
         rhs = rhs + forcing
-    return ref_solve(b0 + k2 * p.lin_symbol, np.fft.fft2(rhs), phi1,
+    return ref_solve(b0 + k2 * p.lin_symbol, np.fft.fft2(rhs),
+                     phi1 if guess is None else guess,
                      lambda phi: -k2 * np.fft.fft2(phi**3))
+
+
+def extrapolated(phi1, phi2, tau, tau_prev):
+    """The BDF2 predictor phi1 + r (phi1 - phi2), r = tau / tau_prev."""
+    return phi1 + (tau / tau_prev) * (phi1 - phi2)
 
 
 def ref_cn(prev, tau, p):
@@ -110,16 +119,18 @@ class TestStepsMatchFullPlane:
         tau_prev = 0.6 * tau
         state = StepperState(phi1, phi2, tau_prev)
         got, stats = bdf2_step(state, tau, p)
-        assert_same_step(got, stats,
-                         *ref_bdf2(phi1.values, phi2.values, tau, tau_prev, p))
+        guess = extrapolated(phi1.values, phi2.values, tau, tau_prev)
+        assert_same_step(got, stats, *ref_bdf2(phi1.values, phi2.values, tau, tau_prev,
+                                               p, guess=guess))
 
     def test_bdf2_forced(self, M, L, eps, tau):
         g, p, phi1, phi2 = two_levels(M, L, eps, 3)
         f = manufactured_forcing(tau, g, p)
         state = StepperState(phi1, phi2, tau)
         got, stats = bdf2_step(state, tau, p, forcing=f)
-        assert_same_step(got, stats,
-                         *ref_bdf2(phi1.values, phi2.values, tau, tau, p, f.values))
+        guess = extrapolated(phi1.values, phi2.values, tau, tau)
+        assert_same_step(got, stats, *ref_bdf2(phi1.values, phi2.values, tau, tau, p,
+                                               f.values, guess=guess))
 
     def test_cn(self, M, L, eps, tau):
         g, p, phi1, _ = two_levels(M, L, eps, 4)
@@ -155,6 +166,13 @@ class TestLayer:
         coeffs = forward(vals)
         assert np.allclose(coeffs, np.fft.fft2(vals)[:, :13], rtol=0, atol=1e-12)
         assert np.max(np.abs(backward(coeffs, 24) - vals)) < 1e-14
+
+    @pytest.mark.parametrize("M", [4, 32, 128, 256])
+    def test_axis_passes_are_rfft2_bit_for_bit(self, M, rng):
+        vals = rng.standard_normal((M, M))
+        coeffs = forward(vals)
+        assert np.array_equal(coeffs, np.fft.rfft2(vals))
+        assert np.array_equal(backward(coeffs, M), np.fft.irfft2(coeffs, s=(M, M)))
 
     def test_operators_match_full_plane(self, rng):
         g = Grid2D(32, 8.0)
@@ -204,3 +222,53 @@ def test_only_grid_transforms():
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if path.name != "grid.py" and pattern.search(path.read_text())]
     assert offenders == []
+
+
+@pytest.mark.parametrize("M,L,eps,tau", CASES)
+@pytest.mark.parametrize("ratio", [0.1, 1.0, 3.5, 100.0])
+def test_predictor_lands_on_plain_guess_fixed_point(M, L, eps, tau, ratio):
+    """The extrapolated start changes the iteration count, not the solution."""
+    g, p, phi1, phi2 = two_levels(M, L, eps, 7)
+    tau_prev = tau / ratio
+    got, _ = bdf2_step(StepperState(phi1, phi2, tau_prev), tau, p)
+    want, _ = ref_bdf2(phi1.values, phi2.values, tau, tau_prev, p)
+    assert np.max(np.abs(got.values - want)) <= 1e-11
+
+
+def test_bdf2_starts_from_extrapolation(monkeypatch):
+    guesses = []
+    solve = steppers.fixed_point_solve
+
+    def spy(symbol, rhs_hat, guess, k2, nonlinear):
+        guesses.append(guess.copy())
+        return solve(symbol, rhs_hat, guess, k2, nonlinear)
+
+    monkeypatch.setattr(steppers, "fixed_point_solve", spy)
+    g, p, phi1, phi2 = two_levels(32, 8.0, 0.2, 9)
+    bdf2_step(StepperState(phi1), 0.05, p)
+    bdf2_step(StepperState(phi1, phi2, 0.02), 0.05, p)
+    assert np.array_equal(guesses[0], phi1.values)
+    assert np.array_equal(guesses[1], extrapolated(phi1.values, phi2.values, 0.05, 0.02))
+
+
+@pytest.mark.parametrize("step", ["bdf2", "cn"])
+def test_transforms_per_step(step, monkeypatch):
+    """One forward transform of the right-hand side, then one pair per iteration."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(steppers, "forward", counted(forward))
+    monkeypatch.setattr(steppers, "backward", counted(backward))
+    g, p, phi1, phi2 = two_levels(32, 8.0, 0.2, 8)
+    if step == "bdf2":
+        _, stats = bdf2_step(StepperState(phi1, phi2, 0.05), 0.05, p)
+    else:
+        _, stats = cn_step(StepperState(phi1), 0.05, p)
+    assert stats.iterations > 1
+    assert len(calls) == 1 + 2 * stats.iterations
+    assert calls.count("backward") == stats.iterations
