@@ -107,9 +107,6 @@ def adaptive_advance(state: StepperState, tau_trial: float, cfg: AdaptiveConfig,
 class AdaptiveRun:
     taus: list[float] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
-    errors: list[float] = field(default_factory=list)
-    rejections: list[int] = field(default_factory=list)
-    iterations: list[int] = field(default_factory=list)
 
     @property
     def steps(self) -> int:
@@ -120,8 +117,8 @@ def adaptive_run(phi0: Field, T: float, cfg: AdaptiveConfig, p: PfcParams,
                  tau_init: float | None = None, observer=None):
     """Run the controller until time T; returns the final state and the log.
 
-    The first trial step defaults to tau_min.  ``observer(state, step)`` is
-    called after every accepted step.
+    The first trial step defaults to tau_min.  ``observer(state, stats)`` is
+    called after every accepted step with the solve stats of that step.
     """
     state = StepperState(phi0)
     tau_next = tau_init if tau_init is not None else cfg.tau_min
@@ -133,9 +130,6 @@ def adaptive_run(phi0: Field, T: float, cfg: AdaptiveConfig, p: PfcParams,
         tau_next = step.tau_next
         log.taus.append(step.tau_accepted)
         log.times.append(state.t)
-        log.errors.append(step.e_rel)
-        log.rejections.append(step.rejections)
-        log.iterations.append(step.stats.iterations)
         if observer is not None:
-            observer(state, step)
+            observer(state, step.stats)
     return state, log

@@ -19,10 +19,10 @@ from .adaptive import AdaptiveConfig, adaptive_run
 from .grid import Field, Grid2D, l2_norm, save_snapshot
 from .kernels import eigen_bounds
 from .mesh import R_SUP, TimeMesh, analyze, random_mesh, uniform_mesh
-from .model import (EnergyRecord, PfcParams, energy, exact_solution, history_energy,
-                    manufactured_forcing, mass)
+from .model import (EnergyRecord, PfcParams, energy, exact_solution, history_weight,
+                    manufactured_forcing, mass, step_distance_sq)
 from .rng import SplitMix64
-from .steppers import StepperState, run_fixed_mesh
+from .steppers import SolveStats, StepperState, run_fixed_mesh
 
 FMT = "%.17g"
 
@@ -123,38 +123,41 @@ def run_convergence(M: int = 128, L: float = 8.0, eps: float = 0.02,
     return rows
 
 
+class EnergyLog:
+    """``observer`` for ``run_fixed_mesh`` and ``adaptive_run``: a record at t = 0 and per step.
+
+    Record k's E_mod = E + r/(2(1+r)tau_k) ||phi_k - phi_{k-1}||_{-1}^2 needs
+    r = tau_{k+1}/tau_k, so it is completed when step k+1 arrives; the newest
+    record keeps r = 0 (E_mod = E).  The distance reads the spectra that
+    ``energy`` cached on the fields, so it costs no transform.
+    """
+
+    def __init__(self, phi0: Field, p: PfcParams):
+        self.p = p
+        self.records = [self._record(phi0, 0.0, 0.0, 0)]
+        self._dist_sq = 0.0   # ||phi_k - phi_{k-1}||_{-1}^2 of the newest record
+
+    def _record(self, phi: Field, t: float, tau: float, iters: int) -> EnergyRecord:
+        e = energy(phi, self.p)
+        return EnergyRecord(t, tau, e, e, mass(phi), float(np.max(np.abs(phi.values))), iters)
+
+    def __call__(self, state: StepperState, stats: SolveStats):
+        last = self.records[-1]
+        phi, prev, tau = state.phi_prev, state.phi_prev2, state.tau_prev
+        if last.tau > 0.0:
+            last.E_mod = last.E + history_weight(last.tau, tau / last.tau) * self._dist_sq
+        self.records.append(self._record(phi, state.t, tau, stats.iterations))
+        self._dist_sq = step_distance_sq(phi, prev)
+        # prev's spectrum is spent: dropping it leaves one cached spectrum,
+        # phi's, alive through the next solve
+        del prev.hat
+
+
 def run_with_energy_log(phi0: Field, steps, p: PfcParams, scheme: str = "bdf2"):
-    """Fixed-mesh run that records an EnergyRecord per accepted step."""
-    state = StepperState(phi0)
-    e0 = energy(phi0, p)
-    recs = [EnergyRecord(0.0, 0.0, e0, e0, mass(phi0),
-                         float(np.max(np.abs(phi0.values))), 0)]
-    steps = list(steps)
-    stats_all = []
-    from . import steppers as _st
-    for k, tau in enumerate(steps):
-        if scheme == "bdf2":
-            phi_new, stats = _st.bdf2_step(state, tau, p)
-        elif scheme == "cn":
-            phi_new, stats = _st.cn_step(state, tau, p)
-        elif scheme == "cncs":
-            if state.phi_prev2 is None:
-                phi_new, stats = _st.cs1_step(state, tau, p)
-            else:
-                phi_new, stats = _st.cncs_step(state, tau, p)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        prev = state.phi_prev
-        state = state.advanced(phi_new, tau)
-        r_next = steps[k + 1] / tau if k + 1 < len(steps) else 0.0
-        e = energy(phi_new, p)
-        recs.append(EnergyRecord(state.t, tau, e,
-                                 e + history_energy(phi_new, prev, tau, r_next),
-                                 mass(phi_new),
-                                 float(np.max(np.abs(phi_new.values))),
-                                 stats.iterations))
-        stats_all.append(stats)
-    return state, recs, stats_all
+    """Fixed-mesh run with an EnergyLog; returns (state, records, per-step stats)."""
+    log = EnergyLog(phi0, p)
+    state, stats = run_fixed_mesh(phi0, steps, p, scheme, observer=log)
+    return state, log.records, stats
 
 
 @dataclass
@@ -232,21 +235,11 @@ def run_polycrystal(M: int = 256, L: float = 256.0, eps: float = 0.25,
 
     n_uni = round(T / uniform_tau)
     _, uni_recs, _ = run_with_energy_log(phi0, [uniform_tau] * n_uni, p, "bdf2")
-
-    ada_recs = [uni_recs[0]]
-
-    def observer(state, step):
-        # logged with r_{k+1} = 0, so the history term vanishes and E_mod = E
-        e = energy(state.phi_prev, p)
-        ada_recs.append(EnergyRecord(
-            state.t, step.tau_accepted, e, e, mass(state.phi_prev),
-            float(np.max(np.abs(state.phi_prev.values))),
-            step.stats.iterations))
-
-    _, log = adaptive_run(phi0, T, cfg, p, observer=observer)
+    ada = EnergyLog(phi0, p)
+    _, log = adaptive_run(phi0, T, cfg, p, observer=ada)
     taus = log.taus
     ratios = [taus[k] / taus[k - 1] for k in range(1, len(taus))]
-    return PolycrystalResult(uni_recs, ada_recs, log.steps, taus, ratios)
+    return PolycrystalResult(uni_recs, ada.records, log.steps, taus, ratios)
 
 
 def run_polycrystal_long(M: int = 256, L: float = 256.0, eps: float = 0.25,
@@ -260,16 +253,11 @@ def run_polycrystal_long(M: int = 256, L: float = 256.0, eps: float = 0.25,
     phi0 = patched_initial(grid, seed=seed)
     if cfg is None:
         cfg = AdaptiveConfig()
-    targets = sorted(snapshot_times)
-    pending = list(targets)
-    recs = []
+    pending = sorted(snapshot_times)
+    energy_log = EnergyLog(phi0, p)
 
-    def observer(state, step):
-        e = energy(state.phi_prev, p)
-        recs.append(EnergyRecord(
-            state.t, step.tau_accepted, e, e, mass(state.phi_prev),
-            float(np.max(np.abs(state.phi_prev.values))),
-            step.stats.iterations))
+    def observer(state, stats):
+        energy_log(state, stats)
         while pending and state.t >= pending[0]:
             tgt = pending.pop(0)
             if out_dir is not None:
@@ -277,7 +265,7 @@ def run_polycrystal_long(M: int = 256, L: float = 256.0, eps: float = 0.25,
                               state.phi_prev, state.t)
 
     state, log = adaptive_run(phi0, T, cfg, p, observer=observer)
-    return state, log, recs
+    return state, log, energy_log.records
 
 
 def kernels_report(mesh: TimeMesh, out_path: str | None = None):

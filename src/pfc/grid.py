@@ -17,6 +17,7 @@ weight there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,8 @@ class Grid2D:
         self.k2_half = np.ascontiguousarray(self.k2[half])
         self.ikx_half = np.ascontiguousarray(dx[half])
         self.iky_half = np.ascontiguousarray(dy[half])
+        self.inv_k2_half = np.zeros_like(self.k2_half)   # 1/k^2, 0 on the zero mode
+        np.divide(1.0, self.k2_half, out=self.inv_k2_half, where=self.k2_half > 0)
         x = self.h * np.arange(self.M)
         self.X, self.Y = np.meshgrid(x, x, indexing="ij")
 
@@ -91,6 +94,11 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
 
+    @functools.cached_property
+    def hat(self) -> np.ndarray:
+        """``forward(values)`` from first use, kept until ``del f.hat``; values must not change."""
+        return forward(self.values)
+
 
 def constant_field(grid: Grid2D, c: float) -> Field:
     return Field(grid, np.full((grid.M, grid.M), float(c)))
@@ -115,13 +123,16 @@ def backward(coeffs: np.ndarray, M: int) -> np.ndarray:
     return np.fft.irfft(np.fft.ifft(coeffs, axis=0), n=M, axis=1)
 
 
-def sum_of_squares(coeffs: np.ndarray, M: int) -> float:
+def sum_of_squares(coeffs: np.ndarray, M: int, weight: np.ndarray | None = None) -> float:
     """sum(values**2) of the field whose ``forward`` is ``coeffs`` (Parseval).
 
     Every half-plane column except the first and the Nyquist column stands
-    for itself and its conjugate partner, so it is counted twice.
+    for itself and its conjugate partner, so it is counted twice.  Each mode's
+    power is multiplied by ``weight`` (half plane) if one is given.
     """
     power = coeffs.real**2 + coeffs.imag**2
+    if weight is not None:
+        power *= weight
     total = 2.0 * float(np.sum(power))
     total -= float(np.sum(power[:, 0])) + float(np.sum(power[:, -1]))
     return total / (M * M)
@@ -175,11 +186,7 @@ def inv_laplacian(f: Field, gamma: int = 1) -> Field:
     linf = float(np.max(np.abs(f.values)))
     if abs(m) > 1e-12 * max(linf, 1e-300):
         raise MeanZeroError(f"field has mean {m:.3e}, expected mean zero")
-    k2 = f.grid.k2_half
-    mult = np.zeros_like(k2)
-    nz = k2 > 0
-    mult[nz] = k2[nz] ** (-float(gamma))
-    return Field(f.grid, backward(mult * forward(f.values), f.grid.M))
+    return Field(f.grid, backward(f.grid.inv_k2_half**gamma * forward(f.values), f.grid.M))
 
 
 def hminus1_norm(f: Field) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid2D, backward, forward, hminus1_norm, laplacian,
+from .grid import (Field, Grid2D, MeanZeroError, backward, forward, laplacian,
                    sum_of_squares)
 
 
@@ -57,29 +57,38 @@ def energy(phi: Field, p: PfcParams) -> float:
     """Free energy; the gradient part is summed in spectral space (Parseval)."""
     g = phi.grid
     a = g.cell_area
-    one_plus_lap_hat = (1.0 - g.k2_half) * forward(phi.values)
+    one_plus_lap_hat = (1.0 - g.k2_half) * phi.hat
     e_interf = 0.5 * a * sum_of_squares(one_plus_lap_hat, g.M)
     bulk = phi.values * phi.values - p.eps
     e_bulk = 0.25 * a * float(np.sum(bulk * bulk))
     return e_interf + e_bulk - 0.25 * p.eps**2 * g.volume
 
 
-def history_energy(phi_k: Field, phi_km1: Field, tau_k: float, r_kp1: float) -> float:
-    """Nonnegative step-history term r/(2(1+r)tau) ||phi_k - phi_km1||_{-1}^2."""
+def step_distance_sq(phi_k: Field, phi_km1: Field) -> float:
+    """||phi_k - phi_km1||_{-1}^2 by Parseval from the fields' cached spectra.
+
+    The means must agree to 1e-12 of max|phi_k|, the roundoff of the zero mode.
+    """
+    g = phi_k.grid
+    d = phi_k.hat - phi_km1.hat
+    dmean = float(d[0, 0].real) / (g.M * g.M)
+    if abs(dmean) > 1e-12 * float(np.max(np.abs(phi_k.values))):
+        raise MeanZeroError(f"field has mean {dmean:.3e}, expected mean zero")
+    return g.cell_area * sum_of_squares(d, g.M, g.inv_k2_half)
+
+
+def history_weight(tau_k: float, r_kp1: float) -> float:
+    """r/(2(1+r)tau), the weight of the step-history term."""
     if tau_k <= 0 or r_kp1 < 0:
         raise ValueError("need tau_k > 0 and r_kp1 >= 0")
-    if r_kp1 == 0.0:
-        return 0.0
-    diff = Field(phi_k.grid, phi_k.values - phi_km1.values)
-    hm1 = hminus1_norm(diff)
-    return r_kp1 / (2.0 * (1.0 + r_kp1) * tau_k) * hm1**2
+    return r_kp1 / (2.0 * (1.0 + r_kp1) * tau_k)
 
 
 def modified_energy(phi_k: Field, phi_km1: Field, tau_k: float, r_kp1: float,
                     p: PfcParams) -> float:
-    """E[phi_k] plus the nonnegative step-history term in the H^{-1} metric."""
-    history = history_energy(phi_k, phi_km1, tau_k, r_kp1)
-    return energy(phi_k, p) + history
+    """E[phi_k] plus the step-history term r/(2(1+r)tau) ||phi_k - phi_km1||_{-1}^2."""
+    w = history_weight(tau_k, r_kp1)
+    return energy(phi_k, p) + (w * step_distance_sq(phi_k, phi_km1) if w else 0.0)
 
 
 def mass(phi: Field) -> float:

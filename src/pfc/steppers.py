@@ -116,6 +116,17 @@ def _cube(phi):
     return phi * phi * phi
 
 
+def _midpoint_cube(prev):
+    """CN's averaged product (phi^2 + prev^2)/2 * (phi + prev)/2 as a function of phi."""
+    prev_sq = prev * prev
+
+    def nl(phi):
+        mid = 0.5 * (phi + prev)
+        return 0.5 * (phi * phi + prev_sq) * mid
+
+    return nl
+
+
 def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
               forcing: Field | None = None) -> tuple[Field, SolveStats]:
     """Advance one level with the implicit two-step scheme.
@@ -166,15 +177,9 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
     symbol = 1.0 / tau + 0.5 * k2 * lin
     _check_symbol(symbol, tau)
     prev = state.phi_prev.values
-    prev_sq = prev * prev
     prev_hat = forward(prev)
     rhs_hat = prev_hat / tau - 0.5 * k2 * lin * prev_hat
-
-    def nl(phi):
-        mid = 0.5 * (phi + prev)
-        return 0.5 * (phi * phi + prev_sq) * mid
-
-    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, k2, nl)
+    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, k2, _midpoint_cube(prev))
     return Field(g, vals), stats
 
 
@@ -213,46 +218,43 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams,
     lin = k2 * k2 + 1.0 - p.eps
     symbol = 1.0 / tau + 0.5 * k2 * lin
     prev = state.phi_prev.values
-    prev_sq = prev * prev
     prev_hat = forward(prev)
     extrap = 3.0 * prev - state.phi_prev2.values
     if not literal_extrapolation:
         extrap = 0.5 * extrap
     rhs_hat = (prev_hat / tau - 0.5 * k2 * lin * prev_hat
                + (k2 * k2) * forward(extrap))
-
-    def nl(phi):
-        mid = 0.5 * (phi + prev)
-        return 0.5 * (phi * phi + prev_sq) * mid
-
-    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, k2, nl)
+    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, k2, _midpoint_cube(prev))
     return Field(g, vals), stats
 
 
 def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",
-                   forcing_fn=None, literal_extrapolation: bool = False):
+                   forcing_fn=None, observer=None):
     """Advance a trajectory over a fixed step sequence.
 
-    Returns the final state and the list of per-step SolveStats.  The CN
-    scheme is one-step; BDF2 starts with BDF1 and CNCS with the first-order
-    convex-splitting step.
+    Returns the final state and the list of per-step SolveStats, and calls
+    ``observer(state, stats)`` after every step.  The CN scheme is one-step;
+    BDF2 starts with BDF1 and CNCS with the first-order convex-splitting
+    step.  Only BDF2 takes a forcing, ``forcing_fn(t)`` at the new level.
     """
+    if scheme not in ("bdf2", "cn", "cncs"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if forcing_fn is not None and scheme != "bdf2":
+        raise ValueError(f"scheme {scheme!r} takes no forcing")
     state = StepperState(phi0)
     all_stats = []
     for tau in mesh_steps:
-        t_new = state.t + tau
         if scheme == "bdf2":
-            forcing = forcing_fn(t_new) if forcing_fn is not None else None
+            forcing = forcing_fn(state.t + tau) if forcing_fn is not None else None
             phi_new, stats = bdf2_step(state, tau, p, forcing)
         elif scheme == "cn":
             phi_new, stats = cn_step(state, tau, p)
-        elif scheme == "cncs":
-            if state.phi_prev2 is None:
-                phi_new, stats = cs1_step(state, tau, p)
-            else:
-                phi_new, stats = cncs_step(state, tau, p, literal_extrapolation)
+        elif state.phi_prev2 is None:
+            phi_new, stats = cs1_step(state, tau, p)
         else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+            phi_new, stats = cncs_step(state, tau, p)
         all_stats.append(stats)
         state = state.advanced(phi_new, tau)
+        if observer is not None:
+            observer(state, stats)
     return state, all_stats

@@ -3,14 +3,21 @@ import os
 import numpy as np
 import pytest
 
-from pfc.experiments import (DEFAULT_PATCHES, kernels_report, midline,
+import pfc.adaptive as adaptive
+import pfc.grid as grid
+import pfc.model as model
+import pfc.steppers as steppers
+from pfc.adaptive import AdaptiveConfig, adaptive_run
+from pfc.experiments import (DEFAULT_PATCHES, EnergyLog, kernels_report, midline,
                              oscillation_indicator, patched_initial,
                              random_initial, run_bdf2_forced, run_convergence,
                              run_with_energy_log, write_csv)
 from pfc.grid import Field, Grid2D
 from pfc.kernels import kernel_matrices
 from pfc.mesh import random_mesh, uniform_mesh
-from pfc.model import PfcParams
+from pfc.model import PfcParams, modified_energy
+
+STEP_FUNCTIONS = ("bdf2_step", "cn_step", "cs1_step", "cncs_step", "adaptive_advance")
 
 
 class TestRandomInitial:
@@ -136,6 +143,118 @@ class TestEnergyLog:
         assert recs[1].E_mod > recs[1].E
         assert recs[0].E_mod == recs[0].E
         assert recs[2].E_mod == recs[2].E  # no next step: r = 0
+
+    @pytest.mark.parametrize("amp", [1e-3, 1e-6, 1e-9])
+    def test_settled_run_logs(self, amp):
+        # once the run settles, the history difference has a roundoff mean
+        # near 1e-17, which must be judged at the fields' scale, not its own
+        g = Grid2D(64, 64.0)
+        p = PfcParams(0.25, g)
+        noise = np.random.default_rng(1).standard_normal((g.M, g.M))
+        _, recs, _ = run_with_energy_log(Field(g, 0.285 + amp * noise), [0.5] * 40, p)
+        assert len(recs) == 41
+        assert all(r.E_mod >= r.E for r in recs)
+
+    def test_transforms_per_logged_bdf2_run(self, monkeypatch):
+        # each step: one transform of the right-hand side and a pair per
+        # iteration; each record: one transform for its energy, none for
+        # its history term
+        calls = []
+        for name in ("forward", "backward"):
+            fn = getattr(grid, name)
+            for mod in (grid, model, steppers):
+                monkeypatch.setattr(mod, name,
+                                    lambda *a, _fn=fn: calls.append(1) or _fn(*a))
+        g = Grid2D(32, 8.0)
+        p = PfcParams(0.2, g)
+        phi0 = random_initial(0.1, 0.02, g, 11)
+        _, recs, stats = run_with_energy_log(phi0, [0.01, 0.02, 0.01, 0.03], p)
+        assert recs[1].E_mod > recs[1].E
+        assert len(calls) == sum(1 + 2 * s.iterations for s in stats) + len(recs)
+
+
+def count_outermost_steps(monkeypatch) -> list:
+    """Record each outermost call of a step function or of adaptive_advance.
+
+    The functions are replaced where the run loops look them up; a call made
+    inside another counted call (a controller trial step) is not recorded.
+    Each entry is (name, iterations of the returned SolveStats).
+    """
+    calls, depth = [], [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                res = fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                stats = res.stats if fn.__name__ == "adaptive_advance" else res[1]
+                calls.append((fn.__name__, stats.iterations))
+            return res
+        return wrapper
+
+    for mod in (steppers, adaptive):
+        for name in STEP_FUNCTIONS:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    return calls
+
+
+class TestRunLoops:
+    """One outermost step call per record, and records that carry its iterations."""
+
+    @pytest.mark.parametrize("scheme", ["bdf2", "cn", "cncs"])
+    def test_fixed_mesh(self, scheme, monkeypatch):
+        calls = count_outermost_steps(monkeypatch)
+        g = Grid2D(32, 8.0)
+        p = PfcParams(0.2, g)
+        _, recs, stats = run_with_energy_log(random_initial(0.1, 0.02, g, 11),
+                                             [0.01] * 6, p, scheme)
+        assert len(calls) == len(recs) - 1 == 6
+        assert [it for _, it in calls] == [r.iters for r in recs[1:]]
+        assert sum(r.iters for r in recs) == sum(s.iterations for s in stats)
+
+    def test_adaptive(self, monkeypatch):
+        calls = count_outermost_steps(monkeypatch)
+        g = Grid2D(32, 8.0)
+        p = PfcParams(0.2, g)
+        phi0 = Field(g, 0.1 + 0.05 * np.sin(g.nu * g.X) * np.cos(g.nu * g.Y))
+        log = EnergyLog(phi0, p)
+        _, run = adaptive_run(phi0, 0.5, AdaptiveConfig(), p, observer=log)
+        assert len(calls) == run.steps == len(log.records) - 1
+        assert {name for name, _ in calls} == {"adaptive_advance"}
+        assert [it for _, it in calls] == [r.iters for r in log.records[1:]]
+
+
+class TestAdaptiveEnergyLaw:
+    def test_modified_energy_never_rises(self):
+        # the paper's law: with every step ratio below 3.561 the modified
+        # energy of adaptive BDF2 does not increase
+        g = Grid2D(64, 64.0)
+        p = PfcParams(0.25, g)
+        phi0 = patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)], seed=2023)
+        log = EnergyLog(phi0, p)
+        k, kept = 100, {}
+
+        def observer(state, stats):
+            log(state, stats)
+            if len(log.records) - 1 == k:
+                kept["phi_k"], kept["phi_km1"] = state.phi_prev, state.phi_prev2
+
+        adaptive_run(phi0, 5.0, AdaptiveConfig(), p, observer=observer)
+        recs = log.records
+        e = np.array([r.E for r in recs])
+        e_mod = np.array([r.E_mod for r in recs])
+        assert len(recs) > k + 1
+        assert np.all(np.diff(e_mod) <= 1e-9 * np.abs(e_mod[:-1]))
+        assert np.all(e_mod >= e)
+        assert np.any(e_mod > e)
+        assert recs[-1].E_mod == recs[-1].E
+        r = recs[k + 1].tau / recs[k].tau
+        want = modified_energy(kept["phi_k"], kept["phi_km1"], recs[k].tau, r, p)
+        assert recs[k].E_mod == pytest.approx(want, rel=1e-14)
 
 
 class TestOscillation:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pfc.grid import (Field, Grid2D, constant_field, hminus1_norm, inner,
-                      laplacian)
+from pfc.grid import (Field, Grid2D, MeanZeroError, constant_field, hminus1_norm,
+                      inner, laplacian)
 from pfc.model import (PfcParams, chemical_potential, energy, exact_solution,
                        linf_monitor, manufactured_forcing, mass,
                        modified_energy)
@@ -104,6 +104,13 @@ class TestModifiedEnergy:
         extra = hminus1_norm(f) ** 2 / 4.0
         got = modified_energy(f, prev, 1.0, 1.0, p)
         assert got == pytest.approx(energy(f, p) + extra, rel=1e-12)
+
+    def test_mean_shift_raises(self, setup, rng):
+        g, p = setup
+        prev = Field(g, 0.285 + 1e-3 * rng.standard_normal((g.M, g.M)))
+        shifted = Field(g, prev.values + 1e-6)
+        with pytest.raises(MeanZeroError):
+            modified_energy(shifted, prev, 0.5, 1.0, p)
 
     def test_never_below_plain_energy(self, setup, rng):
         g, p = setup

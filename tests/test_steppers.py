@@ -234,6 +234,30 @@ class TestRunFixedMesh:
         with pytest.raises(ValueError):
             run_fixed_mesh(random_field(g, rng), [0.02], p, scheme="rk4")
 
+    def test_unknown_scheme_with_empty_mesh(self, setup, rng):
+        g, p = setup
+        with pytest.raises(ValueError):
+            run_fixed_mesh(random_field(g, rng), [], p, scheme="rk4")
+
+    @pytest.mark.parametrize("scheme", ["cn", "cncs"])
+    def test_forcing_refused_without_bdf2(self, setup, rng, scheme):
+        g, p = setup
+        calls = []
+        with pytest.raises(ValueError):
+            run_fixed_mesh(random_field(g, rng), [0.02] * 3, p, scheme=scheme,
+                           forcing_fn=lambda t: calls.append(t))
+        assert calls == []
+
+    def test_observer_sees_each_step(self, setup, rng):
+        g, p = setup
+        seen = []
+        steps = [0.02, 0.01, 0.03]
+        state, stats = run_fixed_mesh(random_field(g, rng), steps, p, scheme="cncs",
+                                      observer=lambda s, st: seen.append((s, st)))
+        assert [s.tau_prev for s, _ in seen] == steps
+        assert [st for _, st in seen] == stats
+        assert seen[-1][0] is state
+
     def test_schemes_agree_for_small_tau(self, setup, rng):
         # all three schemes are consistent, so their trajectories collapse
         # as the step shrinks; use smooth data so the stiff modes carry no
