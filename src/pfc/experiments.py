@@ -128,8 +128,11 @@ class EnergyLog:
 
     Record k's E_mod = E + r/(2(1+r)tau_k) ||phi_k - phi_{k-1}||_{-1}^2 needs
     r = tau_{k+1}/tau_k, so it is completed when step k+1 arrives; the newest
-    record keeps r = 0 (E_mod = E).  The distance reads the spectra that
-    ``energy`` cached on the fields, so it costs no transform.
+    record keeps r = 0 (E_mod = E).  ``energy`` and the distance read the
+    spectra the solver left on the fields, so a record costs no transform;
+    only phi0's spectrum is computed here.  The log keeps phi_{k-1}'s spectrum
+    because the next BDF2 right-hand side reads it, so two spectra live
+    through each solve.
     """
 
     def __init__(self, phi0: Field, p: PfcParams):
@@ -148,9 +151,6 @@ class EnergyLog:
             last.E_mod = last.E + history_weight(last.tau, tau / last.tau) * self._dist_sq
         self.records.append(self._record(phi, state.t, tau, stats.iterations))
         self._dist_sq = step_distance_sq(phi, prev)
-        # prev's spectrum is spent: dropping it leaves one cached spectrum,
-        # phi's, alive through the next solve
-        del prev.hat
 
 
 def run_with_energy_log(phi0: Field, steps, p: PfcParams, scheme: str = "bdf2"):

@@ -96,7 +96,12 @@ class Field:
 
     @functools.cached_property
     def hat(self) -> np.ndarray:
-        """``forward(values)`` from first use, kept until ``del f.hat``; values must not change."""
+        """The half spectrum ``forward(values)``, computed on first use and kept.
+
+        A solver that already holds the spectrum of the values it made may set
+        ``hat`` to it; that equals ``forward(values)`` to roundoff.  Neither
+        ``values`` nor ``hat`` may change afterwards.
+        """
         return forward(self.values)
 
 

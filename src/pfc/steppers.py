@@ -4,10 +4,14 @@ All schemes share one solver pattern: the stiff linear part is inverted
 exactly mode-by-mode (the spectral symbol is diagonal) and the remaining
 terms are lagged in a fixed-point loop that stops when successive iterates
 differ by at most 1e-12 in the max norm.  Each scheme hands
-``fixed_point_solve`` its symbol, the transformed right-hand side, a
-starting guess and its lagged nonlinearity as a physical-space function
-(``phi**3`` or CN's averaged product); the solver owns the spectral
-multiplier -k^2/symbol that turns that nonlinearity into an update.
+``fixed_point_solve`` its symbol, its right-hand side formed in spectral
+space from the history fields' ``hat``, a starting guess and its lagged
+nonlinearity as a physical-space function (``phi**3`` or CN's averaged
+product); the solver owns the spectral multiplier -k^2/symbol that turns
+that nonlinearity into an update.  The solver returns the new field with
+``hat`` set to the spectrum whose inverse transform gave its values, so a
+step costs one transform pair per iteration and no other transform, except
+one for a forcing and one for a starting field that has no spectrum yet.
 
 Schemes:
   * variable-step BDF2, fully implicit (reduces to BDF1 without history),
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, backward, forward
+from .grid import Field, Grid2D, backward, forward
 from .model import PfcParams
 
 MAX_ITER = 500
@@ -71,18 +75,19 @@ def _check_symbol(symbol: np.ndarray, tau: float):
 
 
 def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray,
-                      k2: np.ndarray, nonlinear) -> tuple[np.ndarray, SolveStats]:
+                      grid: Grid2D, nonlinear) -> tuple[Field, SolveStats]:
     """Iterate phi <- S^{-1}(rhs - k^2 F[N(phi)]) until the max-norm increment is tiny.
 
-    ``symbol`` S, ``rhs_hat`` and ``k2`` are half-spectrum arrays in the
-    layout of ``grid.forward``; ``nonlinear(phi)`` returns the lagged terms
-    N(phi) in physical space for the current iterate.  The multipliers
-    -k2/S and rhs_hat/S are formed once per solve, so an iteration costs one
-    transform pair.  A non-finite increment ends the solve at once with
-    ``SolverError``.
+    ``symbol`` S and ``rhs_hat`` are half-spectrum arrays in the layout of
+    ``grid.forward``; ``nonlinear(phi)`` returns the lagged terms N(phi) in
+    physical space for the current iterate.  The multipliers -k^2/S and
+    rhs_hat/S are formed once per solve, so an iteration costs one transform
+    pair.  The converged field is returned with ``hat`` set to the spectrum
+    whose ``backward`` gave its values.  A non-finite increment ends the
+    solve at once with ``SolverError``.
     """
-    M = guess.shape[0]
-    mult = -k2 / symbol
+    M = grid.M
+    mult = -grid.k2_half / symbol
     base_hat = rhs_hat / symbol
     phi = guess
     res = np.inf
@@ -97,12 +102,14 @@ def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray
             d = phi_new - phi
             np.abs(d, out=d)
             res = float(d.max())
+            phi = phi_new
+            if res <= FP_TOL:
+                out = Field(grid, phi)
+                out.hat = x
+                return out, SolveStats(it, res, True)
             # kept into the next iteration, these two would add two grid
             # arrays to the solve's peak memory
             del x, d
-            phi = phi_new
-            if res <= FP_TOL:
-                return phi, SolveStats(it, res, True)
             if not math.isfinite(res):
                 raise SolverError(f"fixed-point iteration diverged at iteration {it} "
                                   f"(residual {res:.3e})", SolveStats(it, res, False))
@@ -148,23 +155,21 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
         b1 = -(r * r) / (tau_n * (1.0 + r))
     else:
         b0 = 1.0 / tau_n
-    k2 = g.k2_half
-    symbol = b0 + k2 * p.lin_symbol_half
+    symbol = b0 + g.k2_half * p.lin_symbol_half
     _check_symbol(symbol, tau_n)
-    prev = state.phi_prev.values
-    rhs = b0 * prev
-    guess = prev
+    prev = state.phi_prev
+    rhs_hat = b0 * prev.hat
+    guess = prev.values
     if history:
-        diff = prev - state.phi_prev2.values
-        rhs -= b1 * diff
-        # the predictor phi^{n-1} + r (phi^{n-1} - phi^{n-2}), built in diff's buffer
-        diff *= r
-        diff += prev
-        guess = diff
+        prev2 = state.phi_prev2
+        rhs_hat -= b1 * (prev.hat - prev2.hat)
+        # the predictor phi^{n-1} + r (phi^{n-1} - phi^{n-2}), built in one buffer
+        guess = prev.values - prev2.values
+        guess *= r
+        guess += prev.values
     if forcing is not None:
-        rhs += forcing.values
-    vals, stats = fixed_point_solve(symbol, forward(rhs), guess, k2, _cube)
-    return Field(g, vals), stats
+        rhs_hat += forcing.hat
+    return fixed_point_solve(symbol, rhs_hat, guess, g, _cube)
 
 
 def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -176,11 +181,9 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
     lin = p.lin_symbol_half
     symbol = 1.0 / tau + 0.5 * k2 * lin
     _check_symbol(symbol, tau)
-    prev = state.phi_prev.values
-    prev_hat = forward(prev)
-    rhs_hat = prev_hat / tau - 0.5 * k2 * lin * prev_hat
-    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, k2, _midpoint_cube(prev))
-    return Field(g, vals), stats
+    prev = state.phi_prev
+    rhs_hat = prev.hat / tau - 0.5 * k2 * lin * prev.hat
+    return fixed_point_solve(symbol, rhs_hat, prev.values, g, _midpoint_cube(prev.values))
 
 
 def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -194,11 +197,9 @@ def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solv
     g = state.phi_prev.grid
     k2 = g.k2_half
     symbol = 1.0 / tau + k2 * (k2 * k2 + 1.0 - p.eps)
-    prev_hat = forward(state.phi_prev.values)
-    rhs_hat = prev_hat / tau + 2.0 * (k2 * k2) * prev_hat
-
-    vals, stats = fixed_point_solve(symbol, rhs_hat, state.phi_prev.values, k2, _cube)
-    return Field(g, vals), stats
+    prev = state.phi_prev
+    rhs_hat = prev.hat / tau + 2.0 * (k2 * k2) * prev.hat
+    return fixed_point_solve(symbol, rhs_hat, prev.values, g, _cube)
 
 
 def cncs_step(state: StepperState, tau: float, p: PfcParams,
@@ -217,15 +218,13 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams,
     k2 = g.k2_half
     lin = k2 * k2 + 1.0 - p.eps
     symbol = 1.0 / tau + 0.5 * k2 * lin
-    prev = state.phi_prev.values
-    prev_hat = forward(prev)
-    extrap = 3.0 * prev - state.phi_prev2.values
+    prev = state.phi_prev
+    extrap_hat = 3.0 * prev.hat - state.phi_prev2.hat
     if not literal_extrapolation:
-        extrap = 0.5 * extrap
-    rhs_hat = (prev_hat / tau - 0.5 * k2 * lin * prev_hat
-               + (k2 * k2) * forward(extrap))
-    vals, stats = fixed_point_solve(symbol, rhs_hat, prev, k2, _midpoint_cube(prev))
-    return Field(g, vals), stats
+        extrap_hat *= 0.5
+    rhs_hat = (prev.hat / tau - 0.5 * k2 * lin * prev.hat
+               + (k2 * k2) * extrap_hat)
+    return fixed_point_solve(symbol, rhs_hat, prev.values, g, _midpoint_cube(prev.values))
 
 
 def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",

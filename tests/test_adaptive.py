@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+import pfc.adaptive as adaptive
+import pfc.grid as grid
+import pfc.model as model
+import pfc.steppers as steppers
 from pfc.adaptive import (AdaptiveConfig, adaptive_advance, adaptive_run,
                           tau_ada)
 from pfc.experiments import patched_initial
@@ -176,3 +180,45 @@ class TestRun:
         _, log = adaptive_run(smooth_field(g), 0.3, AdaptiveConfig(), p,
                               tau_init=5e-3)
         assert log.taus[0] <= 5e-3 * (1 + 1e-12)
+
+    def test_transform_budget_with_rejections(self, monkeypatch):
+        """Every trial solve, rejected or not, costs one transform pair per
+        iteration; phi0's spectrum is the run's only other transform.  A trial
+        leaves the state's spectra bit for bit as they were, so a retry reads
+        the same history."""
+        g = Grid2D(64, 64.0)
+        p = PfcParams(0.25, g)
+        phi0 = patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)])
+        transforms, solve_iters, trials = [], [], []
+        for name in ("forward", "backward"):
+            fn = getattr(grid, name)
+            for mod in (grid, model, steppers):
+                monkeypatch.setattr(mod, name,
+                                    lambda *a, _fn=fn: transforms.append(1) or _fn(*a))
+        solve, step = steppers.fixed_point_solve, adaptive.bdf2_step
+
+        def counted_solve(*args):
+            try:
+                res = solve(*args)
+            except SolverError as exc:
+                solve_iters.append(exc.stats.iterations)
+                raise
+            solve_iters.append(res[1].iterations)
+            return res
+
+        def checked_step(state, tau, p):
+            history = [f for f in (state.phi_prev, state.phi_prev2) if f is not None]
+            before = [f.hat.copy() for f in history]
+            try:
+                return step(state, tau, p)
+            finally:
+                trials.append(all(np.array_equal(f.hat, h)
+                                  for f, h in zip(history, before)))
+
+        monkeypatch.setattr(steppers, "fixed_point_solve", counted_solve)
+        monkeypatch.setattr(adaptive, "bdf2_step", checked_step)
+        # the first trial at tau = 2 diverges; the retries shrink to tau_min
+        _, log = adaptive_run(phi0, 2.0, AdaptiveConfig(tau_max=2.0), p, tau_init=2.0)
+        assert len(trials) > log.steps
+        assert all(trials)
+        assert len(transforms) == 1 + 2 * sum(solve_iters)

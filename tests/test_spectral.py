@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import pfc
+import pfc.grid as grid
 import pfc.steppers as steppers
 from pfc.grid import (Field, Grid2D, backward, forward, gradient, inv_laplacian,
                       laplacian, sum_of_squares)
@@ -251,9 +252,27 @@ def test_bdf2_starts_from_extrapolation(monkeypatch):
     assert np.array_equal(guesses[1], extrapolated(phi1.values, phi2.values, 0.05, 0.02))
 
 
-@pytest.mark.parametrize("step", ["bdf2", "cn"])
+SCHEMES = ["bdf1", "bdf2", "bdf2_forced", "cn", "cs1", "cncs"]
+
+
+def one_step(scheme, g, p, phi1, phi2, tau):
+    """The state, forcing (or None) and step function of one step of ``scheme``."""
+    one_level = scheme in ("bdf1", "cn", "cs1")
+    state = StepperState(phi1) if one_level else StepperState(phi1, phi2, 0.7 * tau)
+    forcing = manufactured_forcing(tau, g, p) if scheme == "bdf2_forced" else None
+    if scheme.startswith("bdf"):
+        return state, forcing, lambda: bdf2_step(state, tau, p, forcing)
+    step = {"cn": cn_step, "cs1": cs1_step, "cncs": cncs_step}[scheme]
+    return state, forcing, lambda: step(state, tau, p)
+
+
+@pytest.mark.parametrize("step", SCHEMES)
 def test_transforms_per_step(step, monkeypatch):
-    """One forward transform of the right-hand side, then one pair per iteration."""
+    """With the history spectra cached, one transform pair per iteration and
+    nothing else, except one transform of a forcing."""
+    g, p, phi1, phi2 = two_levels(32, 8.0, 0.2, 8)
+    _, forcing, run = one_step(step, g, p, phi1, phi2, 0.05)
+    phi1.hat, phi2.hat   # cached before the count starts
     calls = []
 
     def counted(fn):
@@ -262,13 +281,26 @@ def test_transforms_per_step(step, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(steppers, "forward", counted(forward))
-    monkeypatch.setattr(steppers, "backward", counted(backward))
-    g, p, phi1, phi2 = two_levels(32, 8.0, 0.2, 8)
-    if step == "bdf2":
-        _, stats = bdf2_step(StepperState(phi1, phi2, 0.05), 0.05, p)
-    else:
-        _, stats = cn_step(StepperState(phi1), 0.05, p)
+    # Field.hat looks the transforms up in pfc.grid
+    for mod in (grid, steppers):
+        monkeypatch.setattr(mod, "forward", counted(forward))
+        monkeypatch.setattr(mod, "backward", counted(backward))
+    _, stats = run()
     assert stats.iterations > 1
-    assert len(calls) == 1 + 2 * stats.iterations
+    assert len(calls) == (forcing is not None) + 2 * stats.iterations
     assert calls.count("backward") == stats.iterations
+
+
+@pytest.mark.parametrize("M,L,eps,tau", CASES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_carried_spectrum(scheme, M, L, eps, tau):
+    """The solver hands the new field the spectrum of its values, and the
+    step leaves the history spectra as they were."""
+    g, p, phi1, phi2 = two_levels(M, L, eps, 10)
+    state, _, run = one_step(scheme, g, p, phi1, phi2, tau)
+    history = [f for f in (state.phi_prev, state.phi_prev2) if f is not None]
+    before = [f.hat.copy() for f in history]
+    got, _ = run()
+    assert "hat" in vars(got)   # set by the solver, not computed on first use
+    assert np.max(np.abs(got.hat - forward(got.values))) <= 1e-14 * np.max(np.abs(got.hat))
+    assert all(np.array_equal(f.hat, h) for f, h in zip(history, before))
