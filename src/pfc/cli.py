@@ -14,7 +14,6 @@ file.  Exit codes: 0 all runs converged, 2 solver failure, 3 config error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -136,9 +135,8 @@ def cmd_convergence(args) -> int:
                               mesh_kind=args.mesh_kind)
     ex.write_csv(os.path.join(args.out, "convergence.csv"),
                  ["N", "tau_max", "error", "order", "max_ratio", "N1"],
-                 [(r.N, r.tau_max, r.error,
-                   r.order if not math.isnan(r.order) else float("nan"),
-                   r.max_ratio, r.n1) for r in rows])
+                 [(r.N, r.tau_max, r.error, r.order, r.max_ratio, r.n1)
+                  for r in rows])
     for r in rows:
         print(f"N={r.N:4d}  tau={r.tau_max:.3e}  e={r.error:.3e}  "
               f"order={r.order:5.2f}  max_r={r.max_ratio:8.2f}  N1={r.n1}")

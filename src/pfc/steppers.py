@@ -15,7 +15,9 @@ one for a forcing and one for a starting field that has no spectrum yet.
 
 Schemes:
   * variable-step BDF2, fully implicit (reduces to BDF1 without history),
-    started from the linear extrapolation phi^{n-1} + r_n (phi^{n-1} - phi^{n-2});
+    started from the Lagrange extrapolation to t_n through the history
+    levels it has: phi^{n-1} alone, the line through phi^{n-1} and
+    phi^{n-2}, or the quadratic through phi^{n-1}, phi^{n-2} and phi^{n-3};
   * Crank-Nicolson (CN) with the product-form midpoint nonlinearity;
   * Crank-Nicolson convex splitting (CNCS) with an explicit extrapolated
     gradient term, started by a first-order convex-splitting step.
@@ -54,15 +56,22 @@ class ConditioningError(ValueError):
 
 @dataclass
 class StepperState:
-    """Solution history: previous level, optional second level, previous step."""
+    """Solution history: the previous level, up to two older levels and the steps between.
+
+    ``tau_prev`` is the step from ``phi_prev2`` to ``phi_prev`` and
+    ``tau_prev2`` the step from ``phi_prev3`` to ``phi_prev2``.
+    """
 
     phi_prev: Field
     phi_prev2: Field | None = None
     tau_prev: float | None = None
     t: float = 0.0
+    phi_prev3: Field | None = None
+    tau_prev2: float | None = None
 
     def advanced(self, phi_new: Field, tau: float) -> "StepperState":
-        return StepperState(phi_new, self.phi_prev, tau, self.t + tau)
+        return StepperState(phi_new, self.phi_prev, tau, self.t + tau,
+                            self.phi_prev2, self.tau_prev)
 
 
 def _check_symbol(symbol: np.ndarray, tau: float):
@@ -134,16 +143,31 @@ def _midpoint_cube(prev):
     return nl
 
 
+def _quadratic_weights(tau_n: float, tau_1: float, tau_2: float):
+    """Weights of phi^{n-1}, phi^{n-2}, phi^{n-3} in their quadratic's value at t_n.
+
+    ``tau_1`` and ``tau_2`` are the steps tau_{n-1} and tau_{n-2} between
+    the three levels; the weights sum to one.
+    """
+    s1 = tau_n + tau_1
+    s2 = s1 + tau_2
+    w0 = s1 * s2 / (tau_1 * (tau_1 + tau_2))
+    w1 = -tau_n * s2 / (tau_1 * tau_2)
+    w2 = tau_n * s1 / ((tau_1 + tau_2) * tau_2)
+    return w0, w1, w2
+
+
 def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
               forcing: Field | None = None) -> tuple[Field, SolveStats]:
     """Advance one level with the implicit two-step scheme.
 
     With a single history level the step degenerates to BDF1 (ratio 0) and
-    the iteration starts from phi^{n-1}; with two it starts from the linear
-    extrapolation phi^{n-1} + r_n (phi^{n-1} - phi^{n-2}), which changes the
-    iteration count but not the fixed point.  The zero mode carries no
-    dynamics, so the mean is conserved whenever the forcing is absent or
-    mean-free.
+    the iteration starts from phi^{n-1}.  With two it starts from the linear
+    extrapolation phi^{n-1} + r_n (phi^{n-1} - phi^{n-2}), and with three
+    from the quadratic through phi^{n-1}, phi^{n-2} and phi^{n-3} at t_n
+    (``_quadratic_weights``); the start changes the iteration count but not
+    the fixed point.  The zero mode carries no dynamics, so the mean is
+    conserved whenever the forcing is absent or mean-free.
     """
     if tau_n <= 0:
         raise ValueError("tau_n must be positive")
@@ -163,10 +187,16 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
     if history:
         prev2 = state.phi_prev2
         rhs_hat -= b1 * (prev.hat - prev2.hat)
-        # the predictor phi^{n-1} + r (phi^{n-1} - phi^{n-2}), built in one buffer
-        guess = prev.values - prev2.values
-        guess *= r
-        guess += prev.values
+        # the predictor, built in one buffer
+        if state.phi_prev3 is not None and state.tau_prev2 is not None:
+            w0, w1, w2 = _quadratic_weights(tau_n, state.tau_prev, state.tau_prev2)
+            guess = w0 * prev.values
+            guess += w1 * prev2.values
+            guess += w2 * state.phi_prev3.values
+        else:
+            guess = prev.values - prev2.values
+            guess *= r
+            guess += prev.values
     if forcing is not None:
         rhs_hat += forcing.hat
     return fixed_point_solve(symbol, rhs_hat, guess, g, _cube)

@@ -10,7 +10,7 @@ from pfc.adaptive import (AdaptiveConfig, adaptive_advance, adaptive_run,
 from pfc.experiments import patched_initial
 from pfc.grid import Field, Grid2D, constant_field, mean
 from pfc.model import PfcParams
-from pfc.steppers import SolverError, StepperState, bdf2_step
+from pfc.steppers import SolverError, StepperState, bdf2_step, run_fixed_mesh
 
 
 @pytest.fixture
@@ -118,6 +118,40 @@ class TestAdvance:
         with pytest.raises(SolverError):
             adaptive_advance(state, 2.0, AdaptiveConfig(tau_min=1.9, tau_max=2.0), p)
 
+    def test_trials_leave_three_levels_untouched(self, monkeypatch):
+        """Diverged and rejected trials from a three-level state leave every
+        level, its values and its spectrum bit for bit as they were."""
+        g = Grid2D(64, 64.0)
+        p = PfcParams(0.25, g)
+        phi0 = patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)])
+        state, _ = run_fixed_mesh(phi0, [1e-3] * 3, p)
+        levels = [state.phi_prev, state.phi_prev2, state.phi_prev3]
+        before = [(f.values.copy(), f.hat.copy()) for f in levels]
+        outcomes = []
+        step = adaptive.bdf2_step
+
+        def recorded(st, tau, p):
+            try:
+                res = step(st, tau, p)
+            except SolverError:
+                outcomes.append("diverged")
+                raise
+            outcomes.append("solved")
+            return res
+
+        monkeypatch.setattr(adaptive, "bdf2_step", recorded)
+        out = adaptive_advance(state, 2.0, AdaptiveConfig(tau_max=2.0), p)
+        # trials at 2, 0.5, 0.125 and 1/32 diverge; solved trials are
+        # rejected on their increment until tau_min forces acceptance
+        assert "diverged" in outcomes
+        assert outcomes.count("solved") >= 2
+        assert out.rejections == len(outcomes) - 1
+        assert all(a is b for a, b in zip((state.phi_prev, state.phi_prev2,
+                                           state.phi_prev3), levels))
+        for f, (vals, hat) in zip(levels, before):
+            assert np.array_equal(f.values, vals)
+            assert np.array_equal(f.hat, hat)
+
     def test_next_step_within_bounds(self, setup):
         g, p = setup
         cfg = AdaptiveConfig()
@@ -207,7 +241,8 @@ class TestRun:
             return res
 
         def checked_step(state, tau, p):
-            history = [f for f in (state.phi_prev, state.phi_prev2) if f is not None]
+            history = [f for f in (state.phi_prev, state.phi_prev2, state.phi_prev3)
+                       if f is not None]
             before = [f.hat.copy() for f in history]
             try:
                 return step(state, tau, p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pfc.adaptive as adaptive
+import pfc.experiments as ex
 import pfc.grid as grid
 import pfc.model as model
 import pfc.steppers as steppers
@@ -103,6 +104,24 @@ class TestConvergence:
         assert all(r.error > 0 for r in rows)
         assert all(r.n1 >= 0 for r in rows)
         assert np.isnan(rows[0].order)
+
+    def test_ladder_iteration_budget(self, monkeypatch):
+        """The forced 32^2 random-mesh ladder at seed 2023 takes 2,622
+        fixed-point iterations with the three-level predictor and 3,489 with
+        the linear one.  The bound leaves 10.6 % for roundoff in the
+        iteration counts across platforms; the linear start fails it."""
+        iterations = []
+        run = ex.run_fixed_mesh
+
+        def counted(*args, **kwargs):
+            state, stats = run(*args, **kwargs)
+            iterations.extend(s.iterations for s in stats)
+            return state, stats
+
+        monkeypatch.setattr(ex, "run_fixed_mesh", counted)
+        run_convergence(M=32, ladder=(20, 40, 80, 160, 320), seed=2023)
+        assert len(iterations) == 620
+        assert sum(iterations) <= 2900
 
     def test_forced_error_scale(self):
         g = Grid2D(32, 8.0)

@@ -7,6 +7,7 @@ fixed point to roundoff and take the same number of iterations; a BDF2
 step with history starts the reference from the same extrapolated guess.
 """
 
+import math
 import pathlib
 import re
 
@@ -20,7 +21,7 @@ from pfc.grid import (Field, Grid2D, backward, forward, gradient, inv_laplacian,
                       laplacian, sum_of_squares)
 from pfc.model import PfcParams, chemical_potential, energy, manufactured_forcing
 from pfc.steppers import (FP_TOL, MAX_ITER, StepperState, bdf2_step, cn_step,
-                          cncs_step, cs1_step)
+                          cncs_step, cs1_step, run_fixed_mesh)
 
 FIELD_TOL = 1e-13
 CASES = [(32, 8.0, 0.2, 0.05), (128, 64.0, 0.2, 0.1)]
@@ -59,6 +60,17 @@ def ref_bdf2(phi1, phi2, tau, tau_prev, p, forcing=None, guess=None):
 def extrapolated(phi1, phi2, tau, tau_prev):
     """The BDF2 predictor phi1 + r (phi1 - phi2), r = tau / tau_prev."""
     return phi1 + (tau / tau_prev) * (phi1 - phi2)
+
+
+def lagrange_weights(times, t):
+    """Weights of the values at ``times`` in their interpolating polynomial at t."""
+    return [math.prod((t - tj) / (ti - tj) for tj in times if tj != ti) for ti in times]
+
+
+def quadratic(phi1, phi2, phi3, tau, tau1, tau2):
+    """The three-level predictor: phi1, phi2, phi3 at 0, -tau1, -tau1 - tau2, read at tau."""
+    w0, w1, w2 = lagrange_weights([0.0, -tau1, -tau1 - tau2], tau)
+    return w0 * phi1 + w1 * phi2 + w2 * phi3
 
 
 def ref_cn(prev, tau, p):
@@ -103,6 +115,13 @@ def two_levels(M, L, eps, seed):
     return g, p, phi1, phi2
 
 
+def three_levels(M, L, eps, seed):
+    g, p, phi1, phi2 = two_levels(M, L, eps, seed)
+    rng = np.random.default_rng(seed + 100)
+    phi3 = Field(g, phi2.values + 0.01 * rng.uniform(-1, 1, size=(M, M)))
+    return g, p, phi1, phi2, phi3
+
+
 def assert_same_step(got, stats, want, want_iters):
     assert np.max(np.abs(got.values - want)) <= FIELD_TOL
     assert stats.iterations == want_iters
@@ -122,6 +141,15 @@ class TestStepsMatchFullPlane:
         got, stats = bdf2_step(state, tau, p)
         guess = extrapolated(phi1.values, phi2.values, tau, tau_prev)
         assert_same_step(got, stats, *ref_bdf2(phi1.values, phi2.values, tau, tau_prev,
+                                               p, guess=guess))
+
+    def test_bdf2_three_levels(self, M, L, eps, tau):
+        g, p, phi1, phi2, phi3 = three_levels(M, L, eps, 11)
+        tau1, tau2 = 0.6 * tau, 1.7 * tau
+        state = StepperState(phi1, phi2, tau1, phi_prev3=phi3, tau_prev2=tau2)
+        got, stats = bdf2_step(state, tau, p)
+        guess = quadratic(phi1.values, phi2.values, phi3.values, tau, tau1, tau2)
+        assert_same_step(got, stats, *ref_bdf2(phi1.values, phi2.values, tau, tau1,
                                                p, guess=guess))
 
     def test_bdf2_forced(self, M, L, eps, tau):
@@ -250,6 +278,49 @@ def test_bdf2_starts_from_extrapolation(monkeypatch):
     bdf2_step(StepperState(phi1, phi2, 0.02), 0.05, p)
     assert np.array_equal(guesses[0], phi1.values)
     assert np.array_equal(guesses[1], extrapolated(phi1.values, phi2.values, 0.05, 0.02))
+
+
+def test_quadratic_weights(rng):
+    """On step triples with ratios in [1/136, 136] the weights sum to one and
+    reproduce quadratics in t.  Both are measured against the size of the
+    weighted terms: at tau_n/tau_{n-1} = tau_{n-1}/tau_{n-2} = 136 the
+    weights reach 2.5e6, and roundoff in their sum scales with that."""
+    for _ in range(2000):
+        r1, r2 = np.exp(rng.uniform(-math.log(136), math.log(136), size=2))
+        tau2 = 10.0 ** rng.uniform(-4, 0)
+        tau1 = r1 * tau2
+        tau = r2 * tau1
+        w = steppers._quadratic_weights(tau, tau1, tau2)
+        assert abs(sum(w) - 1.0) <= 1e-12 * sum(abs(wi) for wi in w)
+        a, b, c = rng.standard_normal(3)
+        vals = [a + b * t + c * t * t for t in (0.0, -tau1, -tau1 - tau2)]
+        terms = [wi * v for wi, v in zip(w, vals)]
+        assert abs(sum(terms) - (a + b * tau + c * tau * tau)) <= 1e-12 * sum(map(abs, terms))
+
+
+def test_run_starts_from_available_levels(monkeypatch):
+    """Step 1 starts from phi0, step 2 from the line through two levels and
+    step 3 from the quadratic through three."""
+    guesses = []
+    solve = steppers.fixed_point_solve
+
+    def spy(symbol, rhs_hat, guess, grid, nonlinear):
+        guesses.append(guess.copy())
+        return solve(symbol, rhs_hat, guess, grid, nonlinear)
+
+    monkeypatch.setattr(steppers, "fixed_point_solve", spy)
+    g, p, phi0, _ = two_levels(32, 8.0, 0.2, 12)
+    taus = [0.03, 0.05, 0.02]
+    levels = [phi0.values]
+    run_fixed_mesh(phi0, taus, p,
+                   observer=lambda state, _: levels.append(state.phi_prev.values))
+    assert len(guesses) == 3
+    assert np.array_equal(guesses[0], levels[0])
+    assert np.array_equal(guesses[1], extrapolated(levels[1], levels[0], taus[1], taus[0]))
+    want = quadratic(levels[2], levels[1], levels[0], taus[2], taus[1], taus[0])
+    assert np.max(np.abs(guesses[2] - want)) <= 1e-14 * np.max(np.abs(want))
+    assert not np.array_equal(guesses[2], extrapolated(levels[2], levels[1],
+                                                       taus[2], taus[1]))
 
 
 SCHEMES = ["bdf1", "bdf2", "bdf2_forced", "cn", "cs1", "cncs"]

@@ -71,6 +71,22 @@ class TestBDF2:
         res = spectral_residual_bdf2(phi2, phi1, state.phi_prev2, b0, b1, p)
         assert res < 1e-8
 
+    def test_three_level_defining_equation(self, setup, rng):
+        # the third step starts from the quadratic predictor; the step it
+        # lands on must still solve the two-step scheme's equation
+        g, p = setup
+        state = StepperState(random_field(g, rng))
+        for tau in (0.04, 0.07, 0.02):
+            phi, _ = bdf2_step(state, tau, p)
+            state = state.advanced(phi, tau)
+        assert state.phi_prev3 is not None
+        r = 0.02 / 0.07
+        b0 = (1 + 2 * r) / (0.02 * (1 + r))
+        b1 = -(r * r) / (0.02 * (1 + r))
+        res = spectral_residual_bdf2(state.phi_prev, state.phi_prev2, state.phi_prev3,
+                                     b0, b1, p)
+        assert res < 1e-8
+
     def test_forced_defining_equation(self, setup, rng):
         g, p = setup
         prev = random_field(g, rng)
