@@ -55,8 +55,8 @@ def patched_initial(grid: Grid2D, patches=None, base: float = 0.285,
     vals = np.full((grid.M, grid.M), float(base))
     for (cx, cy), side, amp in patches:
         half = side / 2.0
-        in_x = np.abs(grid.X[:, 0] - cx) <= half
-        in_y = np.abs(grid.Y[0, :] - cy) <= half
+        in_x = np.abs(grid.x - cx) <= half
+        in_y = np.abs(grid.x - cy) <= half
         ii = np.nonzero(in_x)[0]
         jj = np.nonzero(in_y)[0]
         for i in ii:

@@ -7,12 +7,12 @@ carries the 1/M^2 factor; both are written as their two 1-D passes.  Fields
 are stored as M x M real arrays with ``values[i, j]`` the sample at
 ``(i*h, j*h)``.
 
-Multipliers come in two layouts: the full plane (``k2``, ``ikx``, ``iky``,
-numpy ``fft2`` order) and the half plane (``k2_half``, ``ikx_half``,
-``iky_half``) that pairs with ``forward``/``backward``.  The first-derivative
-multiplier is zeroed on the Nyquist mode so that derivatives of real fields
-stay real; the second-derivative multiplier keeps the full -nu^2 (M/2)^2
-weight there.
+Multipliers live in the one layout that pairs with ``forward``/``backward``:
+the half plane (``k2_half``, ``ikx_half``, ``iky_half``, ``inv_k2_half``),
+rows in numpy ``fftfreq`` order and columns in ``rfftfreq`` order.  The
+first-derivative multiplier is zeroed on the Nyquist mode so that
+derivatives of real fields stay real; the second-derivative multiplier
+keeps the full -nu^2 (M/2)^2 weight there.
 """
 
 from __future__ import annotations
@@ -45,26 +45,19 @@ class Grid2D:
             raise ValueError(f"L must be positive, got {self.L}")
         self.h = self.L / self.M
         self.nu = 2.0 * np.pi / self.L
-        # integer wavenumbers in FFT layout: 0..M/2-1, -M/2..-1
-        ell = np.fft.fftfreq(self.M, d=1.0 / self.M)
-        lx, ly = np.meshgrid(ell, ell, indexing="ij")
-        self.k2 = self.nu**2 * (lx**2 + ly**2)
+        # integer wavenumbers: rows 0..M/2-1, -M/2..-1; columns 0..M/2
+        lx = np.fft.fftfreq(self.M, d=1.0 / self.M)[:, None]
+        ly = np.fft.rfftfreq(self.M, d=1.0 / self.M)
+        self.k2_half = self.nu**2 * (lx**2 + ly**2)
         # first derivatives: drop the unmatched Nyquist mode
-        dx = 1j * self.nu * lx
-        dy = 1j * self.nu * ly
-        dx[self.M // 2, :] = 0.0
-        dy[:, self.M // 2] = 0.0
-        self.ikx = dx
-        self.iky = dy
-        # half plane: the first M/2 + 1 columns, the layout of rfft2
-        half = np.s_[:, : self.M // 2 + 1]
-        self.k2_half = np.ascontiguousarray(self.k2[half])
-        self.ikx_half = np.ascontiguousarray(dx[half])
-        self.iky_half = np.ascontiguousarray(dy[half])
+        shape = self.k2_half.shape
+        self.ikx_half = np.ascontiguousarray(np.broadcast_to(1j * self.nu * lx, shape))
+        self.iky_half = np.ascontiguousarray(np.broadcast_to(1j * self.nu * ly, shape))
+        self.ikx_half[self.M // 2, :] = 0.0
+        self.iky_half[:, self.M // 2] = 0.0
         self.inv_k2_half = np.zeros_like(self.k2_half)   # 1/k^2, 0 on the zero mode
         np.divide(1.0, self.k2_half, out=self.inv_k2_half, where=self.k2_half > 0)
-        x = self.h * np.arange(self.M)
-        self.X, self.Y = np.meshgrid(x, x, indexing="ij")
+        self.x = self.h * np.arange(self.M)   # sample coordinates along either axis
 
     @property
     def cell_area(self) -> float:
@@ -178,26 +171,6 @@ def gradient(f: Field) -> tuple[Field, Field]:
     fh = forward(f.values)
     return (Field(g, backward(g.ikx_half * fh, g.M)),
             Field(g, backward(g.iky_half * fh, g.M)))
-
-
-def inv_laplacian(f: Field, gamma: int = 1) -> Field:
-    """Apply (-Laplacian)^(-gamma); requires a mean-zero field.
-
-    The zero mode of the output is set to zero exactly.
-    """
-    if gamma < 1:
-        raise ValueError("gamma must be a positive integer")
-    m = mean(f)
-    linf = float(np.max(np.abs(f.values)))
-    if abs(m) > 1e-12 * max(linf, 1e-300):
-        raise MeanZeroError(f"field has mean {m:.3e}, expected mean zero")
-    return Field(f.grid, backward(f.grid.inv_k2_half**gamma * forward(f.values), f.grid.M))
-
-
-def hminus1_norm(f: Field) -> float:
-    """Discrete H^{-1} norm, defined through the inverse Laplacian."""
-    val = inner(inv_laplacian(f, 1), f)
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def save_snapshot(path, f: Field, t: float):

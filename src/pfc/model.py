@@ -31,9 +31,7 @@ class PfcParams:
         if not (0 < self.eps < 1):
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         # spectral symbol of the linear part of mu: ((1 - k^2)^2 - eps)
-        self.lin_symbol = (1.0 - self.grid.k2) ** 2 - self.eps
-        self.lin_symbol_half = np.ascontiguousarray(
-            self.lin_symbol[:, : self.grid.M // 2 + 1])
+        self.lin_symbol_half = (1.0 - self.grid.k2_half) ** 2 - self.eps
 
 
 @dataclass
@@ -109,8 +107,8 @@ def linf_monitor(phi: Field, E0: float, p: PfcParams) -> tuple[float, float]:
 
 def _axis_sines(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     """sin(pi x / 2) as an M x 1 column and sin(pi y / 2) as a 1 x M row."""
-    return (np.sin(0.5 * np.pi * grid.X[:, :1]),
-            np.sin(0.5 * np.pi * grid.Y[:1, :]))
+    s = np.sin(0.5 * np.pi * grid.x)
+    return s[:, None], s[None, :]
 
 
 def exact_solution(t: float, grid: Grid2D) -> Field:

@@ -59,19 +59,23 @@ class StepperState:
     """Solution history: the previous level, up to two older levels and the steps between.
 
     ``tau_prev`` is the step from ``phi_prev2`` to ``phi_prev`` and
-    ``tau_prev2`` the step from ``phi_prev3`` to ``phi_prev2``.
+    ``tau_prev2`` the step from ``phi_prev3`` to ``phi_prev2``.  The two
+    newest levels are fields, whose spectra the right-hand sides read; the
+    oldest level feeds only the BDF2 predictor, so ``phi_prev3`` holds its
+    values alone and no spectrum is kept for it.
     """
 
     phi_prev: Field
     phi_prev2: Field | None = None
     tau_prev: float | None = None
     t: float = 0.0
-    phi_prev3: Field | None = None
+    phi_prev3: np.ndarray | None = None
     tau_prev2: float | None = None
 
     def advanced(self, phi_new: Field, tau: float) -> "StepperState":
+        prev3 = self.phi_prev2.values if self.phi_prev2 is not None else None
         return StepperState(phi_new, self.phi_prev, tau, self.t + tau,
-                            self.phi_prev2, self.tau_prev)
+                            prev3, self.tau_prev)
 
 
 def _check_symbol(symbol: np.ndarray, tau: float):
@@ -192,7 +196,7 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
             w0, w1, w2 = _quadratic_weights(tau_n, state.tau_prev, state.tau_prev2)
             guess = w0 * prev.values
             guess += w1 * prev2.values
-            guess += w2 * state.phi_prev3.values
+            guess += w2 * state.phi_prev3
         else:
             guess = prev.values - prev2.values
             guess *= r
@@ -232,13 +236,11 @@ def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solv
     return fixed_point_solve(symbol, rhs_hat, prev.values, g, _cube)
 
 
-def cncs_step(state: StepperState, tau: float, p: PfcParams,
-              literal_extrapolation: bool = False) -> tuple[Field, SolveStats]:
+def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
     """Crank-Nicolson convex-splitting step; needs two history levels.
 
     The explicit gradient term uses the extrapolated midpoint value
-    (3 phi^{n-1} - phi^{n-2}) / 2 by default; ``literal_extrapolation``
-    switches to 3 phi^{n-1} - phi^{n-2} without the half factor.
+    (3 phi^{n-1} - phi^{n-2}) / 2.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -250,8 +252,7 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams,
     symbol = 1.0 / tau + 0.5 * k2 * lin
     prev = state.phi_prev
     extrap_hat = 3.0 * prev.hat - state.phi_prev2.hat
-    if not literal_extrapolation:
-        extrap_hat *= 0.5
+    extrap_hat *= 0.5
     rhs_hat = (prev.hat / tau - 0.5 * k2 * lin * prev.hat
                + (k2 * k2) * extrap_hat)
     return fixed_point_solve(symbol, rhs_hat, prev.values, g, _midpoint_cube(prev.values))

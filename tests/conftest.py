@@ -1,7 +1,18 @@
+"""Shared fixtures and reference implementations.
+
+The package keeps only the half-plane multipliers that pair with
+``pfc.grid.forward``/``backward``.  The full-plane arrays in numpy ``fft2``
+order and the M x M sample coordinates are rebuilt here, independently of
+the package, as oracles; so are the inverse Laplacian and the H^-1 norm
+that check ``model.step_distance_sq``.
+"""
+
 import numpy as np
 import pytest
 
+from pfc.grid import Field, MeanZeroError, backward, forward, inner, mean
 from pfc.mesh import R_SUP, TimeMesh, mesh_from_ratios
+from pfc.steppers import FP_TOL, MAX_ITER
 
 
 def random_s1_mesh(rng: np.random.Generator, n_max: int = 64,
@@ -17,3 +28,86 @@ def random_s1_mesh(rng: np.random.Generator, n_max: int = 64,
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def coords(grid):
+    """The M x M sample coordinates X, Y, with X[i, j] = i h and Y[i, j] = j h."""
+    x = grid.h * np.arange(grid.M)
+    return np.meshgrid(x, x, indexing="ij")
+
+
+def _full_wavenumbers(grid):
+    ell = np.fft.fftfreq(grid.M, d=1.0 / grid.M)
+    return np.meshgrid(ell, ell, indexing="ij")
+
+
+def full_k2(grid):
+    """k^2 on the full plane in numpy ``fft2`` order."""
+    lx, ly = _full_wavenumbers(grid)
+    return grid.nu**2 * (lx**2 + ly**2)
+
+
+def full_grad(grid):
+    """The full-plane multipliers i kx and i ky, zeroed on their Nyquist modes."""
+    lx, ly = _full_wavenumbers(grid)
+    ikx = 1j * grid.nu * lx
+    iky = 1j * grid.nu * ly
+    ikx[grid.M // 2, :] = 0.0
+    iky[:, grid.M // 2] = 0.0
+    return ikx, iky
+
+
+def full_lin_symbol(p):
+    """(1 - k^2)^2 - eps, the symbol of the linear part of mu, on the full plane."""
+    return (1.0 - full_k2(p.grid)) ** 2 - p.eps
+
+
+def inv_laplacian(f: Field, gamma: int = 1) -> Field:
+    """Apply (-Laplacian)^(-gamma) with the grid's ``inv_k2_half``; requires a mean-zero field.
+
+    The mean is judged against the field's own max norm, which suits fields
+    of order one; the difference of two nearby states can fail it on the
+    roundoff of its mean.  The zero mode of the output is set to zero exactly.
+    """
+    if gamma < 1:
+        raise ValueError("gamma must be a positive integer")
+    m = mean(f)
+    linf = float(np.max(np.abs(f.values)))
+    if abs(m) > 1e-12 * max(linf, 1e-300):
+        raise MeanZeroError(f"field has mean {m:.3e}, expected mean zero")
+    return Field(f.grid, backward(f.grid.inv_k2_half**gamma * forward(f.values), f.grid.M))
+
+
+def hminus1_norm(f: Field) -> float:
+    """Discrete H^{-1} norm, defined through the inverse Laplacian."""
+    val = inner(inv_laplacian(f, 1), f)
+    return float(np.sqrt(max(val, 0.0)))
+
+
+def ref_solve(symbol, rhs_hat, guess, nl):
+    """Full-plane fixed-point solve: phi <- ifft2((rhs_hat + nl(phi)) / symbol)."""
+    phi = guess
+    for it in range(1, MAX_ITER + 1):
+        phi_new = np.fft.ifft2((rhs_hat + nl(phi)) / symbol).real
+        res = float(np.max(np.abs(phi_new - phi)))
+        phi = phi_new
+        if res <= FP_TOL:
+            return phi, it
+    raise AssertionError("reference solve did not converge")
+
+
+def ref_cncs(prev, prev2, tau, p, literal=False):
+    """Full-plane CNCS step; ``literal`` extrapolates with 3 prev - prev2, no half factor."""
+    k2 = full_k2(p.grid)
+    lin = k2**2 + 1.0 - p.eps
+    prev_hat = np.fft.fft2(prev)
+    extrap = 3.0 * prev - prev2
+    if not literal:
+        extrap = 0.5 * extrap
+    rhs_hat = (prev_hat / tau - 0.5 * k2 * lin * prev_hat
+               + k2**2 * np.fft.fft2(extrap))
+
+    def nl(phi):
+        return -k2 * np.fft.fft2(0.5 * (phi**2 + prev**2) * 0.5 * (phi + prev))
+
+    return ref_solve(1.0 / tau + 0.5 * k2 * lin, rhs_hat, prev, nl)

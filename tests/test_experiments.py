@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import coords
 import pfc.adaptive as adaptive
 import pfc.experiments as ex
 import pfc.grid as grid
@@ -239,7 +240,8 @@ class TestRunLoops:
         calls = count_outermost_steps(monkeypatch)
         g = Grid2D(32, 8.0)
         p = PfcParams(0.2, g)
-        phi0 = Field(g, 0.1 + 0.05 * np.sin(g.nu * g.X) * np.cos(g.nu * g.Y))
+        X, Y = coords(g)
+        phi0 = Field(g, 0.1 + 0.05 * np.sin(g.nu * X) * np.cos(g.nu * Y))
         log = EnergyLog(phi0, p)
         _, run = adaptive_run(phi0, 0.5, AdaptiveConfig(), p, observer=log)
         assert len(calls) == run.steps == len(log.records) - 1

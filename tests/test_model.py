@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from pfc.grid import (Field, Grid2D, MeanZeroError, constant_field, hminus1_norm,
-                      inner, laplacian)
+from conftest import coords, full_k2, hminus1_norm
+from pfc.grid import Field, Grid2D, MeanZeroError, constant_field, inner, laplacian
 from pfc.model import (PfcParams, chemical_potential, energy, exact_solution,
                        linf_monitor, manufactured_forcing, mass,
-                       modified_energy)
+                       modified_energy, step_distance_sq)
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ class TestChemicalPotential:
         # eigenvalue -1, so the fourth-order part vanishes
         g = Grid2D(32, 2 * np.pi)
         p = PfcParams(0.02, g)
-        phi = Field(g, np.sin(g.X))
+        phi = Field(g, np.sin(coords(g)[0]))
         mu = chemical_potential(phi, p)
         want = phi.values**3 - p.eps * phi.values
         assert np.max(np.abs(mu.values - want)) < 1e-11
@@ -60,7 +60,7 @@ class TestEnergy:
         g, p = setup
         f = Field(g, 0.3 * rng.standard_normal((g.M, g.M)))
         fh = np.fft.fft2(f.values)
-        opl = np.fft.ifft2((1.0 - g.k2) * fh).real
+        opl = np.fft.ifft2((1.0 - full_k2(g)) * fh).real
         direct = g.cell_area * np.sum(0.5 * opl**2 + 0.25 * (f.values**2 - p.eps) ** 2) \
             - 0.25 * p.eps**2 * g.volume
         assert energy(f, p) == pytest.approx(direct, rel=1e-11)
@@ -98,12 +98,22 @@ class TestModifiedEnergy:
 
     def test_eigenfunction_history(self, setup):
         g, p = setup
-        f = Field(g, np.sin(g.nu * g.X))
+        f = Field(g, np.sin(g.nu * coords(g)[0]))
         prev = constant_field(g, 0.0)
         # r = 1, tau = 1: extra term = ||sin||_{-1}^2 / 4
         extra = hminus1_norm(f) ** 2 / 4.0
         got = modified_energy(f, prev, 1.0, 1.0, p)
         assert got == pytest.approx(energy(f, p) + extra, rel=1e-12)
+
+    def test_step_distance_is_hminus1_norm(self, setup, rng):
+        g, p = setup
+        for _ in range(5):
+            d = rng.standard_normal((g.M, g.M))
+            d -= d.mean()
+            prev = Field(g, 0.285 + rng.standard_normal((g.M, g.M)))
+            f = Field(g, prev.values + d)
+            want = hminus1_norm(Field(g, d)) ** 2
+            assert step_distance_sq(f, prev) == pytest.approx(want, rel=1e-12)
 
     def test_mean_shift_raises(self, setup, rng):
         g, p = setup
@@ -131,7 +141,7 @@ class TestMass:
 
     def test_mean_zero_mode(self, setup):
         g, _ = setup
-        assert abs(mass(Field(g, np.sin(g.nu * g.X)))) < 1e-13
+        assert abs(mass(Field(g, np.sin(g.nu * coords(g)[0])))) < 1e-13
 
     def test_linearity(self, setup, rng):
         g, _ = setup
@@ -170,7 +180,8 @@ class TestManufacturedForcing:
         g, p = setup
         t = np.pi / 2
         gfield = manufactured_forcing(t, g, p)
-        want = -np.sin(t) * np.sin(0.5 * np.pi * g.X) * np.sin(0.5 * np.pi * g.Y)
+        X, Y = coords(g)
+        want = -np.sin(t) * np.sin(0.5 * np.pi * X) * np.sin(0.5 * np.pi * Y)
         assert np.max(np.abs(gfield.values - want)) < 1e-12
 
     def test_mean_free(self, setup):
@@ -182,9 +193,10 @@ class TestManufacturedForcing:
         g, p = setup
         t = 0.37
         phi = exact_solution(t, g)
-        dphi_dt = -np.sin(t) * np.sin(0.5 * np.pi * g.X) * np.sin(0.5 * np.pi * g.Y)
+        X, Y = coords(g)
+        dphi_dt = -np.sin(t) * np.sin(0.5 * np.pi * X) * np.sin(0.5 * np.pi * Y)
         mu = chemical_potential(phi, p)
-        lap_mu = np.fft.ifft2(-g.k2 * np.fft.fft2(mu.values)).real
+        lap_mu = np.fft.ifft2(-full_k2(g) * np.fft.fft2(mu.values)).real
         res = dphi_dt - lap_mu - manufactured_forcing(t, g, p).values
         assert np.max(np.abs(res)) < 1e-12
 
@@ -192,8 +204,9 @@ class TestManufacturedForcing:
     def test_axis_sines_match_2d_formula(self, M):
         g = Grid2D(M, 8.0)
         p = PfcParams(0.2, g)
-        sx = np.sin(0.5 * np.pi * g.X)
-        sy = np.sin(0.5 * np.pi * g.Y)
+        X, Y = coords(g)
+        sx = np.sin(0.5 * np.pi * X)
+        sy = np.sin(0.5 * np.pi * Y)
         for t in (0.0, 0.37, 1.7, 12.5):
             phi = Field(g, np.cos(t) * sx * sy)
             assert np.array_equal(exact_solution(t, g).values, phi.values)

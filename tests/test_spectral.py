@@ -1,46 +1,38 @@
 """The half-spectrum layer in pfc.grid against full-plane complex transforms.
 
-The references below restate the steppers with numpy's full complex
-``fft2``/``ifft2`` and ``phi**3``, the layout the package used before it
-moved to real transforms.  One step of each scheme must land on the same
-fixed point to roundoff and take the same number of iterations; a BDF2
-step with history starts the reference from the same extrapolated guess.
+The references below and in conftest restate the steppers with numpy's
+full complex ``fft2``/``ifft2``, the full-plane multipliers and ``phi**3``,
+the layout the package used before it moved to real transforms.  One step
+of each scheme must land on the same fixed point to roundoff and take the
+same number of iterations; a BDF2 step with history starts the reference
+from the same extrapolated guess.
 """
 
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import (full_grad, full_k2, full_lin_symbol, inv_laplacian, ref_cncs,
+                      ref_solve)
 import pfc
 import pfc.grid as grid
 import pfc.steppers as steppers
-from pfc.grid import (Field, Grid2D, backward, forward, gradient, inv_laplacian,
-                      laplacian, sum_of_squares)
+from pfc.grid import Field, Grid2D, backward, forward, gradient, laplacian, sum_of_squares
 from pfc.model import PfcParams, chemical_potential, energy, manufactured_forcing
-from pfc.steppers import (FP_TOL, MAX_ITER, StepperState, bdf2_step, cn_step,
-                          cncs_step, cs1_step, run_fixed_mesh)
+from pfc.steppers import (StepperState, bdf2_step, cn_step, cncs_step, cs1_step,
+                          run_fixed_mesh)
 
 FIELD_TOL = 1e-13
 CASES = [(32, 8.0, 0.2, 0.05), (128, 64.0, 0.2, 0.1)]
 
 
-def ref_solve(symbol, rhs_hat, guess, nl):
-    phi = guess
-    for it in range(1, MAX_ITER + 1):
-        phi_new = np.fft.ifft2((rhs_hat + nl(phi)) / symbol).real
-        res = float(np.max(np.abs(phi_new - phi)))
-        phi = phi_new
-        if res <= FP_TOL:
-            return phi, it
-    raise AssertionError("reference solve did not converge")
-
-
 def ref_bdf2(phi1, phi2, tau, tau_prev, p, forcing=None, guess=None):
     """Full-plane BDF2 step started from ``guess`` (phi1 when not given)."""
-    k2 = p.grid.k2
+    k2 = full_k2(p.grid)
     if phi2 is None:
         b0, b1 = 1.0 / tau, 0.0
     else:
@@ -52,7 +44,7 @@ def ref_bdf2(phi1, phi2, tau, tau_prev, p, forcing=None, guess=None):
         rhs = rhs - b1 * (phi1 - phi2)
     if forcing is not None:
         rhs = rhs + forcing
-    return ref_solve(b0 + k2 * p.lin_symbol, np.fft.fft2(rhs),
+    return ref_solve(b0 + k2 * full_lin_symbol(p), np.fft.fft2(rhs),
                      phi1 if guess is None else guess,
                      lambda phi: -k2 * np.fft.fft2(phi**3))
 
@@ -74,36 +66,23 @@ def quadratic(phi1, phi2, phi3, tau, tau1, tau2):
 
 
 def ref_cn(prev, tau, p):
-    k2 = p.grid.k2
+    k2 = full_k2(p.grid)
+    lin = full_lin_symbol(p)
     prev_hat = np.fft.fft2(prev)
-    rhs_hat = prev_hat / tau - 0.5 * k2 * p.lin_symbol * prev_hat
-
-    def nl(phi):
-        return -k2 * np.fft.fft2(0.5 * (phi**2 + prev**2) * 0.5 * (phi + prev))
-
-    return ref_solve(1.0 / tau + 0.5 * k2 * p.lin_symbol, rhs_hat, prev, nl)
-
-
-def ref_cs1(prev, tau, p):
-    k2 = p.grid.k2
-    prev_hat = np.fft.fft2(prev)
-    return ref_solve(1.0 / tau + k2 * (k2**2 + 1.0 - p.eps),
-                     prev_hat / tau + 2.0 * k2**2 * prev_hat, prev,
-                     lambda phi: -k2 * np.fft.fft2(phi**3))
-
-
-def ref_cncs(prev, prev2, tau, p):
-    k2 = p.grid.k2
-    lin = k2**2 + 1.0 - p.eps
-    prev_hat = np.fft.fft2(prev)
-    extrap = 0.5 * (3.0 * prev - prev2)
-    rhs_hat = (prev_hat / tau - 0.5 * k2 * lin * prev_hat
-               + k2**2 * np.fft.fft2(extrap))
+    rhs_hat = prev_hat / tau - 0.5 * k2 * lin * prev_hat
 
     def nl(phi):
         return -k2 * np.fft.fft2(0.5 * (phi**2 + prev**2) * 0.5 * (phi + prev))
 
     return ref_solve(1.0 / tau + 0.5 * k2 * lin, rhs_hat, prev, nl)
+
+
+def ref_cs1(prev, tau, p):
+    k2 = full_k2(p.grid)
+    prev_hat = np.fft.fft2(prev)
+    return ref_solve(1.0 / tau + k2 * (k2**2 + 1.0 - p.eps),
+                     prev_hat / tau + 2.0 * k2**2 * prev_hat, prev,
+                     lambda phi: -k2 * np.fft.fft2(phi**3))
 
 
 def two_levels(M, L, eps, seed):
@@ -146,7 +125,7 @@ class TestStepsMatchFullPlane:
     def test_bdf2_three_levels(self, M, L, eps, tau):
         g, p, phi1, phi2, phi3 = three_levels(M, L, eps, 11)
         tau1, tau2 = 0.6 * tau, 1.7 * tau
-        state = StepperState(phi1, phi2, tau1, phi_prev3=phi3, tau_prev2=tau2)
+        state = StepperState(phi1, phi2, tau1, phi_prev3=phi3.values, tau_prev2=tau2)
         got, stats = bdf2_step(state, tau, p)
         guess = quadratic(phi1.values, phi2.values, phi3.values, tau, tau1, tau2)
         assert_same_step(got, stats, *ref_bdf2(phi1.values, phi2.values, tau, tau1,
@@ -181,14 +160,29 @@ class TestLayer:
     def test_half_multipliers_are_slices(self):
         g = Grid2D(16, 8.0)
         p = PfcParams(0.3, g)
+        ikx, iky = full_grad(g)
         assert g.k2_half.shape == (16, 9)
-        assert np.array_equal(g.k2_half, g.k2[:, :9])
-        assert np.array_equal(g.ikx_half, g.ikx[:, :9])
-        assert np.array_equal(g.iky_half, g.iky[:, :9])
-        assert np.array_equal(p.lin_symbol_half, p.lin_symbol[:, :9])
+        assert np.array_equal(g.k2_half, full_k2(g)[:, :9])
+        assert np.array_equal(g.ikx_half, ikx[:, :9])
+        assert np.array_equal(g.iky_half, iky[:, :9])
+        assert np.array_equal(p.lin_symbol_half, full_lin_symbol(p)[:, :9])
         # the unmatched Nyquist modes stay zeroed in the half plane
         assert np.all(g.ikx_half[8, :] == 0)
         assert np.all(g.iky_half[:, 8] == 0)
+
+    def test_memory_budget(self):
+        """The 256^2 grid and parameters hold only half-plane multipliers and
+        a 1-D axis: about 1.9 MB, where the full plane and the M x M
+        coordinates took 5.9 MB."""
+        Grid2D(8, 8.0)   # imports and first-call setup stay out of the count
+        tracemalloc.start()
+        try:
+            g = Grid2D(256, 256.0)
+            PfcParams(0.25, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     def test_forward_backward(self, rng):
         vals = rng.standard_normal((24, 24))
@@ -208,13 +202,15 @@ class TestLayer:
         f = Field(g, rng.standard_normal((32, 32)))
         fh = np.fft.fft2(f.values)
         full = lambda mult: np.fft.ifft2(mult * fh).real
-        assert np.max(np.abs(laplacian(f).values - full(-g.k2))) < 1e-12
+        k2 = full_k2(g)
+        ikx, iky = full_grad(g)
+        assert np.max(np.abs(laplacian(f).values - full(-k2))) < 1e-12
         gx, gy = gradient(f)
-        assert np.max(np.abs(gx.values - full(g.ikx))) < 1e-13
-        assert np.max(np.abs(gy.values - full(g.iky))) < 1e-13
+        assert np.max(np.abs(gx.values - full(ikx))) < 1e-13
+        assert np.max(np.abs(gy.values - full(iky))) < 1e-13
         z = Field(g, f.values - np.mean(f.values))
-        inv = np.zeros_like(g.k2)
-        inv[g.k2 > 0] = 1.0 / g.k2[g.k2 > 0]
+        inv = np.zeros_like(k2)
+        inv[k2 > 0] = 1.0 / k2[k2 > 0]
         want = np.fft.ifft2(inv * np.fft.fft2(z.values)).real
         assert np.max(np.abs(inv_laplacian(z).values - want)) < 1e-12
 
@@ -222,7 +218,7 @@ class TestLayer:
         g = Grid2D(32, 8.0)
         p = PfcParams(0.2, g)
         f = Field(g, 0.3 * rng.standard_normal((32, 32)))
-        want = np.fft.ifft2(p.lin_symbol * np.fft.fft2(f.values)).real + f.values**3
+        want = np.fft.ifft2(full_lin_symbol(p) * np.fft.fft2(f.values)).real + f.values**3
         err = np.max(np.abs(chemical_potential(f, p).values - want))
         assert err <= 1e-14 * np.max(np.abs(want))
 
@@ -238,7 +234,7 @@ def test_energy_against_physical_space(M, L, rng):
     g = Grid2D(M, L)
     p = PfcParams(0.25, g)
     f = Field(g, 0.285 + 0.3 * rng.standard_normal((M, M)))
-    opl = np.fft.ifft2((1.0 - g.k2) * np.fft.fft2(f.values)).real
+    opl = np.fft.ifft2((1.0 - full_k2(g)) * np.fft.fft2(f.values)).real
     a = g.cell_area
     direct = (0.5 * a * np.sum(opl**2) + 0.25 * a * np.sum((f.values**2 - p.eps) ** 2)
               - 0.25 * p.eps**2 * g.volume)
@@ -246,11 +242,17 @@ def test_energy_against_physical_space(M, L, rng):
 
 
 def test_only_grid_transforms():
+    """Only pfc.grid calls numpy.fft, and no module reads a full-plane
+    multiplier or coordinate array: the half plane is the one layout."""
     src = pathlib.Path(pfc.__file__).parent
     pattern = re.compile(r"\b(np|numpy)\.fft\b|from numpy import fft|import numpy\.fft")
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if path.name != "grid.py" and pattern.search(path.read_text())]
     assert offenders == []
+    full_plane = re.compile(r"\.(k2|ikx|iky|X|Y)\b|\blin_symbol\b")
+    readers = [path.name for path in sorted(src.glob("*.py"))
+               if full_plane.search(path.read_text())]
+    assert readers == []
 
 
 @pytest.mark.parametrize("M,L,eps,tau", CASES)

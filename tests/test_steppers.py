@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import coords, full_k2, full_lin_symbol, ref_cncs
 from pfc.grid import Field, Grid2D, constant_field, mean
 from pfc.model import PfcParams, energy, manufactured_forcing, modified_energy
 from pfc.steppers import (MAX_ITER, ConditioningError, SolverError, StepperState,
@@ -23,8 +24,8 @@ def spectral_residual_bdf2(phi_n, phi_m1, phi_m2, b0, b1, p, forcing=None):
     lhs = b0 * (phi_n.values - phi_m1.values)
     if phi_m2 is not None:
         lhs = lhs + b1 * (phi_m1.values - phi_m2.values)
-    rhs_hat = -g.k2 * (p.lin_symbol * np.fft.fft2(phi_n.values)
-                       + np.fft.fft2(phi_n.values**3))
+    rhs_hat = -full_k2(g) * (full_lin_symbol(p) * np.fft.fft2(phi_n.values)
+                             + np.fft.fft2(phi_n.values**3))
     rhs = np.fft.ifft2(rhs_hat).real
     if forcing is not None:
         rhs = rhs + forcing.values
@@ -83,8 +84,8 @@ class TestBDF2:
         r = 0.02 / 0.07
         b0 = (1 + 2 * r) / (0.02 * (1 + r))
         b1 = -(r * r) / (0.02 * (1 + r))
-        res = spectral_residual_bdf2(state.phi_prev, state.phi_prev2, state.phi_prev3,
-                                     b0, b1, p)
+        res = spectral_residual_bdf2(state.phi_prev, state.phi_prev2,
+                                     Field(g, state.phi_prev3), b0, b1, p)
         assert res < 1e-8
 
     def test_forced_defining_equation(self, setup, rng):
@@ -101,7 +102,7 @@ class TestBDF2:
         # follows the scalar implicit-Euler factor on the first step
         g, p = setup
         a = 1e-8
-        vals = a * np.cos(3 * g.nu * g.X)
+        vals = a * np.cos(3 * g.nu * coords(g)[0])
         tau = 0.1
         phi, _ = bdf2_step(StepperState(Field(g, vals)), tau, p)
         k2 = (3 * g.nu) ** 2
@@ -169,14 +170,14 @@ class TestCN:
         mid = 0.5 * (phi.values + prev.values)
         cubic = 0.5 * (phi.values**2 + prev.values**2) * mid
         lhs = (phi.values - prev.values) / tau
-        rhs_hat = -g.k2 * (p.lin_symbol * np.fft.fft2(mid) + np.fft.fft2(cubic))
+        rhs_hat = -full_k2(g) * (full_lin_symbol(p) * np.fft.fft2(mid) + np.fft.fft2(cubic))
         res = np.max(np.abs(lhs - np.fft.ifft2(rhs_hat).real))
         assert res < 1e-8
 
     def test_linearized_amplification(self, setup):
         g, p = setup
         a = 1e-8
-        vals = a * np.sin(2 * g.nu * g.Y)
+        vals = a * np.sin(2 * g.nu * coords(g)[1])
         tau = 0.2
         phi, _ = cn_step(StepperState(Field(g, vals)), tau, p)
         k2 = (2 * g.nu) ** 2
@@ -192,9 +193,10 @@ class TestCNCS:
         tau = 0.05
         phi, _ = cs1_step(StepperState(prev), tau, p)
         lhs = (phi.values - prev.values) / tau
-        rhs_hat = (-g.k2 * ((g.k2**2 + 1 - p.eps) * np.fft.fft2(phi.values)
-                            + np.fft.fft2(phi.values**3))
-                   + 2.0 * g.k2**2 * np.fft.fft2(prev.values))
+        k2 = full_k2(g)
+        rhs_hat = (-k2 * ((k2**2 + 1 - p.eps) * np.fft.fft2(phi.values)
+                          + np.fft.fft2(phi.values**3))
+                   + 2.0 * k2**2 * np.fft.fft2(prev.values))
         res = np.max(np.abs(lhs - np.fft.ifft2(rhs_hat).real))
         assert res < 1e-8
 
@@ -209,21 +211,24 @@ class TestCNCS:
         cubic = 0.5 * (phi2.values**2 + phi1.values**2) * mid
         extrap = 0.5 * (3.0 * phi1.values - state.phi_prev2.values)
         lhs = (phi2.values - phi1.values) / tau
-        rhs_hat = (-g.k2 * ((g.k2**2 + 1 - p.eps) * np.fft.fft2(mid)
-                            + np.fft.fft2(cubic))
-                   + g.k2**2 * np.fft.fft2(extrap))
+        k2 = full_k2(g)
+        rhs_hat = (-k2 * ((k2**2 + 1 - p.eps) * np.fft.fft2(mid)
+                          + np.fft.fft2(cubic))
+                   + k2**2 * np.fft.fft2(extrap))
         res = np.max(np.abs(lhs - np.fft.ifft2(rhs_hat).real))
         assert res < 1e-8
 
     def test_literal_extrapolation_differs(self, setup, rng):
+        # the shipped step is not the variant that drops the half factor
+        # from (3 phi^{n-1} - phi^{n-2}) / 2
         g, p = setup
         state = StepperState(random_field(g, rng))
         tau = 0.05
         phi1, _ = cs1_step(state, tau, p)
         state = state.advanced(phi1, tau)
-        a, _ = cncs_step(state, tau, p, literal_extrapolation=False)
-        b, _ = cncs_step(state, tau, p, literal_extrapolation=True)
-        assert np.max(np.abs(a.values - b.values)) > 1e-10
+        a, _ = cncs_step(state, tau, p)
+        b, _ = ref_cncs(phi1.values, state.phi_prev2.values, tau, p, literal=True)
+        assert np.max(np.abs(a.values - b)) > 1e-10
 
     def test_requires_history(self, setup, rng):
         g, p = setup
@@ -279,7 +284,8 @@ class TestRunFixedMesh:
         # as the step shrinks; use smooth data so the stiff modes carry no
         # content and the comparison reflects the resolved dynamics
         g, p = setup
-        phi0 = Field(g, 0.1 + 0.05 * np.sin(g.nu * g.X) * np.cos(g.nu * g.Y))
+        X, Y = coords(g)
+        phi0 = Field(g, 0.1 + 0.05 * np.sin(g.nu * X) * np.cos(g.nu * Y))
         steps = [1e-4] * 10
         finals = {}
         for scheme in ("bdf2", "cn", "cncs"):
