@@ -73,10 +73,15 @@ class Grid2D:
 
 @dataclass
 class Field:
-    """Real periodic grid function."""
+    """Real periodic grid function.
+
+    A field made by a fixed-point solve also carries ``nl_hat``, the half
+    spectrum of the solve's last lagged nonlinearity; it is None otherwise.
+    """
 
     grid: Grid2D
     values: np.ndarray = field(repr=False)
+    nl_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)

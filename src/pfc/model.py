@@ -30,8 +30,10 @@ class PfcParams:
     def __post_init__(self):
         if not (0 < self.eps < 1):
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        # spectral symbol of the linear part of mu: ((1 - k^2)^2 - eps)
-        self.lin_symbol_half = (1.0 - self.grid.k2_half) ** 2 - self.eps
+        # spectral symbols of (1 + Lap)^2, the energy's interface weight, and
+        # of the linear part of mu, (1 - k^2)^2 - eps
+        self.interface_weight_half = (1.0 - self.grid.k2_half) ** 2
+        self.lin_symbol_half = self.interface_weight_half - self.eps
 
 
 @dataclass
@@ -55,10 +57,11 @@ def energy(phi: Field, p: PfcParams) -> float:
     """Free energy; the gradient part is summed in spectral space (Parseval)."""
     g = phi.grid
     a = g.cell_area
-    one_plus_lap_hat = (1.0 - g.k2_half) * phi.hat
-    e_interf = 0.5 * a * sum_of_squares(one_plus_lap_hat, g.M)
-    bulk = phi.values * phi.values - p.eps
-    e_bulk = 0.25 * a * float(np.sum(bulk * bulk))
+    e_interf = 0.5 * a * sum_of_squares(phi.hat, g.M, p.interface_weight_half)
+    bulk = np.square(phi.values)
+    bulk -= p.eps
+    bulk = bulk.ravel()
+    e_bulk = 0.25 * a * float(np.dot(bulk, bulk))
     return e_interf + e_bulk - 0.25 * p.eps**2 * g.volume
 
 

@@ -5,19 +5,26 @@ exactly mode-by-mode (the spectral symbol is diagonal) and the remaining
 terms are lagged in a fixed-point loop that stops when successive iterates
 differ by at most 1e-12 in the max norm.  Each scheme hands
 ``fixed_point_solve`` its symbol, its right-hand side formed in spectral
-space from the history fields' ``hat``, a starting guess and its lagged
+space from the history fields' ``hat``, a start and its lagged
 nonlinearity as a physical-space function (``phi**3`` or CN's averaged
 product); the solver owns the spectral multiplier -k^2/symbol that turns
-that nonlinearity into an update.  The solver returns the new field with
-``hat`` set to the spectrum whose inverse transform gave its values, so a
-step costs one transform pair per iteration and no other transform, except
-one for a forcing and one for a starting field that has no spectrum yet.
+that nonlinearity into an update.  The start is either a field's values or
+a spectrum standing in for the first iterate's transformed nonlinearity.
+The solver returns the new field with ``hat`` set to the spectrum whose
+inverse transform gave its values and ``nl_hat`` to the last transformed
+nonlinearity, so an iteration costs one transform pair, one started from a
+spectrum costs one inverse transform, and a step makes no other transform,
+except one for a forcing and one for a starting field that has no spectrum
+yet.
 
 Schemes:
-  * variable-step BDF2, fully implicit (reduces to BDF1 without history),
-    started from the Lagrange extrapolation to t_n through the history
-    levels it has: phi^{n-1} alone, the line through phi^{n-1} and
-    phi^{n-2}, or the quadratic through phi^{n-1}, phi^{n-2} and phi^{n-3};
+  * variable-step BDF2, fully implicit (reduces to BDF1 without history).
+    The first step starts from phi^0's values.  Every later solve starts
+    from the Lagrange extrapolation to t_n of the nonlinearity spectra,
+    F(phi^3), of the newest ``NL_LEVELS`` levels it has
+    (``lagrange_weights``): its first iterate costs one inverse transform,
+    since each kept spectrum is the forward transform the solve of that
+    level already made;
   * Crank-Nicolson (CN) with the product-form midpoint nonlinearity;
   * Crank-Nicolson convex splitting (CNCS) with an explicit extrapolated
     gradient term, started by a first-order convex-splitting step.
@@ -35,6 +42,7 @@ from .model import PfcParams
 
 MAX_ITER = 500
 FP_TOL = 1e-12
+NL_LEVELS = 5   # nonlinearity spectra kept for the BDF2 start
 
 
 @dataclass
@@ -56,26 +64,30 @@ class ConditioningError(ValueError):
 
 @dataclass
 class StepperState:
-    """Solution history: the previous level, up to two older levels and the steps between.
+    """Solution history: the two newest levels, and the nonlinearity spectra of up to five.
 
-    ``tau_prev`` is the step from ``phi_prev2`` to ``phi_prev`` and
-    ``tau_prev2`` the step from ``phi_prev3`` to ``phi_prev2``.  The two
-    newest levels are fields, whose spectra the right-hand sides read; the
-    oldest level feeds only the BDF2 predictor, so ``phi_prev3`` holds its
-    values alone and no spectrum is kept for it.
+    ``tau_prev`` is the step from ``phi_prev2`` to ``phi_prev``; the
+    right-hand sides read both fields' ``hat``.  ``nl_hats`` holds the
+    spectra F(N) that the solves of the newest ``NL_LEVELS`` levels left on
+    their fields (``Field.nl_hat``), newest first, and ``nl_steps`` the
+    steps between those levels, also newest first.  Only the BDF2 start
+    reads them, and no values of older levels are kept.  A level with no
+    such spectrum (phi^0) starts the list afresh.
     """
 
     phi_prev: Field
     phi_prev2: Field | None = None
     tau_prev: float | None = None
     t: float = 0.0
-    phi_prev3: np.ndarray | None = None
-    tau_prev2: float | None = None
+    nl_hats: tuple = ()
+    nl_steps: tuple = ()
 
     def advanced(self, phi_new: Field, tau: float) -> "StepperState":
-        prev3 = self.phi_prev2.values if self.phi_prev2 is not None else None
-        return StepperState(phi_new, self.phi_prev, tau, self.t + tau,
-                            prev3, self.tau_prev)
+        nl_hats, nl_steps = (), ()
+        if phi_new.nl_hat is not None:
+            nl_hats = (phi_new.nl_hat,) + self.nl_hats[:NL_LEVELS - 1]
+            nl_steps = ((tau,) + self.nl_steps)[:len(nl_hats) - 1]
+        return StepperState(phi_new, self.phi_prev, tau, self.t + tau, nl_hats, nl_steps)
 
 
 def _check_symbol(symbol: np.ndarray, tau: float):
@@ -88,28 +100,45 @@ def _check_symbol(symbol: np.ndarray, tau: float):
 
 
 def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray,
-                      grid: Grid2D, nonlinear) -> tuple[Field, SolveStats]:
+                      grid: Grid2D, nonlinear,
+                      nl_start: np.ndarray | None = None) -> tuple[Field, SolveStats]:
     """Iterate phi <- S^{-1}(rhs - k^2 F[N(phi)]) until the max-norm increment is tiny.
 
     ``symbol`` S and ``rhs_hat`` are half-spectrum arrays in the layout of
     ``grid.forward``; ``nonlinear(phi)`` returns the lagged terms N(phi) in
     physical space for the current iterate.  The multipliers -k^2/S and
     rhs_hat/S are formed once per solve, so an iteration costs one transform
-    pair.  The converged field is returned with ``hat`` set to the spectrum
-    whose ``backward`` gave its values.  A non-finite increment ends the
-    solve at once with ``SolverError``.
+    pair.  The iteration starts from the values ``guess`` or, when
+    ``nl_start`` is given, from that spectrum in place of F[N(guess)]: the
+    first iterate then costs one inverse transform, ``guess`` is not read,
+    and the solve takes ``nl_start`` over as a work array.  That first
+    iterate has no predecessor to measure its increment against, so it is
+    never accepted.  ``SolveStats.iterations`` counts inverse transforms,
+    the applications of the map.
+
+    The converged field is returned with ``hat`` set to the spectrum whose
+    ``backward`` gave its values and ``nl_hat`` to the last F[N(phi)], both
+    by reference.  A non-finite increment ends the solve at once with
+    ``SolverError``.
     """
     M = grid.M
     mult = -grid.k2_half / symbol
     base_hat = rhs_hat / symbol
     phi = guess
     res = np.inf
+    first = 1
     # a diverging iterate overflows on its way to inf/nan; that ends the
     # solve below, so the floating-point warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, MAX_ITER + 1):
-            x = forward(nonlinear(phi))
-            x *= mult
+        if nl_start is not None:
+            nl_start *= mult
+            nl_start += base_hat
+            phi = backward(nl_start, M)
+            del nl_start   # frees it when the caller passed it as a temporary
+            first = 2
+        for it in range(first, MAX_ITER + 1):
+            nl_hat = forward(nonlinear(phi))
+            x = nl_hat * mult
             x += base_hat
             phi_new = backward(x, M)
             d = phi_new - phi
@@ -117,12 +146,12 @@ def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray
             res = float(d.max())
             phi = phi_new
             if res <= FP_TOL:
-                out = Field(grid, phi)
+                out = Field(grid, phi, nl_hat)
                 out.hat = x
                 return out, SolveStats(it, res, True)
-            # kept into the next iteration, these two would add two grid
+            # kept into the next iteration, these would add three grid
             # arrays to the solve's peak memory
-            del x, d
+            del nl_hat, x, d
             if not math.isfinite(res):
                 raise SolverError(f"fixed-point iteration diverged at iteration {it} "
                                   f"(residual {res:.3e})", SolveStats(it, res, False))
@@ -147,31 +176,44 @@ def _midpoint_cube(prev):
     return nl
 
 
-def _quadratic_weights(tau_n: float, tau_1: float, tau_2: float):
-    """Weights of phi^{n-1}, phi^{n-2}, phi^{n-3} in their quadratic's value at t_n.
+def lagrange_weights(tau_n: float, steps) -> list[float]:
+    """Weights of levels n-1, n-2, ... in their interpolating polynomial's value at t_n.
 
-    ``tau_1`` and ``tau_2`` are the steps tau_{n-1} and tau_{n-2} between
-    the three levels; the weights sum to one.
+    ``steps`` are the steps between those levels, newest first (tau_{n-1}
+    from level n-2 to n-1, then tau_{n-2}, ...), so there is one level more
+    than steps; with none the single weight is 1.  Every distance between
+    two times is summed from the steps it spans, never taken as a
+    difference of times.  The weights sum to one.
     """
-    s1 = tau_n + tau_1
-    s2 = s1 + tau_2
-    w0 = s1 * s2 / (tau_1 * (tau_1 + tau_2))
-    w1 = -tau_n * s2 / (tau_1 * tau_2)
-    w2 = tau_n * s1 / ((tau_1 + tau_2) * tau_2)
-    return w0, w1, w2
+    reach = [tau_n]   # reach[j] = t_n - (time of level j), level 0 = n-1
+    for step in steps:
+        reach.append(reach[-1] + step)
+    weights = []
+    for i in range(len(reach)):
+        w = 1.0
+        gap = 0.0
+        for j in range(i + 1, len(reach)):   # older levels
+            gap += steps[j - 1]
+            w *= reach[j] / gap
+        gap = 0.0
+        for j in range(i - 1, -1, -1):       # newer levels
+            gap += steps[j]
+            w *= -reach[j] / gap
+        weights.append(w)
+    return weights
 
 
 def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
               forcing: Field | None = None) -> tuple[Field, SolveStats]:
     """Advance one level with the implicit two-step scheme.
 
-    With a single history level the step degenerates to BDF1 (ratio 0) and
-    the iteration starts from phi^{n-1}.  With two it starts from the linear
-    extrapolation phi^{n-1} + r_n (phi^{n-1} - phi^{n-2}), and with three
-    from the quadratic through phi^{n-1}, phi^{n-2} and phi^{n-3} at t_n
-    (``_quadratic_weights``); the start changes the iteration count but not
-    the fixed point.  The zero mode carries no dynamics, so the mean is
-    conserved whenever the forcing is absent or mean-free.
+    With a single history level the step degenerates to BDF1 (ratio 0).  A
+    state that keeps nonlinearity spectra starts the solve from their
+    Lagrange extrapolation to t_n, sum_i w_i F(N)^{n-1-i} with the weights
+    of ``lagrange_weights``; any other starts from phi^{n-1}'s values.  The
+    start changes the iteration count but not the fixed point, and the
+    state is left as it was.  The zero mode carries no dynamics, so the
+    mean is conserved whenever the forcing is absent or mean-free.
     """
     if tau_n <= 0:
         raise ValueError("tau_n must be positive")
@@ -187,23 +229,25 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
     _check_symbol(symbol, tau_n)
     prev = state.phi_prev
     rhs_hat = b0 * prev.hat
-    guess = prev.values
     if history:
-        prev2 = state.phi_prev2
-        rhs_hat -= b1 * (prev.hat - prev2.hat)
-        # the predictor, built in one buffer
-        if state.phi_prev3 is not None and state.tau_prev2 is not None:
-            w0, w1, w2 = _quadratic_weights(tau_n, state.tau_prev, state.tau_prev2)
-            guess = w0 * prev.values
-            guess += w1 * prev2.values
-            guess += w2 * state.phi_prev3
-        else:
-            guess = prev.values - prev2.values
-            guess *= r
-            guess += prev.values
+        rhs_hat -= b1 * (prev.hat - state.phi_prev2.hat)
     if forcing is not None:
         rhs_hat += forcing.hat
-    return fixed_point_solve(symbol, rhs_hat, guess, g, _cube)
+    # the start is built in the call, so no name here keeps it alive after
+    # the solve has turned it into its first iterate
+    return fixed_point_solve(symbol, rhs_hat, prev.values, g, _cube,
+                             _extrapolated_nl(state, tau_n))
+
+
+def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
+    """sum_i w_i nl_hats[i] at t_n, in a new array; None without kept spectra."""
+    if not state.nl_hats:
+        return None
+    weights = lagrange_weights(tau_n, state.nl_steps)
+    nl = weights[0] * state.nl_hats[0]
+    for w, nl_hat in zip(weights[1:], state.nl_hats[1:]):
+        nl += w * nl_hat
+    return nl
 
 
 def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:

@@ -10,6 +10,9 @@ that check ``model.step_distance_sq``.
 import numpy as np
 import pytest
 
+import pfc.grid
+import pfc.model
+import pfc.steppers
 from pfc.grid import Field, MeanZeroError, backward, forward, inner, mean
 from pfc.mesh import R_SUP, TimeMesh, mesh_from_ratios
 from pfc.steppers import FP_TOL, MAX_ITER
@@ -84,16 +87,46 @@ def hminus1_norm(f: Field) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def ref_solve(symbol, rhs_hat, guess, nl):
-    """Full-plane fixed-point solve: phi <- ifft2((rhs_hat + nl(phi)) / symbol)."""
+def ref_solve(symbol, rhs_hat, guess, nl, nl_start=None):
+    """Full-plane fixed-point solve: phi <- ifft2((rhs_hat + nl(phi)) / symbol).
+
+    With ``nl_start``, a spectrum standing in for nl(guess), the first
+    iterate is ifft2((rhs_hat + nl_start) / symbol); it is counted as an
+    iteration but, with no increment to judge, never accepted.
+    """
     phi = guess
-    for it in range(1, MAX_ITER + 1):
+    first = 1
+    if nl_start is not None:
+        phi = np.fft.ifft2((rhs_hat + nl_start) / symbol).real
+        first = 2
+    for it in range(first, MAX_ITER + 1):
         phi_new = np.fft.ifft2((rhs_hat + nl(phi)) / symbol).real
         res = float(np.max(np.abs(phi_new - phi)))
         phi = phi_new
         if res <= FP_TOL:
             return phi, it
     raise AssertionError("reference solve did not converge")
+
+
+def count_transforms(monkeypatch) -> list:
+    """Record the name of every ``forward``/``backward`` call from now on.
+
+    The transforms are replaced in every module that looks them up:
+    ``pfc.grid`` (``Field.hat``), ``pfc.model`` and ``pfc.steppers``.
+    """
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("forward", "backward"):
+        fn = getattr(pfc.grid, name)
+        for mod in (pfc.grid, pfc.model, pfc.steppers):
+            monkeypatch.setattr(mod, name, counted(fn))
+    return calls
 
 
 def ref_cncs(prev, prev2, tau, p, literal=False):

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import coords
+from conftest import coords, count_transforms
 import pfc.adaptive as adaptive
-import pfc.grid as grid
-import pfc.model as model
 import pfc.steppers as steppers
 from pfc.adaptive import (AdaptiveConfig, adaptive_advance, adaptive_run,
                           tau_ada)
 from pfc.experiments import patched_initial
 from pfc.grid import Field, Grid2D, constant_field, mean
 from pfc.model import PfcParams
-from pfc.steppers import SolverError, StepperState, bdf2_step, run_fixed_mesh
+from pfc.steppers import NL_LEVELS, SolverError, StepperState, bdf2_step, run_fixed_mesh
 
 
 @pytest.fixture
@@ -121,16 +119,18 @@ class TestAdvance:
             adaptive_advance(state, 2.0, AdaptiveConfig(tau_min=1.9, tau_max=2.0), p)
 
     def test_trials_leave_three_levels_untouched(self, monkeypatch):
-        """Diverged and rejected trials from a three-level state leave every
-        level, its values and the two newest levels' spectra bit for bit as
-        they were."""
+        """Diverged and rejected trials from a state with every nonlinearity
+        spectrum kept leave both fields, their values and spectra, and every
+        kept spectrum and step bit for bit as they were."""
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)
         phi0 = patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)])
-        state, _ = run_fixed_mesh(phi0, [1e-3] * 3, p)
+        state, _ = run_fixed_mesh(phi0, [1e-3] * (NL_LEVELS + 1), p)
+        assert len(state.nl_hats) == NL_LEVELS
         levels = [state.phi_prev, state.phi_prev2]
         before = [(f.values.copy(), f.hat.copy()) for f in levels]
-        oldest, oldest_before = state.phi_prev3, state.phi_prev3.copy()
+        nl_hats, nl_steps = state.nl_hats, state.nl_steps
+        nl_before = [h.copy() for h in nl_hats]
         outcomes = []
         step = adaptive.bdf2_step
 
@@ -154,8 +154,8 @@ class TestAdvance:
         for f, (vals, hat) in zip(levels, before):
             assert np.array_equal(f.values, vals)
             assert np.array_equal(f.hat, hat)
-        assert state.phi_prev3 is oldest
-        assert np.array_equal(oldest, oldest_before)
+        assert state.nl_hats is nl_hats and state.nl_steps == nl_steps
+        assert all(np.array_equal(h, b) for h, b in zip(nl_hats, nl_before))
 
     def test_next_step_within_bounds(self, setup):
         g, p = setup
@@ -222,23 +222,21 @@ class TestRun:
 
     def test_transform_budget_with_rejections(self, monkeypatch):
         """Every trial solve, rejected or not, costs one transform pair per
-        iteration; phi0's spectrum is the run's only other transform.  A trial
-        leaves the state's spectra bit for bit as they were, so a retry reads
-        the same history."""
+        iteration, less the forward transform a spectrum-started first
+        iteration skips; phi0's spectrum is the run's only other transform.
+        A trial leaves the state's spectra bit for bit as they were, so a
+        retry reads the same history."""
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)
         phi0 = patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)])
-        transforms, solve_iters, trials = [], [], []
-        for name in ("forward", "backward"):
-            fn = getattr(grid, name)
-            for mod in (grid, model, steppers):
-                monkeypatch.setattr(mod, name,
-                                    lambda *a, _fn=fn: transforms.append(1) or _fn(*a))
+        transforms = count_transforms(monkeypatch)
+        solve_iters, started, trials = [], [], []
         solve, step = steppers.fixed_point_solve, adaptive.bdf2_step
 
-        def counted_solve(*args):
+        def counted_solve(symbol, rhs_hat, guess, grid, nonlinear, nl_start=None):
+            started.append(nl_start is not None)
             try:
-                res = solve(*args)
+                res = solve(symbol, rhs_hat, guess, grid, nonlinear, nl_start)
             except SolverError as exc:
                 solve_iters.append(exc.stats.iterations)
                 raise
@@ -246,13 +244,13 @@ class TestRun:
             return res
 
         def checked_step(state, tau, p):
-            history = [f for f in (state.phi_prev, state.phi_prev2) if f is not None]
-            before = [f.hat.copy() for f in history]
+            kept = [f.hat for f in (state.phi_prev, state.phi_prev2) if f is not None]
+            kept += state.nl_hats
+            before = [h.copy() for h in kept]
             try:
                 return step(state, tau, p)
             finally:
-                trials.append(all(np.array_equal(f.hat, h)
-                                  for f, h in zip(history, before)))
+                trials.append(all(np.array_equal(h, b) for h, b in zip(kept, before)))
 
         monkeypatch.setattr(steppers, "fixed_point_solve", counted_solve)
         monkeypatch.setattr(adaptive, "bdf2_step", checked_step)
@@ -260,4 +258,5 @@ class TestRun:
         _, log = adaptive_run(phi0, 2.0, AdaptiveConfig(tau_max=2.0), p, tau_init=2.0)
         assert len(trials) > log.steps
         assert all(trials)
-        assert len(transforms) == 1 + 2 * sum(solve_iters)
+        assert sum(started) > log.steps // 2
+        assert len(transforms) == 1 + 2 * sum(solve_iters) - sum(started)

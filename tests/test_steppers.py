@@ -4,8 +4,8 @@ import pytest
 from conftest import coords, full_k2, full_lin_symbol, ref_cncs
 from pfc.grid import Field, Grid2D, constant_field, mean
 from pfc.model import PfcParams, energy, manufactured_forcing, modified_energy
-from pfc.steppers import (MAX_ITER, ConditioningError, SolverError, StepperState,
-                          bdf2_step, cn_step, cncs_step, cs1_step,
+from pfc.steppers import (MAX_ITER, NL_LEVELS, ConditioningError, SolverError,
+                          StepperState, bdf2_step, cn_step, cncs_step, cs1_step,
                           run_fixed_mesh)
 
 
@@ -73,19 +73,22 @@ class TestBDF2:
         assert res < 1e-8
 
     def test_three_level_defining_equation(self, setup, rng):
-        # the third step starts from the quadratic predictor; the step it
-        # lands on must still solve the two-step scheme's equation
+        # after NL_LEVELS + 1 steps the solve starts from the extrapolation
+        # of the full set of kept nonlinearity spectra; the step it lands on
+        # must still solve the two-step scheme's equation
         g, p = setup
-        state = StepperState(random_field(g, rng))
-        for tau in (0.04, 0.07, 0.02):
-            phi, _ = bdf2_step(state, tau, p)
-            state = state.advanced(phi, tau)
-        assert state.phi_prev3 is not None
-        r = 0.02 / 0.07
-        b0 = (1 + 2 * r) / (0.02 * (1 + r))
-        b1 = -(r * r) / (0.02 * (1 + r))
-        res = spectral_residual_bdf2(state.phi_prev, state.phi_prev2,
-                                     Field(g, state.phi_prev3), b0, b1, p)
+        taus = (0.04, 0.07, 0.02, 0.05, 0.03, 0.02)
+        assert len(taus) == NL_LEVELS + 1
+        levels = []
+        run_fixed_mesh(random_field(g, rng), taus, p,
+                       observer=lambda state, _: levels.append(state))
+        assert [len(s.nl_hats) for s in levels] == [1, 2, 3, 4, 5, 5]
+        r = taus[-1] / taus[-2]
+        b0 = (1 + 2 * r) / (taus[-1] * (1 + r))
+        b1 = -(r * r) / (taus[-1] * (1 + r))
+        last = levels[-1]
+        res = spectral_residual_bdf2(last.phi_prev, last.phi_prev2,
+                                     levels[-3].phi_prev, b0, b1, p)
         assert res < 1e-8
 
     def test_forced_defining_equation(self, setup, rng):
