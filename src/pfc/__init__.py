@@ -8,7 +8,7 @@ adaptive (step-size controller), experiments (harnesses), cli.
 
 from .adaptive import AdaptiveConfig, adaptive_advance, adaptive_run, tau_ada
 from .grid import Field, Grid2D, gradient, inner, laplacian, norms
-from .kernels import bdf2_coeffs, doc_kernels, eigen_bounds, verify_orthogonality, verify_telescope
+from .kernels import bdf2_coeffs, eigen_bounds, verify_orthogonality, verify_telescope
 from .mesh import TimeMesh, analyze, check_restriction, random_mesh, uniform_mesh
 from .model import PfcParams, chemical_potential, energy, mass, modified_energy
 from .steppers import StepperState, bdf2_step, cn_step, cncs_step, cs1_step
@@ -16,8 +16,7 @@ from .steppers import StepperState, bdf2_step, cn_step, cncs_step, cs1_step
 __all__ = [
     "AdaptiveConfig", "adaptive_advance", "adaptive_run", "tau_ada",
     "Field", "Grid2D", "gradient", "inner", "laplacian", "norms",
-    "bdf2_coeffs", "doc_kernels", "eigen_bounds", "verify_orthogonality",
-    "verify_telescope",
+    "bdf2_coeffs", "eigen_bounds", "verify_orthogonality", "verify_telescope",
     "TimeMesh", "analyze", "check_restriction", "random_mesh", "uniform_mesh",
     "PfcParams", "chemical_potential", "energy", "mass", "modified_energy",
     "StepperState", "bdf2_step", "cn_step", "cncs_step", "cs1_step",

@@ -75,8 +75,8 @@ class Grid2D:
 class Field:
     """Real periodic grid function.
 
-    A field made by a fixed-point solve also carries ``nl_hat``, the half
-    spectrum of the solve's last lagged nonlinearity; it is None otherwise.
+    A field made by a BDF2 solve also carries ``nl_hat``, the half spectrum
+    of the solve's last lagged nonlinearity; it is None otherwise.
     """
 
     grid: Grid2D

@@ -7,16 +7,17 @@ The two-step kernels on a nonuniform mesh are
   b0^(n) = (1 + 2 r_n) / (tau_n (1 + r_n)),
   b1^(n) = -r_n^2 / (tau_n (1 + r_n))        for n >= 2,
 
-and the DOC kernels theta are their convolution inverse.  The closed-form
-product
+and the DOC kernels theta are their convolution inverse, in closed form
 
-  theta_{n-j}^(n) = (1 / b0^(j)) * prod_{i=j+1..n} r_i^2 / (1 + 2 r_i)
+  theta_{n-j}^(n) = (1 / b0^(j)) * prod_{i=j+1..n} g_i,   g_i = r_i^2 / (1 + 2 r_i).
 
-is used for construction (robust for long meshes); the defining recursion
-is retained as a cross-check.  Certificates work with the scaled matrices
-Bt2 = diag(sqrt(tau)) B2 diag(sqrt(tau)) and Bt = Bt2 + Bt2^T, whose
-extreme eigenvalues admit mesh-independent bounds (21/40 below for Bt,
-53/5 above for Bt2^T Bt2) whenever all ratios satisfy S1.
+The lower-triangular DOC matrix is thus semiseparable of rank one: its
+products, row sums, quadratic forms and orthogonality residual follow from
+O(N) recurrences, and no kernel table is built.  Certificates work with the
+scaled matrices Bt2 = diag(sqrt(tau)) B2 diag(sqrt(tau)) and
+Bt = Bt2 + Bt2^T, whose extreme eigenvalues admit mesh-independent bounds
+(21/40 below for Bt, 53/5 above for Bt2^T Bt2) whenever all ratios satisfy
+S1.
 """
 
 from __future__ import annotations
@@ -45,66 +46,49 @@ def bdf2_coeffs(mesh: TimeMesh) -> BDF2Coeffs:
     return BDF2Coeffs(b0, b1)
 
 
-@dataclass
-class DOCKernels:
-    """Triangular kernel table; rows[n-1][j-1] = theta_{n-j}^(n) for 1 <= j <= n."""
-
-    rows: list[np.ndarray]
-
-    @property
-    def N(self) -> int:
-        return len(self.rows)
-
-    def row_sums(self) -> np.ndarray:
-        return np.array([row.sum() for row in self.rows])
-
-
-def doc_kernels(mesh: TimeMesh) -> DOCKernels:
-    """Closed-form product construction of the DOC kernels."""
-    c = bdf2_coeffs(mesh)
+def _doc_ratios(mesh: TimeMesh) -> np.ndarray:
+    """g_n = r_n^2 / (1 + 2 r_n), the factor from DOC row n-1 to row n; g_1 = 0."""
     r = mesh.ratios
-    # g[i] = r_{i+1}^2 / (1 + 2 r_{i+1}) for i = 1..N-1 (0-indexed i)
-    g = (r[1:] ** 2) / (1.0 + 2.0 * r[1:]) if mesh.N > 1 else np.array([])
+    return r * r / (1.0 + 2.0 * r)
+
+
+def doc_apply(mesh: TimeMesh, v: np.ndarray) -> np.ndarray:
+    """Theta v for a sequence v_1..v_N: (Theta v)_n = sum_{j<=n} theta_{n-j}^(n) v_j, in O(N).
+
+    The recurrence S_n = g_n S_{n-1} + v_n / b0^(n) forms no kernel and no
+    product of the g_i, so it neither overflows nor underflows where the
+    kernels themselves do not; ``v`` of ones gives the row sums.
+    """
+    terms = np.asarray(v, dtype=np.float64) / bdf2_coeffs(mesh).b0
+    out = []
+    s = 0.0
+    for gn, tn in zip(_doc_ratios(mesh).tolist(), terms.tolist()):
+        s = gn * s + tn
+        out.append(s)
+    return np.array(out)
+
+
+def verify_orthogonality(mesh: TimeMesh) -> float:
+    """Max residual of sum_{j=k..n} theta_{n-j}^(n) b_{j-k}^(j) - delta_{nk}, in O(N).
+
+    The diagonal entries are (1/b0^(n)) b0^(n) - 1.  Below it, entry (n, k)
+    factors as rho_k prod_{i=k+2..n} g_i with
+    rho_k = g_{k+1} (1/b0^(k)) b0^(k) + b1^(k+1) / b0^(k+1), so the largest
+    entry of row n is R_n = max(g_n R_{n-1}, |rho_{n-1}|): the scan carries
+    the residuals themselves, never a product of the g_i alone.  NaN entries
+    are skipped.
+    """
+    c = bdf2_coeffs(mesh)
     inv_b0 = 1.0 / c.b0
-    rows = []
-    for n in range(1, mesh.N + 1):
-        # theta_{n-j}^(n) = inv_b0[j-1] * prod(g[j..n-1])  (g index 0-based)
-        suffix = np.ones(n)
-        if n > 1:
-            suffix[:-1] = np.cumprod(g[:n - 1][::-1])[::-1]
-        rows.append(inv_b0[:n] * suffix)
-    return DOCKernels(rows)
-
-
-def doc_kernels_recursive(mesh: TimeMesh) -> DOCKernels:
-    """Defining recursion; cross-check for the product construction."""
-    c = bdf2_coeffs(mesh)
-    rows: list[np.ndarray] = []
-    for n in range(1, mesh.N + 1):
-        row = np.zeros(n)
-        row[n - 1] = 1.0 / c.b0[n - 1]  # theta_0^(n), j = n
-        for j in range(n - 1, 0, -1):
-            # theta_{n-j}^(n) = -(1/b0^(j)) sum_{m=j+1..n} theta_{n-m}^(n) b_{m-j}^(m)
-            # only m = j+1 contributes (two-step kernels)
-            row[j - 1] = -(row[j] * c.b1[j]) / c.b0[j - 1]
-        rows.append(row)
-    return DOCKernels(rows)
-
-
-def verify_orthogonality(mesh: TimeMesh, doc: DOCKernels | None = None) -> float:
-    """Max residual of sum_{j=k..n} theta_{n-j}^(n) b_{j-k}^(j) - delta_{nk}."""
-    c = bdf2_coeffs(mesh)
-    if doc is None:
-        doc = doc_kernels(mesh)
-    worst = 0.0
-    for n, row in enumerate(doc.rows, start=1):
-        # s[k-1] = theta_{n-k} b0^(k) + theta_{n-k-1} b1^(k+1) - delta_{nk}, rounded
-        # in that order, so the residuals match a per-entry evaluation exactly
-        s = row * c.b0[:n]
-        s[:-1] += row[1:] * c.b1[1:n]
-        s[-1] -= 1.0
-        # NaN entries are skipped, as max() over Python floats skips them
-        worst = max(worst, float(np.fmax.reduce(np.abs(s))))
+    scaled = inv_b0 * c.b0
+    worst = float(np.fmax.reduce(np.abs(scaled - 1.0)))
+    g = _doc_ratios(mesh)
+    rho = np.abs(g[1:] * scaled[:-1] + c.b1[1:] * inv_b0[1:])
+    row = 0.0
+    for gn, rk in zip(g[1:].tolist(), rho.tolist()):
+        # max(a, b) returns a unless b > a, so a NaN product drops out here
+        row = max(rk, gn * row)
+        worst = max(worst, row)
     return worst
 
 
@@ -126,36 +110,7 @@ def apply_d2(mesh: TimeMesh, v: np.ndarray) -> np.ndarray:
 def verify_telescope(mesh: TimeMesh, v: np.ndarray) -> float:
     """Max residual of sum_j theta_{n-j}^(n) D2 v^j - (v^n - v^{n-1})."""
     v = np.asarray(v, dtype=np.float64)
-    d2 = apply_d2(mesh, v)
-    doc = doc_kernels(mesh)
-    worst = 0.0
-    for n in range(1, mesh.N + 1):
-        s = float(doc.rows[n - 1] @ d2[:n])
-        worst = max(worst, abs(s - (v[n] - v[n - 1])))
-    return worst
-
-
-@dataclass
-class KernelMatrices:
-    B2: np.ndarray
-    Theta2: np.ndarray
-    B2t: np.ndarray  # sqrt-step scaled bidiagonal
-    Bt: np.ndarray   # symmetric tridiagonal B2t + B2t^T
-
-
-def kernel_matrices(mesh: TimeMesh) -> KernelMatrices:
-    c = bdf2_coeffs(mesh)
-    N = mesh.N
-    B2 = np.diag(c.b0)
-    for n in range(2, N + 1):
-        B2[n - 1, n - 2] = c.b1[n - 1]
-    doc = doc_kernels(mesh)
-    Theta2 = np.zeros((N, N))
-    for n in range(1, N + 1):
-        Theta2[n - 1, :n] = doc.rows[n - 1]
-    lam = np.sqrt(mesh.steps)
-    B2t = lam[:, None] * B2 * lam[None, :]
-    return KernelMatrices(B2, Theta2, B2t, B2t + B2t.T)
+    return float(np.max(np.abs(doc_apply(mesh, apply_d2(mesh, v)) - np.diff(v))))
 
 
 def scaled_tridiagonals(mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -170,20 +125,35 @@ def scaled_tridiagonals(mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray]:
     return tb0, tb1
 
 
-def _sturm_count(d0: float, pairs: list[tuple[float, float]], x: float) -> int:
-    """Number of eigenvalues below x of the symmetric tridiagonal with leading
-    diagonal entry d0 and (d_i, e_{i-1}^2) pairs for the remaining rows."""
-    count = 0
+# Sturm pivots q_1 = d_1 - x, q_i = d_i - x - e_{i-1}^2 / q_{i-1} of the
+# symmetric tridiagonal with leading entry d0 and (d_i, e_{i-1}^2) pairs for
+# the other rows: as many eigenvalues lie below x as pivots are negative.
+# Each predicate stops once its answer is known.
+
+def _has_eig_below(d0: float, pairs: list[tuple[float, float]], x: float) -> bool:
+    """Whether some eigenvalue lies below x: a negative pivot."""
     q = d0 - x
     if q < 0:
-        count += 1
+        return True
     for di, e2 in pairs:
         if q == 0.0:
             q = 1e-300
         q = di - x - e2 / q
         if q < 0:
-            count += 1
-    return count
+            return True
+    return False
+
+
+def _all_eigs_below(d0: float, pairs: list[tuple[float, float]], x: float) -> bool:
+    """Whether every eigenvalue lies below x: no pivot is non-negative."""
+    q = d0 - x
+    if not q < 0:
+        return False
+    for di, e2 in pairs:
+        q = di - x - e2 / q
+        if not q < 0:
+            return False
+    return True
 
 
 def tridiag_extreme_eig(d: np.ndarray, e: np.ndarray, which: str,
@@ -205,9 +175,9 @@ def tridiag_extreme_eig(d: np.ndarray, e: np.ndarray, which: str,
     d0 = float(d[0])
     pairs = list(zip(d[1:].tolist(), (e * e).tolist()))
     if which == "min":
-        pred = lambda x: _sturm_count(d0, pairs, x) >= 1
+        pred = lambda x: _has_eig_below(d0, pairs, x)
     elif which == "max":
-        pred = lambda x: _sturm_count(d0, pairs, x) >= n
+        pred = lambda x: _all_eigs_below(d0, pairs, x)
     else:
         raise ValueError("which must be 'min' or 'max'")
     # invariant: pred(hi + eps) true, pred(lo) false
@@ -283,19 +253,12 @@ def quad_form_b(mesh: TimeMesh, w: np.ndarray) -> float:
     return 2.0 * float(w @ conv)
 
 
-def quad_form_theta(mesh: TimeMesh, v: np.ndarray, doc: DOCKernels | None = None) -> float:
+def quad_form_theta(mesh: TimeMesh, v: np.ndarray) -> float:
     """2 sum_k v_k sum_j theta_{k-j}^(k) v_j."""
-    if doc is None:
-        doc = doc_kernels(mesh)
     v = np.asarray(v, dtype=np.float64)
-    return 2.0 * float(sum(v[k] * (doc.rows[k] @ v[:k + 1]) for k in range(mesh.N)))
+    return 2.0 * float(v @ doc_apply(mesh, v))
 
 
-def cross_form_theta(mesh: TimeMesh, w: np.ndarray, v: np.ndarray,
-                     doc: DOCKernels | None = None) -> float:
+def cross_form_theta(mesh: TimeMesh, w: np.ndarray, v: np.ndarray) -> float:
     """sum_k sum_j theta_{k-j}^(k) w_k v_j."""
-    if doc is None:
-        doc = doc_kernels(mesh)
-    w = np.asarray(w, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return float(sum(w[k] * (doc.rows[k] @ v[:k + 1]) for k in range(mesh.N)))
+    return float(np.asarray(w, dtype=np.float64) @ doc_apply(mesh, v))

@@ -28,6 +28,8 @@ Schemes:
   * Crank-Nicolson (CN) with the product-form midpoint nonlinearity;
   * Crank-Nicolson convex splitting (CNCS) with an explicit extrapolated
     gradient term, started by a first-order convex-splitting step.
+    These start from phi^{n-1}'s values, and their fields keep no
+    ``nl_hat``, as nothing reads it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class StepperState:
     their fields (``Field.nl_hat``), newest first, and ``nl_steps`` the
     steps between those levels, also newest first.  Only the BDF2 start
     reads them, and no values of older levels are kept.  A level with no
-    such spectrum (phi^0) starts the list afresh.
+    such spectrum (phi^0, or a CN, CS1 or CNCS level) starts the list afresh.
     """
 
     phi_prev: Field
@@ -250,6 +252,13 @@ def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
     return nl
 
 
+def _without_nl(solved: tuple[Field, SolveStats]) -> tuple[Field, SolveStats]:
+    """Drop the solve's ``nl_hat``: only the BDF2 start reads a kept spectrum."""
+    phi, stats = solved
+    phi.nl_hat = None
+    return phi, stats
+
+
 def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
     """Crank-Nicolson step with the averaged-square nonlinearity."""
     if tau <= 0:
@@ -261,7 +270,8 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
     _check_symbol(symbol, tau)
     prev = state.phi_prev
     rhs_hat = prev.hat / tau - 0.5 * k2 * lin * prev.hat
-    return fixed_point_solve(symbol, rhs_hat, prev.values, g, _midpoint_cube(prev.values))
+    return _without_nl(fixed_point_solve(symbol, rhs_hat, prev.values, g,
+                                         _midpoint_cube(prev.values)))
 
 
 def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -277,7 +287,7 @@ def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solv
     symbol = 1.0 / tau + k2 * (k2 * k2 + 1.0 - p.eps)
     prev = state.phi_prev
     rhs_hat = prev.hat / tau + 2.0 * (k2 * k2) * prev.hat
-    return fixed_point_solve(symbol, rhs_hat, prev.values, g, _cube)
+    return _without_nl(fixed_point_solve(symbol, rhs_hat, prev.values, g, _cube))
 
 
 def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -299,7 +309,8 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     extrap_hat *= 0.5
     rhs_hat = (prev.hat / tau - 0.5 * k2 * lin * prev.hat
                + (k2 * k2) * extrap_hat)
-    return fixed_point_solve(symbol, rhs_hat, prev.values, g, _midpoint_cube(prev.values))
+    return _without_nl(fixed_point_solve(symbol, rhs_hat, prev.values, g,
+                                         _midpoint_cube(prev.values)))
 
 
 def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",

@@ -4,8 +4,12 @@ The package keeps only the half-plane multipliers that pair with
 ``pfc.grid.forward``/``backward``.  The full-plane arrays in numpy ``fft2``
 order and the M x M sample coordinates are rebuilt here, independently of
 the package, as oracles; so are the inverse Laplacian and the H^-1 norm
-that check ``model.step_distance_sq``.
+that check ``model.step_distance_sq``.  Likewise the package computes with
+the DOC kernels through O(N) recurrences only, and the O(N^2) triangular
+kernel table and dense kernel matrices live here, for small meshes.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ import pfc.grid
 import pfc.model
 import pfc.steppers
 from pfc.grid import Field, MeanZeroError, backward, forward, inner, mean
+from pfc.kernels import bdf2_coeffs
 from pfc.mesh import R_SUP, TimeMesh, mesh_from_ratios
 from pfc.steppers import FP_TOL, MAX_ITER
 
@@ -26,6 +31,86 @@ def random_s1_mesh(rng: np.random.Generator, n_max: int = 64,
     ratios = rng.uniform(0.05, ratio_hi, size=n - 1)
     assert ratio_hi < R_SUP
     return mesh_from_ratios(tau1, ratios)
+
+
+@dataclass
+class DOCKernels:
+    """Triangular kernel table; rows[n-1][j-1] = theta_{n-j}^(n) for 1 <= j <= n."""
+
+    rows: list[np.ndarray]
+
+    def row_sums(self) -> np.ndarray:
+        return np.array([row.sum() for row in self.rows])
+
+
+def doc_kernels(mesh: TimeMesh) -> DOCKernels:
+    """Closed-form product construction of the DOC kernels, O(N^2)."""
+    c = bdf2_coeffs(mesh)
+    r = mesh.ratios
+    # g[i] = r_{i+1}^2 / (1 + 2 r_{i+1}) for i = 1..N-1 (0-indexed i)
+    g = (r[1:] ** 2) / (1.0 + 2.0 * r[1:]) if mesh.N > 1 else np.array([])
+    inv_b0 = 1.0 / c.b0
+    rows = []
+    for n in range(1, mesh.N + 1):
+        # theta_{n-j}^(n) = inv_b0[j-1] * prod(g[j..n-1])  (g index 0-based)
+        suffix = np.ones(n)
+        if n > 1:
+            suffix[:-1] = np.cumprod(g[:n - 1][::-1])[::-1]
+        rows.append(inv_b0[:n] * suffix)
+    return DOCKernels(rows)
+
+
+def doc_kernels_recursive(mesh: TimeMesh) -> DOCKernels:
+    """Defining recursion; cross-check for the product construction."""
+    c = bdf2_coeffs(mesh)
+    rows: list[np.ndarray] = []
+    for n in range(1, mesh.N + 1):
+        row = np.zeros(n)
+        row[n - 1] = 1.0 / c.b0[n - 1]  # theta_0^(n), j = n
+        for j in range(n - 1, 0, -1):
+            # theta_{n-j}^(n) = -(1/b0^(j)) sum_{m=j+1..n} theta_{n-m}^(n) b_{m-j}^(m)
+            # only m = j+1 contributes (two-step kernels)
+            row[j - 1] = -(row[j] * c.b1[j]) / c.b0[j - 1]
+        rows.append(row)
+    return DOCKernels(rows)
+
+
+def table_orthogonality(mesh: TimeMesh, c=None) -> float:
+    """Max |sum_j theta_{n-j}^(n) b_{j-k}^(j) - delta_{nk}| over the table,
+    with the kernels ``c`` (default ``bdf2_coeffs(mesh)``); NaN entries are
+    skipped."""
+    c = bdf2_coeffs(mesh) if c is None else c
+    worst = 0.0
+    for n, row in enumerate(doc_kernels(mesh).rows, start=1):
+        s = row * c.b0[:n]
+        s[:-1] += row[1:] * c.b1[1:n]
+        s[-1] -= 1.0
+        worst = max(worst, float(np.fmax.reduce(np.abs(s))))
+    return worst
+
+
+@dataclass
+class KernelMatrices:
+    B2: np.ndarray
+    Theta2: np.ndarray
+    B2t: np.ndarray  # sqrt-step scaled bidiagonal
+    Bt: np.ndarray   # symmetric tridiagonal B2t + B2t^T
+
+
+def kernel_matrices(mesh: TimeMesh) -> KernelMatrices:
+    """Dense N x N kernel matrices, O(N^2)."""
+    c = bdf2_coeffs(mesh)
+    N = mesh.N
+    B2 = np.diag(c.b0)
+    for n in range(2, N + 1):
+        B2[n - 1, n - 2] = c.b1[n - 1]
+    doc = doc_kernels(mesh)
+    Theta2 = np.zeros((N, N))
+    for n in range(1, N + 1):
+        Theta2[n - 1, :n] = doc.rows[n - 1]
+    lam = np.sqrt(mesh.steps)
+    B2t = lam[:, None] * B2 * lam[None, :]
+    return KernelMatrices(B2, Theta2, B2t, B2t + B2t.T)
 
 
 @pytest.fixture

@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_s1_mesh
+from conftest import doc_kernels, doc_kernels_recursive, random_s1_mesh
 from pfc.experiments import (oscillation_indicator, random_initial,
                              run_compare, run_convergence, run_polycrystal,
                              run_with_energy_log)
 from pfc.grid import Field, Grid2D, inner
-from pfc.kernels import doc_kernels, doc_kernels_recursive, eigen_bounds, \
-    cross_form_theta, quad_form_b, quad_form_theta, verify_orthogonality
+from pfc.kernels import cross_form_theta, doc_apply, eigen_bounds, quad_form_b, \
+    quad_form_theta, verify_orthogonality
 from pfc.mesh import mesh_from_ratios, stability_bound
 from pfc.model import PfcParams, chemical_potential, energy
 from pfc.steppers import run_fixed_mesh
@@ -37,9 +37,9 @@ def test_kernel_identities():
     for _ in range(100):
         m = random_s1_mesh(gen, n_max=200, n_min=2)
         worst_ortho = max(worst_ortho, verify_orthogonality(m))
-        doc = doc_kernels(m)
-        rel = np.max(np.abs(doc.row_sums() - m.steps) / m.steps)
+        rel = np.max(np.abs(doc_apply(m, np.ones(m.N)) - m.steps) / m.steps)
         worst_rowsum = max(worst_rowsum, rel)
+        doc = doc_kernels(m)
         rec = doc_kernels_recursive(m)
         for ra, rb in zip(doc.rows, rec.rows):
             worst_agree = max(worst_agree,
@@ -94,7 +94,6 @@ def test_quadratic_form_inequalities():
     violations = 0
     for _ in range(n_mesh):
         m = random_s1_mesh(gen, n_max=64, n_min=2)
-        doc = doc_kernels(m)
         mr = eigen_bounds(m).quad_const
         r_ext = np.append(m.ratios, 0.0)
         floor = np.array([stability_bound(r_ext[k], r_ext[k + 1]) / m.steps[k]
@@ -106,9 +105,8 @@ def test_quadratic_form_inequalities():
             bound = float(np.sum(floor * w * w))
             if lhs < bound - 1e-10 * max(1.0, abs(bound)):
                 violations += 1
-            cross = cross_form_theta(m, w, v, doc)
-            rhs = 0.5 * quad_form_theta(m, v, doc) \
-                + mr * 0.5 * quad_form_theta(m, w, doc)
+            cross = cross_form_theta(m, w, v)
+            rhs = 0.5 * quad_form_theta(m, v) + mr * 0.5 * quad_form_theta(m, w)
             if cross > rhs + 1e-9 * max(1.0, abs(rhs)):
                 violations += 1
     elapsed = time.perf_counter() - t0

@@ -3,7 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from conftest import doc_kernels
 from pfc.cli import build_parser, load_config, main
+from pfc.kernels import bdf2_coeffs
+from pfc.mesh import TimeMesh
 from pfc.rng import SplitMix64
 
 
@@ -77,6 +80,27 @@ class TestCommands:
             rc = main(["kernels", "--mesh", str(taus), "--report", str(report)])
         assert rc == 3
         assert "level 2 has a non-finite step ratio or kernel" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_kernels_rejects_overflowing_row_sums(self, tmp_path, capsys):
+        # r_3 = 5e159 is finite but r_3^2 overflows, so b1 of level 3 is NaN
+        # and its DOC row sum infinite: the recurrence must name the level
+        # that the O(N^2) table names
+        steps = np.array([1.0, 2.0, 1e160, 1.0, 0.5])
+        taus = tmp_path / "taus.txt"
+        taus.write_text("".join("%.17g\n" % s for s in steps))
+        report = tmp_path / "k.csv"
+        with np.errstate(all="ignore"):
+            m = TimeMesh(steps)
+            c = bdf2_coeffs(m)
+            finite = (np.isfinite(m.ratios) & np.isfinite(c.b0) & np.isfinite(c.b1)
+                      & np.isfinite(doc_kernels(m).row_sums()))
+            rc = main(["kernels", "--mesh", str(taus), "--report", str(report)])
+        assert int(np.argmin(finite)) + 1 == 3
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "level 3 has a non-finite step ratio or kernel" in err
+        assert "DOC row sum inf" in err
         assert not report.exists()
 
     def test_convergence_command_small(self, tmp_path, capsys, monkeypatch):

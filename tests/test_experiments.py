@@ -1,9 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import coords, count_transforms
+from conftest import coords, count_transforms, kernel_matrices
 import pfc.adaptive as adaptive
 import pfc.experiments as ex
 import pfc.steppers as steppers
@@ -13,7 +14,6 @@ from pfc.experiments import (DEFAULT_PATCHES, EnergyLog, kernels_report, midline
                              random_initial, run_bdf2_forced, run_convergence,
                              run_with_energy_log, write_csv)
 from pfc.grid import Field, Grid2D
-from pfc.kernels import kernel_matrices
 from pfc.mesh import random_mesh, uniform_mesh
 from pfc.model import PfcParams, modified_energy
 
@@ -324,14 +324,21 @@ class TestKernelsReport:
         assert text.startswith("n,tau,r,b0,b1")
         assert "lam_min=" in text
 
-    def test_doc_table_built_once(self, tmp_path, monkeypatch):
-        import pfc.kernels as kernels
-        calls = []
-        orig = kernels.doc_kernels
-        monkeypatch.setattr(kernels, "doc_kernels",
-                            lambda mesh: calls.append(mesh.N) or orig(mesh))
-        kernels_report(random_mesh(50, 1.0, 3), os.path.join(tmp_path, "k.csv"))
-        assert calls == [50]
+    def test_report_memory_is_linear(self):
+        # the O(N) recurrences keep a report at N = 2e4 to a few MB: 5.7 MB
+        # measured, nearly all of it the returned rows, where a triangular
+        # DOC table alone would take 1.6 GB
+        m = random_mesh(20000, 1.0, 3)
+        tracemalloc.start()
+        try:
+            rows, _ = kernels_report(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 20000
+        assert max(row[5] for row in rows) <= 1e-12
+        assert rows[0][6] <= 1e-10
+        assert peak < 8e6
 
     def test_cli_on_huge_ratio_mesh(self, tmp_path, capsys):
         # its largest step ratio is 9.8e5, so lam_max is near 1e6

@@ -1,33 +1,64 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import random_s1_mesh
-from pfc.kernels import (_sturm_count, bdf2_coeffs, cross_form_theta, doc_kernels,
-                         doc_kernels_recursive, eigen_bounds, kernel_matrices,
-                         max_eig_bound, min_eig_bound, quad_form_b,
-                         quad_form_theta, refined_quad_const,
-                         scaled_tridiagonals, tridiag_extreme_eig,
+import pfc.kernels
+from conftest import (doc_kernels, doc_kernels_recursive, kernel_matrices, random_s1_mesh,
+                      table_orthogonality)
+from pfc.kernels import (_all_eigs_below, _doc_ratios, _has_eig_below, bdf2_coeffs,
+                         cross_form_theta, doc_apply, eigen_bounds, max_eig_bound,
+                         min_eig_bound, quad_form_b, quad_form_theta,
+                         refined_quad_const, scaled_tridiagonals, tridiag_extreme_eig,
                          verify_orthogonality, verify_telescope)
 from pfc.mesh import (R_SUP, TimeMesh, mesh_from_ratios, random_mesh,
                       stability_bound, uniform_mesh)
+
+# Agreement of the O(N) recurrences with the O(N^2) kernel table, relative
+# to the sum of the terms' magnitudes: 4e-16 at most was measured on the
+# meshes below, so this leaves a margin of 25 for meshes not tried.
+TABLE_RTOL = 1e-14
 
 
 # Per-entry versions of the certificate code, kept as exact oracles: the
 # library's vectorised forms must return the very same doubles.
 
 def _loop_orthogonality(mesh):
+    """The O(N) residual's factored entries rho_k g_{k+2} ... g_n, one by one."""
     c = bdf2_coeffs(mesh)
-    doc = doc_kernels(mesh)
+    g = _doc_ratios(mesh).tolist()
+    b0, b1 = c.b0.tolist(), c.b1.tolist()
+    inv_b0 = (1.0 / c.b0).tolist()
     worst = 0.0
-    for n in range(1, mesh.N + 1):
-        row = doc.rows[n - 1]
-        for k in range(1, n + 1):
-            s = row[k - 1] * c.b0[k - 1]
-            if k + 1 <= n:
-                s += row[k] * c.b1[k]
-            target = 1.0 if k == n else 0.0
-            worst = max(worst, abs(s - target))
+    for k in range(1, mesh.N + 1):
+        diag = abs(inv_b0[k - 1] * b0[k - 1] - 1.0)   # entry (k, k)
+        if not math.isnan(diag):
+            worst = max(worst, diag)
+        if k == mesh.N:
+            break
+        e = abs(g[k] * (inv_b0[k - 1] * b0[k - 1]) + b1[k] * inv_b0[k])
+        for n in range(k + 1, mesh.N + 1):            # entry (n, k)
+            if n > k + 1:
+                e *= g[n - 1]
+            if not math.isnan(e):
+                worst = max(worst, e)
     return worst
+
+
+def _sturm_count(d0, pairs, x):
+    """Number of eigenvalues below x, on Python floats: the number of
+    negative pivots, with every pivot formed."""
+    count = 0
+    q = d0 - x
+    if q < 0:
+        count += 1
+    for di, e2 in pairs:
+        if q == 0.0:
+            q = 1e-300
+        q = di - x - e2 / q
+        if q < 0:
+            count += 1
+    return count
 
 
 def _numpy_sturm_count(d, e, x):
@@ -133,7 +164,7 @@ class TestDOCKernels:
     def test_row_sums_are_steps(self, rng):
         for _ in range(20):
             m = random_s1_mesh(rng)
-            sums = doc_kernels(m).row_sums()
+            sums = doc_apply(m, np.ones(m.N))
             assert np.allclose(sums, m.steps, rtol=1e-12, atol=0)
 
     def test_positive(self, rng):
@@ -151,6 +182,42 @@ class TestDOCKernels:
                 assert np.allclose(ra, rb, rtol=1e-12, atol=0)
 
 
+def _table_apply(rows, v):
+    """Theta v from the kernel table, and Theta |v|, the scale of its roundoff."""
+    return (np.array([row @ v[:n + 1] for n, row in enumerate(rows)]),
+            np.array([row @ np.abs(v[:n + 1]) for n, row in enumerate(rows)]))
+
+
+class TestDOCApply:
+    """The O(N) recurrences against the O(N^2) kernel table of ``conftest``."""
+
+    @staticmethod
+    def _meshes():
+        rng = np.random.default_rng(404)
+        return _oracle_meshes() + [random_s1_mesh(rng, n_max=200) for _ in range(30)]
+
+    def test_matches_table(self):
+        rng = np.random.default_rng(505)
+        for m in self._meshes():
+            rows = doc_kernels(m).rows
+            for v in (np.ones(m.N), rng.standard_normal(m.N)):
+                want, scale = _table_apply(rows, v)
+                assert np.all(np.abs(doc_apply(m, v) - want) <= TABLE_RTOL * scale)
+
+    def test_forms_match_table(self):
+        rng = np.random.default_rng(606)
+        for m in self._meshes():
+            rows = doc_kernels(m).rows
+            w, v = rng.standard_normal((2, m.N))
+            theta_v, abs_v = _table_apply(rows, v)
+            theta_w, abs_w = _table_apply(rows, w)
+            cross, cross_scale = w @ theta_v, np.abs(w) @ abs_v
+            assert abs(cross_form_theta(m, w, v) - cross) <= TABLE_RTOL * cross_scale
+            for x, tx, ax in ((v, theta_v, abs_v), (w, theta_w, abs_w)):
+                want, scale = 2.0 * (x @ tx), 2.0 * (np.abs(x) @ ax)
+                assert abs(quad_form_theta(m, x) - want) <= TABLE_RTOL * scale
+
+
 class TestOrthogonality:
     def test_single_level(self):
         assert verify_orthogonality(TimeMesh(np.array([0.3]))) == 0.0
@@ -166,12 +233,45 @@ class TestOrthogonality:
         for m in _oracle_meshes():
             assert verify_orthogonality(m) == _loop_orthogonality(m)
 
-    def test_given_table_is_used(self):
+    def test_table_residual_within_bound(self):
+        for m in _oracle_meshes():
+            assert verify_orthogonality(m) <= 1e-10
+            assert table_orthogonality(m) <= 1e-10
+
+    def test_corrupted_b1_is_caught(self, monkeypatch):
+        # the DOC factors g_n come from the step ratios, so a wrong b1 breaks
+        # orthogonality: at level k it leaves rho_{k-1} = -g_k instead of 0
         m = random_mesh(40, 1.0, 9)
-        doc = doc_kernels(m)
-        assert verify_orthogonality(m, doc) == verify_orthogonality(m)
-        doc.rows[-1] = 2.0 * doc.rows[-1]
-        assert verify_orthogonality(m, doc) > 0.5
+        g = _doc_ratios(m)
+        k = int(np.argmax(g))
+        assert g[k] > 0.5
+        coeffs = bdf2_coeffs
+
+        def corrupted(mesh):
+            c = coeffs(mesh)
+            c.b1[k] *= 2.0
+            return c
+
+        assert verify_orthogonality(m) <= 1e-10
+        monkeypatch.setattr(pfc.kernels, "bdf2_coeffs", corrupted)
+        assert verify_orthogonality(m) >= g[k] * (1.0 - 1e-12)
+
+    def test_corrupted_residual_matches_table(self, monkeypatch):
+        # a residual far above roundoff is the same number from the factored
+        # scan and from the table, entry by entry
+        rng = np.random.default_rng(707)
+        coeffs = bdf2_coeffs
+        for m in _oracle_meshes():
+            if m.N < 2:
+                continue
+            c = coeffs(m)
+            c.b1[int(rng.integers(1, m.N))] *= 1.0 + rng.uniform(0.1, 1.0)
+            monkeypatch.setattr(pfc.kernels, "bdf2_coeffs", lambda mesh: c)
+            got = verify_orthogonality(m)
+            monkeypatch.undo()
+            want = table_orthogonality(m, c)
+            assert want > 1e-6
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_matrix_identity(self, rng):
         m = random_s1_mesh(rng, n_max=40, n_min=20)
@@ -257,13 +357,18 @@ class TestEigenBounds:
             assert (eb.lam_min, eb.lam_max) == _numpy_eigen_extremes(m)
 
     def test_sturm_count_matches_numpy_scalars(self, rng):
+        # the predicates stop at the first pivot that settles them, and agree
+        # with the full count on Python floats and on numpy scalars
         for _ in range(10):
             n = int(rng.integers(1, 40))
             d = rng.standard_normal(n)
             e = rng.standard_normal(n - 1)
             pairs = list(zip(d[1:].tolist(), (e * e).tolist()))
             for x in np.concatenate([rng.uniform(-4, 4, 20), d[:1]]):
-                assert _sturm_count(float(d[0]), pairs, float(x)) == _numpy_sturm_count(d, e, x)
+                count = _sturm_count(float(d[0]), pairs, float(x))
+                assert count == _numpy_sturm_count(d, e, x)
+                assert _has_eig_below(float(d[0]), pairs, float(x)) == (count >= 1)
+                assert _all_eigs_below(float(d[0]), pairs, float(x)) == (count == n)
             for which in ("min", "max"):
                 assert tridiag_extreme_eig(d, e, which) == _numpy_extreme_eig(d, e, which)
 
@@ -326,13 +431,12 @@ class TestQuadraticForms:
     def test_convolution_inequality(self, rng):
         for _ in range(20):
             m = random_s1_mesh(rng, n_max=48)
-            doc = doc_kernels(m)
             mr = eigen_bounds(m).quad_const
             w = rng.standard_normal(m.N)
             v = rng.standard_normal(m.N)
-            lhs = cross_form_theta(m, w, v, doc)
-            qv = 0.5 * quad_form_theta(m, v, doc)
-            qw = 0.5 * quad_form_theta(m, w, doc)
+            lhs = cross_form_theta(m, w, v)
+            qv = 0.5 * quad_form_theta(m, v)
+            qw = 0.5 * quad_form_theta(m, w)
             for eps in (0.1, 1.0, 10.0):
                 rhs = eps * qv + (mr / eps) * qw
                 assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))

@@ -282,6 +282,17 @@ class TestRunFixedMesh:
         assert [st for _, st in seen] == stats
         assert seen[-1][0] is state
 
+    @pytest.mark.parametrize("scheme", ["cn", "cncs"])
+    def test_no_spectra_kept_without_bdf2(self, setup, rng, scheme):
+        # only the BDF2 start reads a kept nonlinearity spectrum, so CN, CS1
+        # and CNCS levels carry none and the state keeps none of them
+        g, p = setup
+        levels = []
+        state, _ = run_fixed_mesh(random_field(g, rng), [0.02] * 10, p, scheme=scheme,
+                                  observer=lambda s, _: levels.append(s))
+        assert state.nl_hats == () and state.nl_steps == ()
+        assert all(s.phi_prev.nl_hat is None for s in levels)
+
     def test_schemes_agree_for_small_tau(self, setup, rng):
         # all three schemes are consistent, so their trajectories collapse
         # as the step shrinks; use smooth data so the stiff modes carry no
