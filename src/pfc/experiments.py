@@ -9,6 +9,7 @@ separator, header row, 17 significant digits).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -31,9 +32,7 @@ def random_initial(mean: float, amp: float, grid: Grid2D, seed: int) -> Field:
     """mean + amp * U(-1, 1) per grid point, drawn in row-major order."""
     if amp < 0:
         raise ValueError("amp must be nonnegative")
-    gen = SplitMix64(seed)
-    vals = np.fromiter((gen.uniform_sym() for _ in range(grid.M * grid.M)),
-                       dtype=np.float64, count=grid.M * grid.M)
+    vals = SplitMix64(seed).uniform_sym_block(grid.M * grid.M)
     return Field(grid, mean + amp * vals.reshape(grid.M, grid.M))
 
 
@@ -59,10 +58,16 @@ def patched_initial(grid: Grid2D, patches=None, base: float = 0.285,
         in_y = np.abs(grid.x - cy) <= half
         ii = np.nonzero(in_x)[0]
         jj = np.nonzero(in_y)[0]
-        for i in ii:
-            for j in jj:
-                vals[i, j] += amp * gen.uniform_sym()
+        noise = gen.uniform_sym_block(ii.size * jj.size)
+        vals[np.ix_(ii, jj)] += amp * noise.reshape(ii.size, jj.size)
     return Field(grid, vals)
+
+
+@functools.lru_cache(maxsize=128)
+def _row_format(types: tuple) -> str:
+    """One %-format for a row of these types: FMT for a float (numpy's float64
+    included), %s, which is str(v), for anything else."""
+    return ",".join(FMT if issubclass(t, float) else "%s" for t in types) + "\n"
 
 
 def write_csv(path, header: list[str], rows):
@@ -70,8 +75,8 @@ def write_csv(path, header: list[str], rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(FMT % v if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            row = tuple(row)
+            fh.write(_row_format(tuple(map(type, row))) % row)
 
 
 def energy_rows(records: list[EnergyRecord]):

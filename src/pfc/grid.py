@@ -8,11 +8,13 @@ are stored as M x M real arrays with ``values[i, j]`` the sample at
 ``(i*h, j*h)``.
 
 Multipliers live in the one layout that pairs with ``forward``/``backward``:
-the half plane (``k2_half``, ``ikx_half``, ``iky_half``, ``inv_k2_half``),
-rows in numpy ``fftfreq`` order and columns in ``rfftfreq`` order.  The
-first-derivative multiplier is zeroed on the Nyquist mode so that
-derivatives of real fields stay real; the second-derivative multiplier
-keeps the full -nu^2 (M/2)^2 weight there.
+the half plane (``k2_half``, ``ikx_half``, ``iky_half``, and the H^-1 weight
+``inv_k2_folded``), rows in numpy ``fftfreq`` order and columns in
+``rfftfreq`` order.  The first-derivative multiplier is zeroed on the
+Nyquist mode so that derivatives of real fields stay real; the
+second-derivative multiplier keeps the full -nu^2 (M/2)^2 weight there.
+Weights of Parseval sums are stored folded (``fold_conjugates``), so that
+``sum_of_squares`` is one dot product.
 """
 
 from __future__ import annotations
@@ -55,8 +57,10 @@ class Grid2D:
         self.iky_half = np.ascontiguousarray(np.broadcast_to(1j * self.nu * ly, shape))
         self.ikx_half[self.M // 2, :] = 0.0
         self.iky_half[:, self.M // 2] = 0.0
-        self.inv_k2_half = np.zeros_like(self.k2_half)   # 1/k^2, 0 on the zero mode
-        np.divide(1.0, self.k2_half, out=self.inv_k2_half, where=self.k2_half > 0)
+        # 1/k^2, 0 on the zero mode, folded for sum_of_squares
+        self.inv_k2_folded = np.zeros_like(self.k2_half)
+        np.divide(1.0, self.k2_half, out=self.inv_k2_folded, where=self.k2_half > 0)
+        fold_conjugates(self.inv_k2_folded)
         self.x = self.h * np.arange(self.M)   # sample coordinates along either axis
 
     @property
@@ -103,10 +107,6 @@ class Field:
         return forward(self.values)
 
 
-def constant_field(grid: Grid2D, c: float) -> Field:
-    return Field(grid, np.full((grid.M, grid.M), float(c)))
-
-
 def _check_same_grid(f: Field, g: Field):
     if f.grid != g.grid:
         raise GridMismatchError("fields live on different grids")
@@ -126,19 +126,25 @@ def backward(coeffs: np.ndarray, M: int) -> np.ndarray:
     return np.fft.irfft(np.fft.ifft(coeffs, axis=0), n=M, axis=1)
 
 
-def sum_of_squares(coeffs: np.ndarray, M: int, weight: np.ndarray | None = None) -> float:
+def fold_conjugates(weight: np.ndarray) -> np.ndarray:
+    """Double ``weight`` in place on the half-plane columns that also stand for
+    their conjugate partners: all but the first and the Nyquist column."""
+    weight[:, 1:-1] *= 2.0
+    return weight
+
+
+def sum_of_squares(coeffs: np.ndarray, M: int,
+                   folded_weight: np.ndarray | None = None) -> float:
     """sum(values**2) of the field whose ``forward`` is ``coeffs`` (Parseval).
 
-    Every half-plane column except the first and the Nyquist column stands
-    for itself and its conjugate partner, so it is counted twice.  Each mode's
-    power is multiplied by ``weight`` (half plane) if one is given.
+    Each mode's power is multiplied by ``folded_weight``, a half-plane weight
+    passed through ``fold_conjugates``; without one every mode has weight 1.
     """
-    power = coeffs.real**2 + coeffs.imag**2
-    if weight is not None:
-        power *= weight
-    total = 2.0 * float(np.sum(power))
-    total -= float(np.sum(power[:, 0])) + float(np.sum(power[:, -1]))
-    return total / (M * M)
+    if folded_weight is None:
+        folded_weight = fold_conjugates(np.ones(coeffs.shape))
+    power = np.square(coeffs.real)
+    power += np.square(coeffs.imag)
+    return float(np.dot(power.ravel(), folded_weight.ravel())) / (M * M)
 
 
 def inner(f: Field, g: Field) -> float:
@@ -184,13 +190,3 @@ def save_snapshot(path, f: Field, t: float):
         fh.write(f"{f.grid.M} {f.grid.L:.17g} {t:.17g}\n")
         for j in range(f.grid.M):
             fh.write(",".join(f"{v:.17g}" for v in f.values[:, j]) + "\n")
-
-
-def load_snapshot(path) -> tuple[Field, float]:
-    with open(path) as fh:
-        head = fh.readline().split()
-        M, L, t = int(head[0]), float(head[1]), float(head[2])
-        vals = np.empty((M, M))
-        for j in range(M):
-            vals[:, j] = [float(x) for x in fh.readline().split(",")]
-    return Field(Grid2D(M, L), vals), t

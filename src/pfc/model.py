@@ -5,8 +5,8 @@ free energy
 
   E[phi] = 1/2 ||(1 + Lap) phi||^2 + 1/4 ||phi^2 - eps||^2 - 1/4 eps^2 |Omega|,
 
-its history-augmented (modified) variant, the conserved mass, a maximum-norm
-monitor, and the manufactured-solution forcing used by the convergence study.
+its history-augmented (modified) variant, the conserved mass, and the
+manufactured-solution forcing used by the convergence study.
 The constant shift in E is chosen so E[0] = 0.
 """
 
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid2D, MeanZeroError, backward, forward, laplacian,
-                   sum_of_squares)
+from .grid import (Field, Grid2D, MeanZeroError, backward, forward, fold_conjugates,
+                   laplacian, sum_of_squares)
 
 
 @dataclass
@@ -30,10 +30,11 @@ class PfcParams:
     def __post_init__(self):
         if not (0 < self.eps < 1):
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        # spectral symbols of (1 + Lap)^2, the energy's interface weight, and
-        # of the linear part of mu, (1 - k^2)^2 - eps
-        self.interface_weight_half = (1.0 - self.grid.k2_half) ** 2
-        self.lin_symbol_half = self.interface_weight_half - self.eps
+        # spectral symbols of the linear part of mu, (1 - k^2)^2 - eps, and of
+        # (1 + Lap)^2, the energy's interface weight, folded for sum_of_squares
+        weight = (1.0 - self.grid.k2_half) ** 2
+        self.lin_symbol_half = weight - self.eps
+        self.interface_weight_folded = fold_conjugates(weight)
 
 
 @dataclass
@@ -57,7 +58,7 @@ def energy(phi: Field, p: PfcParams) -> float:
     """Free energy; the gradient part is summed in spectral space (Parseval)."""
     g = phi.grid
     a = g.cell_area
-    e_interf = 0.5 * a * sum_of_squares(phi.hat, g.M, p.interface_weight_half)
+    e_interf = 0.5 * a * sum_of_squares(phi.hat, g.M, p.interface_weight_folded)
     bulk = np.square(phi.values)
     bulk -= p.eps
     bulk = bulk.ravel()
@@ -75,7 +76,7 @@ def step_distance_sq(phi_k: Field, phi_km1: Field) -> float:
     dmean = float(d[0, 0].real) / (g.M * g.M)
     if abs(dmean) > 1e-12 * float(np.max(np.abs(phi_k.values))):
         raise MeanZeroError(f"field has mean {dmean:.3e}, expected mean zero")
-    return g.cell_area * sum_of_squares(d, g.M, g.inv_k2_half)
+    return g.cell_area * sum_of_squares(d, g.M, g.inv_k2_folded)
 
 
 def history_weight(tau_k: float, r_kp1: float) -> float:
@@ -95,17 +96,6 @@ def modified_energy(phi_k: Field, phi_km1: Field, tau_k: float, r_kp1: float,
 def mass(phi: Field) -> float:
     """Discrete integral h^2 * sum(phi), bit for bit inner(phi, 1) since x * 1.0 == x."""
     return phi.grid.cell_area * float(np.sum(phi.values))
-
-
-def linf_monitor(phi: Field, E0: float, p: PfcParams) -> tuple[float, float]:
-    """Current max norm and the a-priori proxy bound (embedding constant 1).
-
-    The proxy is reported for monitoring only; it is never asserted because
-    the embedding constant is not quantified.
-    """
-    linf = float(np.max(np.abs(phi.values)))
-    proxy = float(np.sqrt(max(8.0 * E0 + 2.0 * (2.0 + p.eps) ** 2 * phi.grid.volume, 0.0)))
-    return linf, proxy
 
 
 def _axis_sines(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:

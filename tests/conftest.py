@@ -3,10 +3,12 @@
 The package keeps only the half-plane multipliers that pair with
 ``pfc.grid.forward``/``backward``.  The full-plane arrays in numpy ``fft2``
 order and the M x M sample coordinates are rebuilt here, independently of
-the package, as oracles; so are the inverse Laplacian and the H^-1 norm
-that check ``model.step_distance_sq``.  Likewise the package computes with
-the DOC kernels through O(N) recurrences only, and the O(N^2) triangular
-kernel table and dense kernel matrices live here, for small meshes.
+the package, as oracles; so are 1/k^2, the inverse Laplacian and the H^-1
+norm that check ``model.step_distance_sq``.  Likewise the package computes
+with the DOC kernels through O(N) recurrences only, and the O(N^2)
+triangular kernel table and dense kernel matrices live here, for small
+meshes.  Helpers that only tests use (``constant_field``, ``linf_monitor``,
+``load_snapshot``) live here too.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import pytest
 import pfc.grid
 import pfc.model
 import pfc.steppers
-from pfc.grid import Field, MeanZeroError, backward, forward, inner, mean
+from pfc.grid import Field, Grid2D, MeanZeroError, backward, forward, inner, mean
 from pfc.kernels import bdf2_coeffs
 from pfc.mesh import R_SUP, TimeMesh, mesh_from_ratios
 from pfc.steppers import FP_TOL, MAX_ITER
@@ -150,8 +152,16 @@ def full_lin_symbol(p):
     return (1.0 - full_k2(p.grid)) ** 2 - p.eps
 
 
+def inv_k2_half(grid):
+    """1/k^2 on the half plane, 0 on the zero mode (the package keeps it folded)."""
+    k2 = grid.k2_half
+    out = np.zeros_like(k2)
+    np.divide(1.0, k2, out=out, where=k2 > 0)
+    return out
+
+
 def inv_laplacian(f: Field, gamma: int = 1) -> Field:
-    """Apply (-Laplacian)^(-gamma) with the grid's ``inv_k2_half``; requires a mean-zero field.
+    """Apply (-Laplacian)^(-gamma) with 1/k^2 on the half plane; requires a mean-zero field.
 
     The mean is judged against the field's own max norm, which suits fields
     of order one; the difference of two nearby states can fail it on the
@@ -163,13 +173,39 @@ def inv_laplacian(f: Field, gamma: int = 1) -> Field:
     linf = float(np.max(np.abs(f.values)))
     if abs(m) > 1e-12 * max(linf, 1e-300):
         raise MeanZeroError(f"field has mean {m:.3e}, expected mean zero")
-    return Field(f.grid, backward(f.grid.inv_k2_half**gamma * forward(f.values), f.grid.M))
+    return Field(f.grid, backward(inv_k2_half(f.grid)**gamma * forward(f.values), f.grid.M))
 
 
 def hminus1_norm(f: Field) -> float:
     """Discrete H^{-1} norm, defined through the inverse Laplacian."""
     val = inner(inv_laplacian(f, 1), f)
     return float(np.sqrt(max(val, 0.0)))
+
+
+def constant_field(grid, c: float) -> Field:
+    return Field(grid, np.full((grid.M, grid.M), float(c)))
+
+
+def linf_monitor(phi: Field, E0: float, p) -> tuple[float, float]:
+    """Current max norm and the a-priori proxy bound (embedding constant 1).
+
+    The proxy is reported for monitoring only; it is never asserted because
+    the embedding constant is not quantified.
+    """
+    linf = float(np.max(np.abs(phi.values)))
+    proxy = float(np.sqrt(max(8.0 * E0 + 2.0 * (2.0 + p.eps) ** 2 * phi.grid.volume, 0.0)))
+    return linf, proxy
+
+
+def load_snapshot(path) -> tuple[Field, float]:
+    """Read a file written by ``pfc.grid.save_snapshot``."""
+    with open(path) as fh:
+        head = fh.readline().split()
+        M, L, t = int(head[0]), float(head[1]), float(head[2])
+        vals = np.empty((M, M))
+        for j in range(M):
+            vals[:, j] = [float(x) for x in fh.readline().split(",")]
+    return Field(Grid2D(M, L), vals), t
 
 
 def ref_solve(symbol, rhs_hat, guess, nl, nl_start=None):

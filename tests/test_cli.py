@@ -27,6 +27,17 @@ class TestSplitMix:
         xs = [gen.uniform_sym() for _ in range(1000)]
         assert all(-1.0 < x < 1.0 for x in xs)
 
+    @pytest.mark.parametrize("seed", [0, 2023, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 7, 16384])
+    def test_block_matches_scalar_draws(self, seed, n):
+        scalar, block = SplitMix64(seed), SplitMix64(seed)
+        want = np.array([scalar.uniform_sym() for _ in range(n)], dtype=np.float64)
+        got = block.uniform_sym_block(n)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert block.state == scalar.state
+        assert block.next_u64() == scalar.next_u64()
+
     def test_reference_sequence(self):
         # first outputs of the standard 64-bit mixing sequence for seed 0
         gen = SplitMix64(0)

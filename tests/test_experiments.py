@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import coords, count_transforms, kernel_matrices
+from conftest import coords, count_transforms, kernel_matrices, random_s1_mesh
 import pfc.adaptive as adaptive
 import pfc.experiments as ex
 import pfc.steppers as steppers
@@ -12,9 +12,9 @@ from pfc.adaptive import AdaptiveConfig, adaptive_run
 from pfc.experiments import (DEFAULT_PATCHES, EnergyLog, kernels_report, midline,
                              oscillation_indicator, patched_initial,
                              random_initial, run_bdf2_forced, run_convergence,
-                             run_with_energy_log, write_csv)
+                             energy_rows, run_with_energy_log, write_csv)
 from pfc.grid import Field, Grid2D
-from pfc.mesh import random_mesh, uniform_mesh
+from pfc.mesh import check_restriction, random_mesh, uniform_mesh
 from pfc.model import PfcParams, modified_energy
 
 STEP_FUNCTIONS = ("bdf2_step", "cn_step", "cs1_step", "cncs_step", "adaptive_advance")
@@ -85,6 +85,30 @@ class TestCsv:
         assert lines[0] == "n,v"
         assert float(lines[1].split(",")[1]) == 0.1 + 0.2
         assert float(lines[2].split(",")[1]) == np.pi
+
+    def test_same_bytes_as_per_value_writer(self, tmp_path):
+        g = Grid2D(16, 8.0)
+        _, recs, _ = run_with_energy_log(random_initial(0.1, 0.02, g, 3), [0.05] * 4,
+                                         PfcParams(0.2, g))
+        kernel_rows, _ = kernels_report(random_mesh(30, 1.0, 7))
+        mixed = [(1, True, False, 0.1, np.float64(0.1), np.float32(0.1), np.int64(3)),
+                 ["cn", None, float("nan"), -float("inf"), 0.0, -0.0, 5e-324],
+                 np.array([np.pi, 1e300]), (), ("bdf2", 1e-3, 4.25)]
+        header = ["a", "b"]
+        for rows in (kernel_rows, energy_rows(recs), mixed):
+            new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+            write_csv(new, header, rows)
+            write_csv_per_value(old, header, rows)
+            assert new.read_bytes() == old.read_bytes()
+
+
+def write_csv_per_value(path, header, rows):
+    """``write_csv`` as it formatted one value at a time, kept as the reference."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(ex.FMT % v if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 class TestConvergence:
@@ -287,6 +311,30 @@ class TestAdaptiveEnergyLaw:
         r = recs[k + 1].tau / recs[k].tau
         want = modified_energy(kept["phi_k"], kept["phi_km1"], recs[k].tau, r, p)
         assert recs[k].E_mod == pytest.approx(want, rel=1e-14)
+
+
+class TestEnergyLawOnS1Meshes:
+    def test_modified_energy_never_rises(self):
+        """BDF2 on random meshes in S1 that pass the step-size restriction.
+
+        The theorem is a sufficient condition, so only meshes it covers are
+        run; nothing is asserted about meshes outside it.
+        """
+        g = Grid2D(64, 32.0)
+        p = PfcParams(0.25, g)
+        phi0 = random_initial(0.1, 0.02, g, 2023)
+        rng = np.random.default_rng(2023)
+        runs = 0
+        while runs < 6:   # about 600 draws per mesh that passes
+            mesh = random_s1_mesh(rng, n_max=120, n_min=40)
+            if check_restriction(mesh, p.eps):
+                continue
+            _, recs, _ = run_with_energy_log(phi0, mesh.steps, p)
+            e_mod = np.array([r.E_mod for r in recs])
+            assert np.all(np.diff(e_mod) <= 1e-9 * np.abs(e_mod[:-1]))
+            m0 = recs[0].mass
+            assert max(abs(r.mass - m0) for r in recs) <= 1e-12 * abs(m0)
+            runs += 1
 
 
 class TestOscillation:

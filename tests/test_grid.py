@@ -3,10 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import coords, hminus1_norm, inv_laplacian
-from pfc.grid import (Field, Grid2D, GridMismatchError, MeanZeroError,
-                      constant_field, gradient, inner, laplacian, load_snapshot,
-                      mean, norms, save_snapshot)
+from conftest import constant_field, coords, hminus1_norm, inv_laplacian, load_snapshot
+from pfc.grid import (Field, Grid2D, GridMismatchError, MeanZeroError, gradient, inner,
+                      laplacian, mean, norms, save_snapshot)
 
 
 def make_grid(M=32, L=8.0):

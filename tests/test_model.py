@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import coords, full_k2, hminus1_norm
-from pfc.grid import Field, Grid2D, MeanZeroError, constant_field, inner, laplacian
+from conftest import constant_field, coords, full_k2, hminus1_norm, linf_monitor
+from pfc.grid import Field, Grid2D, MeanZeroError, inner, laplacian
 from pfc.model import (PfcParams, chemical_potential, energy, exact_solution,
-                       linf_monitor, manufactured_forcing, mass,
-                       modified_energy, step_distance_sq)
+                       manufactured_forcing, mass, modified_energy, step_distance_sq)
 
 
 @pytest.fixture

@@ -20,7 +20,8 @@ from conftest import (count_transforms, full_grad, full_k2, full_lin_symbol,
                       inv_laplacian, ref_cncs, ref_solve)
 import pfc
 import pfc.steppers as steppers
-from pfc.grid import Field, Grid2D, backward, forward, gradient, laplacian, sum_of_squares
+from pfc.grid import (Field, Grid2D, backward, forward, gradient, inner, laplacian,
+                      sum_of_squares)
 from pfc.model import PfcParams, chemical_potential, energy, manufactured_forcing
 from pfc.steppers import (NL_LEVELS, StepperState, bdf2_step, cn_step, cncs_step,
                           cs1_step, run_fixed_mesh)
@@ -230,6 +231,20 @@ class TestLayer:
             vals = rng.standard_normal((M, M))
             assert sum_of_squares(forward(vals), M) == pytest.approx(
                 float(np.sum(vals * vals)), rel=1e-13)
+
+    @pytest.mark.parametrize("M,L", [(4, 8.0), (32, 8.0), (128, 64.0)])
+    def test_folded_sums_match_full_plane(self, M, L, rng):
+        """The folded interface and H^-1 weights give the full-plane sums."""
+        g = Grid2D(M, L)
+        p = PfcParams(0.25, g)
+        vals = rng.standard_normal((M, M))
+        opl = np.fft.ifft2((1.0 - full_k2(g)) * np.fft.fft2(vals)).real
+        assert sum_of_squares(forward(vals), M, p.interface_weight_folded) == pytest.approx(
+            float(np.sum(opl * opl)), rel=1e-13)
+        d = Field(g, vals - vals.mean())
+        want = inner(inv_laplacian(d), d) / g.cell_area
+        assert sum_of_squares(forward(d.values), M, g.inv_k2_folded) == pytest.approx(
+            want, rel=1e-13)
 
 
 @pytest.mark.parametrize("M,L", [(32, 8.0), (128, 64.0)])

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import coords, full_k2, full_lin_symbol, ref_cncs
-from pfc.grid import Field, Grid2D, constant_field, mean
+from conftest import constant_field, coords, full_k2, full_lin_symbol, ref_cncs
+from pfc.grid import Field, Grid2D, mean
 from pfc.model import PfcParams, energy, manufactured_forcing, modified_energy
 from pfc.steppers import (MAX_ITER, NL_LEVELS, ConditioningError, SolverError,
-                          StepperState, bdf2_step, cn_step, cncs_step, cs1_step,
-                          run_fixed_mesh)
+                          StepperState, _midpoint_cube, bdf2_step, cn_step, cncs_step,
+                          cs1_step, run_fixed_mesh)
 
 
 @pytest.fixture
@@ -243,6 +243,19 @@ class TestCNCS:
         phi0 = random_field(g, rng)
         state, _ = run_fixed_mesh(phi0, [0.05] * 5, p, scheme="cncs")
         assert abs(mean(state.phi_prev) - mean(phi0)) < 1e-13
+
+
+@pytest.mark.parametrize("M", [32, 128])
+def test_midpoint_cube_matches_halved_factors(M, rng):
+    """The in-place product is bit for bit 0.5 (phi^2 + prev^2) * 0.5 (phi + prev)."""
+    phi = 0.3 + 0.5 * rng.standard_normal((M, M))
+    prev = 0.3 + 0.5 * rng.standard_normal((M, M))
+    phi_in, prev_in = phi.copy(), prev.copy()
+    mid = 0.5 * (phi + prev)
+    want = 0.5 * (phi * phi + prev * prev) * mid
+    got = _midpoint_cube(prev)(phi)
+    assert np.array_equal(got, want)
+    assert np.array_equal(phi, phi_in) and np.array_equal(prev, prev_in)
 
 
 class TestRunFixedMesh:
