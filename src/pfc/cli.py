@@ -14,6 +14,7 @@ file.  Exit codes: 0 all runs converged, 2 solver failure, 3 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -183,8 +184,14 @@ def cmd_polycrystal(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` keeps no state in it between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config:

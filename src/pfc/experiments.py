@@ -70,13 +70,16 @@ def _row_format(types: tuple) -> str:
     return ",".join(FMT if issubclass(t, float) else "%s" for t in types) + "\n"
 
 
-def write_csv(path, header: list[str], rows):
+def write_csv(path, header: list[str], rows, footer: str = ""):
+    """Write the header, the rows and ``footer`` (text after the last row) in one write."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        row = tuple(row)
+        lines.append(_row_format(tuple(map(type, row))) % row)
+    lines.append(footer)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            fh.write(_row_format(tuple(map(type, row))) % row)
+        fh.write("".join(lines))
 
 
 def energy_rows(records: list[EnergyRecord]):
@@ -154,8 +157,9 @@ class EnergyLog:
         phi, prev, tau = state.phi_prev, state.phi_prev2, state.tau_prev
         if last.tau > 0.0:
             last.E_mod = last.E + history_weight(last.tau, tau / last.tau) * self._dist_sq
-        self.records.append(self._record(phi, state.t, tau, stats.iterations))
-        self._dist_sq = step_distance_sq(phi, prev)
+        rec = self._record(phi, state.t, tau, stats.iterations)
+        self.records.append(rec)
+        self._dist_sq = step_distance_sq(phi, prev, rec.linf)
 
 
 def run_with_energy_log(phi0: Field, steps, p: PfcParams, scheme: str = "bdf2"):
@@ -289,14 +293,13 @@ def kernels_report(mesh: TimeMesh, out_path: str | None = None):
     row_res = np.abs(row_sums - mesh.steps) / mesh.steps
     ortho = verify_orthogonality(mesh)
     eb = eigen_bounds(mesh)
-    rows = [(n, float(mesh.steps[n - 1]), float(mesh.ratios[n - 1]),
-             float(c.b0[n - 1]), float(c.b1[n - 1]) if n > 1 else 0.0,
-             float(row_res[n - 1]), ortho)
-            for n in range(1, mesh.N + 1)]
+    b1 = c.b1.tolist()
+    b1[0] = 0.0   # level 1 has no b1; the array holds -0.0 there, printed "-0"
+    rows = list(zip(range(1, mesh.N + 1), mesh.steps.tolist(), mesh.ratios.tolist(),
+                    c.b0.tolist(), b1, row_res.tolist(), [ortho] * mesh.N))
     if out_path is not None:
         write_csv(out_path, ["n", "tau", "r", "b0", "b1", "rowsum_rel_residual",
-                             "ortho_residual"], rows)
-        with open(out_path, "a") as fh:
-            fh.write(f"# lam_min={eb.lam_min:.17g},lam_max={eb.lam_max:.17g},"
-                     f"quad_const={eb.quad_const:.17g},s1_ok={eb.s1_ok}\n")
+                             "ortho_residual"], rows,
+                  f"# lam_min={eb.lam_min:.17g},lam_max={eb.lam_max:.17g},"
+                  f"quad_const={eb.quad_const:.17g},s1_ok={eb.s1_ok}\n")
     return rows, eb

@@ -80,8 +80,7 @@ def random_mesh(N: int, T: float, seed: int) -> TimeMesh:
     """Random mesh tau_k = T sigma_k / S with sigma_k ~ U(0,1), S = sum sigma_k."""
     if N < 1 or T <= 0:
         raise ValueError("need N >= 1 and T > 0")
-    gen = SplitMix64(seed)
-    sigma = np.array([gen.uniform() for _ in range(N)])
+    sigma = SplitMix64(seed).uniform_block(N)
     return TimeMesh(T * sigma / sigma.sum())
 
 

@@ -66,15 +66,18 @@ def energy(phi: Field, p: PfcParams) -> float:
     return e_interf + e_bulk - 0.25 * p.eps**2 * g.volume
 
 
-def step_distance_sq(phi_k: Field, phi_km1: Field) -> float:
+def step_distance_sq(phi_k: Field, phi_km1: Field, linf: float | None = None) -> float:
     """||phi_k - phi_km1||_{-1}^2 by Parseval from the fields' cached spectra.
 
-    The means must agree to 1e-12 of max|phi_k|, the roundoff of the zero mode.
+    The means must agree to 1e-12 of max|phi_k|, the roundoff of the zero mode;
+    a caller that has that maximum already passes it as ``linf``.
     """
     g = phi_k.grid
     d = phi_k.hat - phi_km1.hat
     dmean = float(d[0, 0].real) / (g.M * g.M)
-    if abs(dmean) > 1e-12 * float(np.max(np.abs(phi_k.values))):
+    if linf is None:
+        linf = float(np.max(np.abs(phi_k.values)))
+    if abs(dmean) > 1e-12 * linf:
         raise MeanZeroError(f"field has mean {dmean:.3e}, expected mean zero")
     return g.cell_area * sum_of_squares(d, g.M, g.inv_k2_folded)
 

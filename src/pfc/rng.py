@@ -39,8 +39,8 @@ class SplitMix64:
         """Uniform draw in (-1, 1)."""
         return 2.0 * self.uniform() - 1.0
 
-    def uniform_sym_block(self, n: int) -> np.ndarray:
-        """n ``uniform_sym`` draws in one array, bit for bit, and the state n draws on.
+    def uniform_block(self, n: int) -> np.ndarray:
+        """n ``uniform`` draws in one array, bit for bit, and the state n draws on.
 
         Every constant is a ``uint64`` scalar, so the arithmetic wraps modulo
         2^64 under both the legacy and the NEP 50 promotion rules.
@@ -51,5 +51,8 @@ class SplitMix64:
             z *= np.uint64(mix)
         z ^= z >> np.uint64(31)
         self.state = (self.state + n * _GAMMA) & _MASK
-        u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return 2.0 * u - 1.0
+        return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+    def uniform_sym_block(self, n: int) -> np.ndarray:
+        """n ``uniform_sym`` draws in one array, bit for bit, and the state n draws on."""
+        return 2.0 * self.uniform_block(n) - 1.0

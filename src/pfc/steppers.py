@@ -148,7 +148,8 @@ def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray
             res = float(d.max())
             phi = phi_new
             if res <= FP_TOL:
-                out = Field(grid, phi, nl_hat)
+                # a finite increment rules out a non-finite iterate
+                out = Field.unchecked(grid, phi, nl_hat)
                 out.hat = x
                 return out, SolveStats(it, res, True)
             # kept into the next iteration, these would add three grid

@@ -8,7 +8,8 @@ norm that check ``model.step_distance_sq``.  Likewise the package computes
 with the DOC kernels through O(N) recurrences only, and the O(N^2)
 triangular kernel table and dense kernel matrices live here, for small
 meshes.  Helpers that only tests use (``constant_field``, ``linf_monitor``,
-``load_snapshot``) live here too.
+``load_snapshot``) live here too, and so does ``scalar_random_mesh``, the
+one-draw-at-a-time form of ``random_mesh``.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ import pfc.steppers
 from pfc.grid import Field, Grid2D, MeanZeroError, backward, forward, inner, mean
 from pfc.kernels import bdf2_coeffs
 from pfc.mesh import R_SUP, TimeMesh, mesh_from_ratios
+from pfc.rng import SplitMix64
 from pfc.steppers import FP_TOL, MAX_ITER
 
 
@@ -33,6 +35,13 @@ def random_s1_mesh(rng: np.random.Generator, n_max: int = 64,
     ratios = rng.uniform(0.05, ratio_hi, size=n - 1)
     assert ratio_hi < R_SUP
     return mesh_from_ratios(tau1, ratios)
+
+
+def scalar_random_mesh(N: int, T: float, seed: int) -> TimeMesh:
+    """``pfc.mesh.random_mesh`` from N scalar ``uniform`` draws, the oracle for its block draw."""
+    gen = SplitMix64(seed)
+    sigma = np.array([gen.uniform() for _ in range(N)])
+    return TimeMesh(T * sigma / sigma.sum())
 
 
 @dataclass

@@ -1,12 +1,17 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from conftest import doc_kernels
+from conftest import doc_kernels, load_snapshot
+import pfc.cli as cli
+import pfc.experiments as ex
 from pfc.cli import build_parser, load_config, main
+from pfc.grid import Grid2D
 from pfc.kernels import bdf2_coeffs
 from pfc.mesh import TimeMesh
+from pfc.model import PfcParams, energy, mass
 from pfc.rng import SplitMix64
 
 
@@ -33,6 +38,17 @@ class TestSplitMix:
         scalar, block = SplitMix64(seed), SplitMix64(seed)
         want = np.array([scalar.uniform_sym() for _ in range(n)], dtype=np.float64)
         got = block.uniform_sym_block(n)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert block.state == scalar.state
+        assert block.next_u64() == scalar.next_u64()
+
+    @pytest.mark.parametrize("seed", [0, 2023, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_uniform_block_matches_scalar_draws(self, seed, n):
+        scalar, block = SplitMix64(seed), SplitMix64(seed)
+        want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+        got = block.uniform_block(n)
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
         assert block.state == scalar.state
@@ -208,3 +224,114 @@ class TestConfigValues:
         assert rc == 0
         assert seen["seed"] == 5
         assert "grid_m" not in seen
+
+
+def s1_steps(seed: int, n: int) -> np.ndarray:
+    """A mesh with ratios drawn in [0.05, 3.5] and steps clipped to [1e-4, 0.5]."""
+    gen = np.random.default_rng(seed)
+    ratios = gen.uniform(0.05, 3.5, size=n - 1)
+    steps = np.empty(n)
+    steps[0] = 1e-2
+    for k in range(1, n):
+        steps[k] = min(max(steps[k - 1] * ratios[k - 1], 1e-4), 0.5)
+    return steps
+
+
+class TestKernelsReportBytes:
+    # sha256 of each report, rows and footer, as the per-entry float()
+    # rows and the appended footer wrote it; level 1's b1 is "0", not "-0"
+    GOLDEN = {
+        "random:300,1.0,2023":
+            "d7c65f6a57c5776228df1e367a3cbd31593e3a81e8b8e6e8a65e66337da46b38",
+        "random:300,1.0,78396460":
+            "dc02cf64622d492d9dc22040d13c5f1dc6f5c776ec5b76ddbf3db49b00fb9738",
+        "uniform:200,1.0":
+            "757891136c2b1c225a23b885e7e0091938d34f9c732e656a74844b7e81833900",
+        "random:1,1.0,3":
+            "954a8b3502a86cdea4b9850df8da164d1bc951f58b7c9cef4dbe58dec07e03db",
+        "s1:2023,300":
+            "835e93dcaa2f2383cb05c8b4e56f24adea4d33b61c498dabc69971cbb22aa170",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(GOLDEN))
+    def test_report_bytes(self, spec, tmp_path, capsys):
+        mesh_arg = spec
+        if spec.startswith("s1:"):
+            seed, n = (int(x) for x in spec[3:].split(","))
+            taus = tmp_path / "s1_steps.txt"
+            taus.write_text("".join("%.17g\n" % s for s in s1_steps(seed, n)))
+            mesh_arg = str(taus)
+        report = tmp_path / "k.csv"
+        assert main(["kernels", "--mesh", mesh_arg, "--report", str(report)]) == 0
+        capsys.readouterr()
+        data = report.read_bytes()
+        assert data.count(b"\n# lam_min=") == 1 and data.endswith(b"\n")
+        assert hashlib.sha256(data).hexdigest() == self.GOLDEN[spec]
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_calls_are_independent(self, tmp_path, monkeypatch):
+        # the first call reads a config file, the second has none: nothing
+        # the first one set may reach the second through the shared parser
+        captured = []
+        monkeypatch.setattr(ex, "run_convergence",
+                            lambda **kw: captured.append(kw) or [])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 7\nmesh-kind = uniform\n")
+        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["--config", str(cfg), "convergence", "--out", out1]) == 0
+        assert main(["convergence", "--out", out2]) == 0
+        assert [(kw["seed"], kw["mesh_kind"]) for kw in captured] == [
+            (7, "uniform"), (2023, "random")]
+        with open(os.path.join(out2, "config.txt")) as fh:
+            echoed = fh.read()
+        assert "config = None" in echoed
+        assert "seed = 2023" in echoed
+
+    def test_compare_schemes_do_not_accumulate(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_compare", lambda args: seen.append(args.scheme) or 0)
+        assert main(["compare", "--scheme", "cn"]) == 0
+        assert main(["compare", "--scheme", "bdf2"]) == 0
+        assert main(["compare"]) == 0
+        assert seen == [["cn"], ["bdf2"], None]
+
+
+class TestPolycrystalLong:
+    M, L, T, SNAPS, SEED = 32, 256.0, 2.0, (1, 2), 5
+
+    def test_long_leg_outputs(self, tmp_path, monkeypatch, capsys):
+        run, run_long = ex.run_polycrystal, ex.run_polycrystal_long
+        small = {"M": self.M, "L": self.L, "T": self.T}
+        monkeypatch.setattr(ex, "run_polycrystal", lambda **kw: run(**{**kw, **small}))
+        monkeypatch.setattr(ex, "run_polycrystal_long",
+                            lambda **kw: run_long(**{**kw, **small,
+                                                     "snapshot_times": self.SNAPS}))
+        out = tmp_path / "poly"
+        rc = main(["polycrystal", "--long", "--seed", str(self.SEED), "--out", str(out)])
+        assert rc == 0
+        assert "long leg:" in capsys.readouterr().out
+        snaps = sorted(f for f in os.listdir(out) if f.startswith("snapshot_t"))
+        assert snaps == ["snapshot_t1.csv", "snapshot_t2.csv"]
+        with open(out / "energy_long.csv") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == ",".join(ex.ENERGY_HEADER)
+        times = [float(ln.split(",")[0]) for ln in lines[1:]]
+        # each snapshot is the first step that reaches its target time
+        for target in self.SNAPS:
+            phi, t = load_snapshot(out / f"snapshot_t{target}.csv")
+            assert (phi.grid.M, phi.grid.L) == (self.M, self.L)
+            assert t == min(s for s in times if s >= target)
+        # the t = 0 row is the seeded initial data, with E_mod = E
+        g = Grid2D(self.M, self.L)
+        phi0 = ex.patched_initial(g, seed=self.SEED)
+        t0, tau0, e, e_mod, m0, linf, iters = lines[1].split(",")
+        assert (float(t0), float(tau0), int(iters)) == (0.0, 0.0, 0)
+        assert float(e) == energy(phi0, PfcParams(0.25, g))
+        assert e_mod == e
+        assert float(m0) == mass(phi0)
+        assert float(linf) == float(np.max(np.abs(phi0.values)))
+        assert times[-1] >= self.T

@@ -202,6 +202,27 @@ class TestEnergyLog:
         assert recs[0].E_mod == recs[0].E
         assert recs[2].E_mod == recs[2].E  # no next step: r = 0
 
+    def test_distance_reuses_record_max_norm(self, monkeypatch):
+        # the log hands step_distance_sq the linf it has just computed, so
+        # the mean check makes no second max|phi| pass
+        from pfc.model import step_distance_sq
+        g = Grid2D(32, 8.0)
+        p = PfcParams(0.2, g)
+        phi0 = random_initial(0.1, 0.02, g, 11)
+        seen = []
+
+        def spy(phi, prev, linf=None):
+            seen.append((linf, float(np.max(np.abs(phi.values)))))
+            got = step_distance_sq(phi, prev, linf)
+            assert got == step_distance_sq(phi, prev)
+            return got
+
+        monkeypatch.setattr(ex, "step_distance_sq", spy)
+        _, recs, _ = run_with_energy_log(phi0, [0.01, 0.02, 0.01], p)
+        assert len(seen) == 3
+        assert [linf for linf, _ in seen] == [r.linf for r in recs[1:]]
+        assert all(linf == want for linf, want in seen)
+
     @pytest.mark.parametrize("amp", [1e-3, 1e-6, 1e-9])
     def test_settled_run_logs(self, amp):
         # once the run settles, the history difference has a roundoff mean
@@ -373,9 +394,9 @@ class TestKernelsReport:
         assert "lam_min=" in text
 
     def test_report_memory_is_linear(self):
-        # the O(N) recurrences keep a report at N = 2e4 to a few MB: 5.7 MB
-        # measured, nearly all of it the returned rows, where a triangular
-        # DOC table alone would take 1.6 GB
+        # the O(N) recurrences keep a report at N = 2e4 to a few MB: 6.7 MB
+        # measured, nearly all of it the returned rows and the columns they
+        # are zipped from, where a triangular DOC table alone would take 1.6 GB
         m = random_mesh(20000, 1.0, 3)
         tracemalloc.start()
         try:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import constant_field, coords, hminus1_norm, inv_laplacian, load_snapshot
 from pfc.grid import (Field, Grid2D, GridMismatchError, MeanZeroError, gradient, inner,
-                      laplacian, mean, norms, save_snapshot)
+                      l2_norm, laplacian, mean, norms, save_snapshot)
 
 
 def make_grid(M=32, L=8.0):
@@ -85,6 +85,13 @@ class TestNorms:
         l2, _, linf = norms(sin_x(make_grid()))
         assert l2 == pytest.approx(np.sqrt(32.0), rel=1e-13)
         assert linf == pytest.approx(1.0)
+
+    def test_l2_norm_is_first_of_norms(self, rng):
+        for M, L in ((4, 1.0), (32, 8.0), (64, 64.0)):
+            g = make_grid(M, L)
+            for f in (sin_x(g), constant_field(g, -1.7),
+                      Field(g, 0.285 + rng.standard_normal((M, M)))):
+                assert l2_norm(f) == norms(f)[0]
 
 
 class TestLaplacian:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_s1_mesh
+from conftest import random_s1_mesh, scalar_random_mesh
 from pfc.mesh import (R_SUP, TimeMesh, analyze, check_restriction,
                       mesh_from_ratios, parse_mesh_spec, random_mesh,
                       stability_bound, uniform_mesh)
@@ -64,6 +64,12 @@ class TestRandomMesh:
         m = random_mesh(320, 1.0, 7)
         assert np.all(m.steps > 0)
         assert m.T == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 2023, 78396460, 2**64 - 1])
+    @pytest.mark.parametrize("N", [1, 2, 7, 300])
+    def test_block_draw_matches_scalar_draws(self, N, seed):
+        assert np.array_equal(random_mesh(N, 1.0, seed).steps,
+                              scalar_random_mesh(N, 1.0, seed).steps)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

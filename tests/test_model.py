@@ -121,6 +121,20 @@ class TestModifiedEnergy:
         with pytest.raises(MeanZeroError):
             modified_energy(shifted, prev, 0.5, 1.0, p)
 
+    def test_step_distance_with_given_max_norm(self, setup, rng):
+        # a caller's linf stands in for the max|phi_k| scan, and only there
+        g, p = setup
+        prev = Field(g, 0.285 + 1e-3 * rng.standard_normal((g.M, g.M)))
+        d = rng.standard_normal((g.M, g.M))
+        f = Field(g, prev.values + d - d.mean())
+        linf = float(np.max(np.abs(f.values)))
+        assert step_distance_sq(f, prev, linf) == step_distance_sq(f, prev)
+        shifted = Field(g, prev.values + 1e-6)
+        with pytest.raises(MeanZeroError):
+            step_distance_sq(shifted, prev, float(np.max(np.abs(shifted.values))))
+        # the check is judged at the scale passed in
+        step_distance_sq(shifted, prev, 1e7)
+
     def test_never_below_plain_energy(self, setup, rng):
         g, p = setup
         for _ in range(10):

@@ -138,6 +138,29 @@ class TestBDF2:
         with pytest.raises(ValueError):
             bdf2_step(StepperState(constant_field(g, 0.0)), -0.1, p)
 
+    def test_solved_field_skips_finite_check(self, setup, rng, monkeypatch):
+        # a converged solve has a finite increment, so its iterate is finite:
+        # the field is made without the constructor's np.isfinite pass
+        g, p = setup
+        phi0 = random_field(g, rng)
+        checked = []
+        post_init = Field.__post_init__
+        monkeypatch.setattr(Field, "__post_init__",
+                            lambda self: checked.append(1) or post_init(self))
+        phi, stats = bdf2_step(StepperState(phi0), 0.01, p)
+        assert stats.converged
+        assert checked == []
+        assert phi.values.dtype == np.float64
+        assert phi.values.shape == (g.M, g.M)
+        assert np.all(np.isfinite(phi.values))
+        assert phi.nl_hat is not None
+        assert np.array_equal(phi.hat, phi.__dict__["hat"])
+        # the constructor still refuses non-finite values
+        vals = phi.values.copy()
+        vals[3, 5] = np.nan
+        with pytest.raises(ValueError):
+            Field(g, vals)
+
     def test_divergence_stops_early(self):
         # a large seeded patch at tau = 2: the iterates overflow, and the
         # solve must stop at the first non-finite residual
