@@ -16,7 +16,7 @@ solution only; history is untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class AdaptiveConfig:
     tau_max: float = 0.5
     tau_min: float = 1e-4
     ratio_cap: float = 3.561
-    err_norm: str = "l2"  # or "max"
 
     def __post_init__(self):
         if not (0 < self.tau_min < self.tau_max):
@@ -65,13 +64,9 @@ class AdaptiveStep:
     stats: SolveStats
 
 
-def _increment_norm(diff: np.ndarray, ref: np.ndarray, area: float, kind: str) -> float:
-    if kind == "max":
-        denom = float(np.max(np.abs(ref)))
-        num = float(np.max(np.abs(diff)))
-    else:
-        denom = float(np.sqrt(area * np.sum(ref * ref)))
-        num = float(np.sqrt(area * np.sum(diff * diff)))
+def _increment_norm(diff: np.ndarray, ref: np.ndarray, area: float) -> float:
+    denom = float(np.sqrt(area * np.sum(ref * ref)))
+    num = float(np.sqrt(area * np.sum(diff * diff)))
     if denom < 1e-14:
         return num
     return num / denom
@@ -93,7 +88,7 @@ def adaptive_advance(state: StepperState, tau_trial: float, cfg: AdaptiveConfig,
             rejections += 1
             continue
         e = _increment_norm(phi_new.values - state.phi_prev.values,
-                            phi_new.values, area, cfg.err_norm)
+                            phi_new.values, area)
         if e < cfg.tol:
             tau_next = min(max(cfg.tau_min, tau_ada(e, tau, cfg)), cfg.tau_max)
             return AdaptiveStep(phi_new, tau, tau_next, e, rejections, stats)
@@ -103,33 +98,21 @@ def adaptive_advance(state: StepperState, tau_trial: float, cfg: AdaptiveConfig,
         rejections += 1
 
 
-@dataclass
-class AdaptiveRun:
-    taus: list[float] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)
-
-    @property
-    def steps(self) -> int:
-        return len(self.taus)
-
-
 def adaptive_run(phi0: Field, T: float, cfg: AdaptiveConfig, p: PfcParams,
                  tau_init: float | None = None, observer=None):
-    """Run the controller until time T; returns the final state and the log.
+    """Run the controller until time T and return the final state.
 
     The first trial step defaults to tau_min.  ``observer(state, stats)`` is
-    called after every accepted step with the solve stats of that step.
+    called after every accepted step with the solve stats of that step; the
+    state carries the accepted step as ``tau_prev`` and its time as ``t``.
     """
     state = StepperState(phi0)
     tau_next = tau_init if tau_init is not None else cfg.tau_min
-    log = AdaptiveRun()
     while state.t < T * (1.0 - 1e-12):
         tau_trial = min(tau_next, T - state.t)
         step = adaptive_advance(state, tau_trial, cfg, p)
         state = state.advanced(step.phi, step.tau_accepted)
         tau_next = step.tau_next
-        log.taus.append(step.tau_accepted)
-        log.times.append(state.t)
         if observer is not None:
             observer(state, step.stats)
-    return state, log
+    return state

@@ -18,6 +18,8 @@ import functools
 import os
 import sys
 
+import numpy as np
+
 from . import experiments as ex
 from .adaptive import AdaptiveConfig
 from .mesh import parse_mesh_spec
@@ -63,23 +65,24 @@ def config_value(action: argparse.Action, key: str, text: str):
     return values if repeatable else values[0]
 
 
-def apply_config(parser: argparse.ArgumentParser, args, file_cfg: dict):
-    """Fill options still at their defaults from the config file.
+def apply_config(parser: argparse.ArgumentParser, given, file_cfg: dict):
+    """Fill the options missing from ``given`` from the config file.
 
-    Keys of another subcommand are skipped; a key that names no option at
-    all is an error.
+    ``given`` is a parse by ``_given_parser``, so it holds the subcommand and
+    only the options on the command line: those win over the file, whatever
+    their value.  Keys of another subcommand are skipped; a key that names
+    no option at all is an error.
     """
     parsers = [parser, *parser.subcommands.values()]
     known = {a.dest for p in parsers for a in p._actions}
-    actions = {a.dest: a for a in parser.subcommands[args.command]._actions}
+    actions = {a.dest: a for a in parser.subcommands[given.command]._actions}
     for key, text in file_cfg.items():
         dest = key.replace("-", "_")
         if dest not in known:
             raise ValueError(f"unknown config key {key!r}")
         action = actions.get(dest)
-        # command-line flags win: only fill values still at default
-        if action is not None and getattr(args, dest) == action.default:
-            setattr(args, dest, config_value(action, key, text))
+        if action is not None and not hasattr(given, dest):
+            setattr(given, dest, config_value(action, key, text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,10 +160,11 @@ def cmd_compare(args) -> int:
     for (scheme, tau), recs in res.energy_logs.items():
         ex.write_csv(os.path.join(args.out, f"energy_{scheme}_tau{tau:g}.csv"),
                      ex.ENERGY_HEADER, ex.energy_rows(recs))
-    if res.mean_iters:
+    if res.energy_logs:
         ex.write_csv(os.path.join(args.out, "mean_iterations.csv"),
                      ["scheme", "tau", "mean_iters"],
-                     [(s, float(t), v) for (s, t), v in res.mean_iters.items()])
+                     [(s, float(t), float(np.mean([r.iters for r in recs[1:]])))
+                      for (s, t), recs in res.energy_logs.items()])
     print(f"compare outputs in {args.out}")
     return 0
 
@@ -177,10 +181,10 @@ def cmd_polycrystal(args) -> int:
     print(f"uniform steps: {len(res.uniform_records) - 1}, "
           f"adaptive steps: {res.adaptive_steps}")
     if args.long:
-        _, log, recs = ex.run_polycrystal_long(seed=args.seed, out_dir=args.out)
+        _, recs = ex.run_polycrystal_long(seed=args.seed, out_dir=args.out)
         ex.write_csv(os.path.join(args.out, "energy_long.csv"),
                      ex.ENERGY_HEADER, ex.energy_rows(recs))
-        print(f"long leg: {log.steps} adaptive steps")
+        print(f"long leg: {len(recs) - 1} adaptive steps")
     return 0
 
 
@@ -190,12 +194,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _given_parser() -> argparse.ArgumentParser:
+    """A second parser whose options have no defaults: its parse holds only the
+    options on the command line."""
+    parser = build_parser()
+    for p in (parser, *parser.subcommands.values()):
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return parser
+
+
 def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            apply_config(parser, args, load_config(args.config))
+            given = _given_parser().parse_args(argv)
+            apply_config(parser, given, load_config(args.config))
+            vars(args).update(vars(given))
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -102,7 +102,7 @@ def run_bdf2_forced(mesh: TimeMesh, grid: Grid2D, p: PfcParams) -> float:
     """Forced-problem run from the exact initial profile; returns the L2 error."""
     phi0 = exact_solution(0.0, grid)
     forcing = lambda t: manufactured_forcing(t, grid, p)
-    state, _ = run_fixed_mesh(phi0, mesh.steps, p, "bdf2", forcing_fn=forcing)
+    state = run_fixed_mesh(phi0, mesh.steps, p, "bdf2", forcing_fn=forcing)
     ref = exact_solution(mesh.T, grid)
     return l2_norm(Field(grid, state.phi_prev.values - ref.values))
 
@@ -134,6 +134,9 @@ def run_convergence(M: int = 128, L: float = 8.0, eps: float = 0.02,
 class EnergyLog:
     """``observer`` for ``run_fixed_mesh`` and ``adaptive_run``: a record at t = 0 and per step.
 
+    The records are the run's one step log: t, tau (the accepted step) and
+    the step's iterations, next to the diagnostics below.
+
     Record k's E_mod = E + r/(2(1+r)tau_k) ||phi_k - phi_{k-1}||_{-1}^2 needs
     r = tau_{k+1}/tau_k, so it is completed when step k+1 arrives; the newest
     record keeps r = 0 (E_mod = E).  ``energy`` and the distance read the
@@ -163,18 +166,16 @@ class EnergyLog:
 
 
 def run_with_energy_log(phi0: Field, steps, p: PfcParams, scheme: str = "bdf2"):
-    """Fixed-mesh run with an EnergyLog; returns (state, records, per-step stats)."""
+    """Fixed-mesh run with an EnergyLog; returns (state, records)."""
     log = EnergyLog(phi0, p)
-    state, stats = run_fixed_mesh(phi0, steps, p, scheme, observer=log)
-    return state, log.records, stats
+    return run_fixed_mesh(phi0, steps, p, scheme, observer=log), log.records
 
 
 @dataclass
 class CompareResult:
     profiles: dict = field(default_factory=dict)   # (scheme, tau) -> midline array
     reference: np.ndarray | None = None
-    mean_iters: dict = field(default_factory=dict)  # (scheme, tau) -> float
-    energy_logs: dict = field(default_factory=dict)
+    energy_logs: dict = field(default_factory=dict)   # (scheme, tau) -> records
 
 
 def midline(phi: Field) -> np.ndarray:
@@ -195,23 +196,21 @@ def run_compare(M: int = 128, L: float = 64.0, eps: float = 0.2,
     out = CompareResult()
 
     n_ref = round(profile_T / ref_tau)
-    ref_state, _ = run_fixed_mesh(phi0, [ref_tau] * n_ref, p, "bdf2")
+    ref_state = run_fixed_mesh(phi0, [ref_tau] * n_ref, p, "bdf2")
     out.reference = midline(ref_state.phi_prev)
 
     for tau in profile_taus:
         n = round(profile_T / tau)
         for scheme in schemes:
-            state, _ = run_fixed_mesh(phi0, [tau] * n, p, scheme)
+            state = run_fixed_mesh(phi0, [tau] * n, p, scheme)
             out.profiles[(scheme, tau)] = midline(state.phi_prev)
 
     if with_energy_runs:
         for tau in energy_taus:
             n = round(energy_T / tau)
             for scheme in schemes:
-                _, recs, stats = run_with_energy_log(phi0, [tau] * n, p, scheme)
-                out.energy_logs[(scheme, tau)] = recs
-                out.mean_iters[(scheme, tau)] = float(
-                    np.mean([s.iterations for s in stats]))
+                out.energy_logs[(scheme, tau)] = run_with_energy_log(
+                    phi0, [tau] * n, p, scheme)[1]
     return out
 
 
@@ -225,11 +224,23 @@ def oscillation_indicator(profile: np.ndarray) -> int:
 
 @dataclass
 class PolycrystalResult:
+    """The energy logs of both legs; the adaptive step data are read from its records."""
+
     uniform_records: list[EnergyRecord]
     adaptive_records: list[EnergyRecord]
-    adaptive_steps: int
-    adaptive_taus: list[float]
-    adaptive_ratios: list[float]
+
+    @property
+    def adaptive_steps(self) -> int:
+        return len(self.adaptive_records) - 1
+
+    @property
+    def adaptive_taus(self) -> list[float]:
+        return [r.tau for r in self.adaptive_records[1:]]
+
+    @property
+    def adaptive_ratios(self) -> list[float]:
+        taus = self.adaptive_taus
+        return [b / a for a, b in zip(taus, taus[1:])]
 
 
 def run_polycrystal(M: int = 256, L: float = 256.0, eps: float = 0.25,
@@ -243,12 +254,12 @@ def run_polycrystal(M: int = 256, L: float = 256.0, eps: float = 0.25,
         cfg = AdaptiveConfig()
 
     n_uni = round(T / uniform_tau)
-    _, uni_recs, _ = run_with_energy_log(phi0, [uniform_tau] * n_uni, p, "bdf2")
+    # only the records are kept: a held final state would keep its fields and
+    # spectra alive through the adaptive leg
+    uni_recs = run_with_energy_log(phi0, [uniform_tau] * n_uni, p, "bdf2")[1]
     ada = EnergyLog(phi0, p)
-    _, log = adaptive_run(phi0, T, cfg, p, observer=ada)
-    taus = log.taus
-    ratios = [taus[k] / taus[k - 1] for k in range(1, len(taus))]
-    return PolycrystalResult(uni_recs, ada.records, log.steps, taus, ratios)
+    adaptive_run(phi0, T, cfg, p, observer=ada)
+    return PolycrystalResult(uni_recs, ada.records)
 
 
 def run_polycrystal_long(M: int = 256, L: float = 256.0, eps: float = 0.25,
@@ -256,7 +267,8 @@ def run_polycrystal_long(M: int = 256, L: float = 256.0, eps: float = 0.25,
                          snapshot_times=(1, 100, 150, 400, 800, 1000),
                          out_dir: str | None = None,
                          cfg: AdaptiveConfig | None = None):
-    """Long adaptive leg with snapshots at the first step reaching each target."""
+    """Long adaptive leg with snapshots at the first step reaching each target;
+    returns the final state and the energy records."""
     grid = Grid2D(M, L)
     p = PfcParams(eps, grid)
     phi0 = patched_initial(grid, seed=seed)
@@ -273,8 +285,7 @@ def run_polycrystal_long(M: int = 256, L: float = 256.0, eps: float = 0.25,
                 save_snapshot(os.path.join(out_dir, f"snapshot_t{tgt:g}.csv"),
                               state.phi_prev, state.t)
 
-    state, log = adaptive_run(phi0, T, cfg, p, observer=observer)
-    return state, log, energy_log.records
+    return adaptive_run(phi0, T, cfg, p, observer=observer), energy_log.records
 
 
 def kernels_report(mesh: TimeMesh, out_path: str | None = None):

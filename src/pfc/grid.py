@@ -8,13 +8,11 @@ are stored as M x M real arrays with ``values[i, j]`` the sample at
 ``(i*h, j*h)``.
 
 Multipliers live in the one layout that pairs with ``forward``/``backward``:
-the half plane (``k2_half``, ``ikx_half``, ``iky_half``, and the H^-1 weight
-``inv_k2_folded``), rows in numpy ``fftfreq`` order and columns in
-``rfftfreq`` order.  The first-derivative multiplier is zeroed on the
-Nyquist mode so that derivatives of real fields stay real; the
-second-derivative multiplier keeps the full -nu^2 (M/2)^2 weight there.
-Weights of Parseval sums are stored folded (``fold_conjugates``), so that
-``sum_of_squares`` is one dot product.
+the half plane (``k2_half`` and the H^-1 weight ``inv_k2_folded``), rows in
+numpy ``fftfreq`` order and columns in ``rfftfreq`` order.  The
+second-derivative multiplier keeps the full -nu^2 (M/2)^2 weight on the
+Nyquist mode.  Weights of Parseval sums are stored folded
+(``fold_conjugates``), so that ``sum_of_squares`` is one dot product.
 """
 
 from __future__ import annotations
@@ -51,12 +49,6 @@ class Grid2D:
         lx = np.fft.fftfreq(self.M, d=1.0 / self.M)[:, None]
         ly = np.fft.rfftfreq(self.M, d=1.0 / self.M)
         self.k2_half = self.nu**2 * (lx**2 + ly**2)
-        # first derivatives: drop the unmatched Nyquist mode
-        shape = self.k2_half.shape
-        self.ikx_half = np.ascontiguousarray(np.broadcast_to(1j * self.nu * lx, shape))
-        self.iky_half = np.ascontiguousarray(np.broadcast_to(1j * self.nu * ly, shape))
-        self.ikx_half[self.M // 2, :] = 0.0
-        self.iky_half[:, self.M // 2] = 0.0
         # 1/k^2, 0 on the zero mode, folded for sum_of_squares
         self.inv_k2_folded = np.zeros_like(self.k2_half)
         np.divide(1.0, self.k2_half, out=self.inv_k2_folded, where=self.k2_half > 0)
@@ -185,13 +177,6 @@ def mean(f: Field) -> float:
 def laplacian(f: Field) -> Field:
     g = f.grid
     return Field(g, backward(-g.k2_half * forward(f.values), g.M))
-
-
-def gradient(f: Field) -> tuple[Field, Field]:
-    g = f.grid
-    fh = forward(f.values)
-    return (Field(g, backward(g.ikx_half * fh, g.M)),
-            Field(g, backward(g.iky_half * fh, g.M)))
 
 
 def save_snapshot(path, f: Field, t: float):

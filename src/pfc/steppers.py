@@ -49,9 +49,10 @@ NL_LEVELS = 5   # nonlinearity spectra kept for the BDF2 start
 
 @dataclass
 class SolveStats:
+    """A solve that returns has converged; a failed one raises ``SolverError``."""
+
     iterations: int
     final_residual: float
-    converged: bool
 
 
 class SolverError(RuntimeError):
@@ -151,17 +152,15 @@ def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray
                 # a finite increment rules out a non-finite iterate
                 out = Field.unchecked(grid, phi, nl_hat)
                 out.hat = x
-                return out, SolveStats(it, res, True)
+                return out, SolveStats(it, res)
             # kept into the next iteration, these would add three grid
             # arrays to the solve's peak memory
             del nl_hat, x, d
             if not math.isfinite(res):
                 raise SolverError(f"fixed-point iteration diverged at iteration {it} "
-                                  f"(residual {res:.3e})", SolveStats(it, res, False))
-    stats = SolveStats(MAX_ITER, res, False)
-    raise SolverError(
-        f"fixed-point iteration failed to converge (residual {res:.3e})", stats
-    )
+                                  f"(residual {res:.3e})", SolveStats(it, res))
+    raise SolverError(f"fixed-point iteration failed to converge (residual {res:.3e})",
+                      SolveStats(MAX_ITER, res))
 
 
 def _cube(phi):
@@ -333,17 +332,17 @@ def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",
                    forcing_fn=None, observer=None):
     """Advance a trajectory over a fixed step sequence.
 
-    Returns the final state and the list of per-step SolveStats, and calls
-    ``observer(state, stats)`` after every step.  The CN scheme is one-step;
-    BDF2 starts with BDF1 and CNCS with the first-order convex-splitting
-    step.  Only BDF2 takes a forcing, ``forcing_fn(t)`` at the new level.
+    Returns the final state, and calls ``observer(state, stats)`` after
+    every step; the observer is the one way to see per-step data.  The CN
+    scheme is one-step; BDF2 starts with BDF1 and CNCS with the first-order
+    convex-splitting step.  Only BDF2 takes a forcing, ``forcing_fn(t)`` at
+    the new level.
     """
     if scheme not in ("bdf2", "cn", "cncs"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if forcing_fn is not None and scheme != "bdf2":
         raise ValueError(f"scheme {scheme!r} takes no forcing")
     state = StepperState(phi0)
-    all_stats = []
     for tau in mesh_steps:
         if scheme == "bdf2":
             forcing = forcing_fn(state.t + tau) if forcing_fn is not None else None
@@ -354,8 +353,7 @@ def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",
             phi_new, stats = cs1_step(state, tau, p)
         else:
             phi_new, stats = cncs_step(state, tau, p)
-        all_stats.append(stats)
         state = state.advanced(phi_new, tau)
         if observer is not None:
             observer(state, stats)
-    return state, all_stats
+    return state

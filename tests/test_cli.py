@@ -169,6 +169,23 @@ class TestCommands:
         assert rc == 0
         assert captured["seed"] == 99
 
+    @pytest.mark.parametrize("text,flags,dest,want", [
+        ("seed = 7\n", ["--seed", "2023"], "seed", 2023),
+        ("seed = 7\n", ["--seed=2023"], "seed", 2023),
+        ("mesh-kind = uniform\n", ["--mesh-kind", "random"], "mesh_kind", "random")],
+        ids=["seed", "seed-equals-sign", "mesh-kind"])
+    def test_flag_at_default_wins_over_config(self, tmp_path, monkeypatch,
+                                              text, flags, dest, want):
+        # a flag given on the command line wins even when its value is the default
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        captured = {}
+        monkeypatch.setattr(ex, "run_convergence", lambda **kw: captured.update(kw) or [])
+        rc = main(["--config", str(cfg), "convergence", *flags,
+                   "--out", str(tmp_path / "conv")])
+        assert rc == 0
+        assert captured[dest] == want
+
 
 class TestConfigValues:
     @staticmethod

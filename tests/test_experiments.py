@@ -88,8 +88,8 @@ class TestCsv:
 
     def test_same_bytes_as_per_value_writer(self, tmp_path):
         g = Grid2D(16, 8.0)
-        _, recs, _ = run_with_energy_log(random_initial(0.1, 0.02, g, 3), [0.05] * 4,
-                                         PfcParams(0.2, g))
+        _, recs = run_with_energy_log(random_initial(0.1, 0.02, g, 3), [0.05] * 4,
+                                      PfcParams(0.2, g))
         kernel_rows, _ = kernels_report(random_mesh(30, 1.0, 7))
         mixed = [(1, True, False, 0.1, np.float64(0.1), np.float32(0.1), np.int64(3)),
                  ["cn", None, float("nan"), -float("inf"), 0.0, -0.0, 5e-324],
@@ -138,9 +138,8 @@ class TestConvergence:
         run = ex.run_fixed_mesh
 
         def counted(*args, **kwargs):
-            state, stats = run(*args, **kwargs)
-            iterations.extend(s.iterations for s in stats)
-            return state, stats
+            return run(*args, **kwargs,
+                       observer=lambda _, stats: iterations.append(stats.iterations))
 
         monkeypatch.setattr(ex, "run_fixed_mesh", counted)
         run_convergence(M=32, ladder=(20, 40, 80, 160, 320), seed=2023)
@@ -158,8 +157,11 @@ class TestConvergence:
         p = PfcParams(0.2, g)
         phi0 = random_initial(0.1, 0.02, g, 2023)
         calls = count_transforms(monkeypatch)
-        _, stats = steppers.run_fixed_mesh(phi0, [1e-2] * 50, p)
-        assert len(calls) == 2 * sum(s.iterations for s in stats) - 49 + 1
+        iterations = []
+        steppers.run_fixed_mesh(phi0, [1e-2] * 50, p,
+                                observer=lambda _, stats: iterations.append(stats.iterations))
+        assert len(iterations) == 50
+        assert len(calls) == 2 * sum(iterations) - 49 + 1
         assert len(calls) <= 280
 
     def test_forced_error_scale(self):
@@ -174,9 +176,9 @@ class TestEnergyLog:
         g = Grid2D(32, 8.0)
         p = PfcParams(0.2, g)
         phi0 = random_initial(0.1, 0.02, g, 11)
-        state, recs, stats = run_with_energy_log(phi0, [0.01] * 30, p)
+        _, recs = run_with_energy_log(phi0, [0.01] * 30, p)
         assert len(recs) == 31
-        assert len(stats) == 30
+        assert [r.tau for r in recs[1:]] == [0.01] * 30
         e_mod = [r.E_mod for r in recs]
         assert all(b <= a * (1 + 1e-10) + 1e-12 for a, b in zip(e_mod, e_mod[1:]))
         m0 = recs[0].mass
@@ -193,7 +195,7 @@ class TestEnergyLog:
         calls = []
         energy = ex.energy
         monkeypatch.setattr(ex, "energy", lambda phi, q: calls.append(1) or energy(phi, q))
-        _, recs, _ = run_with_energy_log(phi0, steps, p)
+        _, recs = run_with_energy_log(phi0, steps, p)
         assert len(calls) == len(steps) + 1
         # E plus the history term is still the modified energy
         want = modified_energy(phi1, phi0, steps[0], steps[1] / steps[0], p)
@@ -218,7 +220,7 @@ class TestEnergyLog:
             return got
 
         monkeypatch.setattr(ex, "step_distance_sq", spy)
-        _, recs, _ = run_with_energy_log(phi0, [0.01, 0.02, 0.01], p)
+        _, recs = run_with_energy_log(phi0, [0.01, 0.02, 0.01], p)
         assert len(seen) == 3
         assert [linf for linf, _ in seen] == [r.linf for r in recs[1:]]
         assert all(linf == want for linf, want in seen)
@@ -230,7 +232,7 @@ class TestEnergyLog:
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)
         noise = np.random.default_rng(1).standard_normal((g.M, g.M))
-        _, recs, _ = run_with_energy_log(Field(g, 0.285 + amp * noise), [0.5] * 40, p)
+        _, recs = run_with_energy_log(Field(g, 0.285 + amp * noise), [0.5] * 40, p)
         assert len(recs) == 41
         assert all(r.E_mod >= r.E for r in recs)
 
@@ -244,9 +246,10 @@ class TestEnergyLog:
         g = Grid2D(32, 8.0)
         p = PfcParams(0.2, g)
         phi0 = random_initial(0.1, 0.02, g, 11)
-        _, recs, stats = run_with_energy_log(phi0, [0.01, 0.02, 0.01, 0.03], p)
+        _, recs = run_with_energy_log(phi0, [0.01, 0.02, 0.01, 0.03], p)
         assert recs[1].E_mod > recs[1].E
-        assert len(calls) == sum(2 * s.iterations for s in stats) - (len(stats) - 1) + 1
+        steps = recs[1:]
+        assert len(calls) == sum(2 * r.iters for r in steps) - (len(steps) - 1) + 1
 
 
 def count_outermost_steps(monkeypatch) -> list:
@@ -286,11 +289,18 @@ class TestRunLoops:
         calls = count_outermost_steps(monkeypatch)
         g = Grid2D(32, 8.0)
         p = PfcParams(0.2, g)
-        _, recs, stats = run_with_energy_log(random_initial(0.1, 0.02, g, 11),
-                                             [0.01] * 6, p, scheme)
+        phi0 = random_initial(0.1, 0.02, g, 11)
+        log, seen = EnergyLog(phi0, p), []
+
+        def observer(state, stats):
+            log(state, stats)
+            seen.append(stats.iterations)
+
+        steppers.run_fixed_mesh(phi0, [0.01] * 6, p, scheme, observer=observer)
+        recs = log.records
         assert len(calls) == len(recs) - 1 == 6
         assert [it for _, it in calls] == [r.iters for r in recs[1:]]
-        assert sum(r.iters for r in recs) == sum(s.iterations for s in stats)
+        assert sum(r.iters for r in recs) == sum(seen)
 
     def test_adaptive(self, monkeypatch):
         calls = count_outermost_steps(monkeypatch)
@@ -299,8 +309,9 @@ class TestRunLoops:
         X, Y = coords(g)
         phi0 = Field(g, 0.1 + 0.05 * np.sin(g.nu * X) * np.cos(g.nu * Y))
         log = EnergyLog(phi0, p)
-        _, run = adaptive_run(phi0, 0.5, AdaptiveConfig(), p, observer=log)
-        assert len(calls) == run.steps == len(log.records) - 1
+        state = adaptive_run(phi0, 0.5, AdaptiveConfig(), p, observer=log)
+        assert len(calls) == len(log.records) - 1
+        assert log.records[-1].t == state.t
         assert {name for name, _ in calls} == {"adaptive_advance"}
         assert [it for _, it in calls] == [r.iters for r in log.records[1:]]
 
@@ -350,7 +361,7 @@ class TestEnergyLawOnS1Meshes:
             mesh = random_s1_mesh(rng, n_max=120, n_min=40)
             if check_restriction(mesh, p.eps):
                 continue
-            _, recs, _ = run_with_energy_log(phi0, mesh.steps, p)
+            _, recs = run_with_energy_log(phi0, mesh.steps, p)
             e_mod = np.array([r.E_mod for r in recs])
             assert np.all(np.diff(e_mod) <= 1e-9 * np.abs(e_mod[:-1]))
             m0 = recs[0].mass

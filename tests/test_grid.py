@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from conftest import constant_field, coords, hminus1_norm, inv_laplacian, load_snapshot
-from pfc.grid import (Field, Grid2D, GridMismatchError, MeanZeroError, gradient, inner,
-                      l2_norm, laplacian, mean, norms, save_snapshot)
+from conftest import (constant_field, coords, full_grad, hminus1_norm, inv_laplacian,
+                      load_snapshot)
+from pfc.grid import (Field, Grid2D, GridMismatchError, MeanZeroError, inner, l2_norm,
+                      laplacian, mean, norms, save_snapshot)
 
 
 def make_grid(M=32, L=8.0):
@@ -126,33 +127,6 @@ class TestLaplacian:
         assert inner(laplacian(f), f) <= 1e-11
 
 
-class TestGradient:
-    def test_constant(self):
-        gx, gy = gradient(constant_field(make_grid(), 2.0))
-        assert np.max(np.abs(gx.values)) == 0.0
-        assert np.max(np.abs(gy.values)) == 0.0
-
-    def test_single_mode(self):
-        g = make_grid()
-        gx, gy = gradient(sin_x(g))
-        X, _ = coords(g)
-        assert np.max(np.abs(gx.values - g.nu * np.cos(g.nu * X))) < 1e-12
-        assert np.max(np.abs(gy.values)) < 1e-14
-
-    def test_green_identity(self, rng):
-        # band-limited field: the first-derivative multiplier drops the
-        # Nyquist mode, so the identity holds only below it
-        g = make_grid()
-        fh = np.fft.fft2(rng.standard_normal((g.M, g.M)))
-        fh[g.M // 2, :] = 0.0
-        fh[:, g.M // 2] = 0.0
-        f = Field(g, np.fft.ifft2(fh).real)
-        gx, gy = gradient(f)
-        lhs = inner(Field(g, -laplacian(f).values), f)
-        rhs = inner(gx, gx) + inner(gy, gy)
-        assert lhs == pytest.approx(rhs, rel=1e-11)
-
-
 class TestInverseLaplacian:
     def test_eigenfunction(self):
         g = make_grid()
@@ -202,7 +176,8 @@ class TestHminus1:
             vals = rng.standard_normal((g.M, g.M))
             vals -= vals.mean()
             f = Field(g, vals)
-            gx, gy = gradient(f)
+            fh = np.fft.fft2(vals)
+            gx, gy = (Field(g, np.fft.ifft2(ik * fh).real) for ik in full_grad(g))
             grad_norm = np.sqrt(inner(gx, gx) + inner(gy, gy))
             assert inner(f, f) <= grad_norm * hminus1_norm(f) * (1 + 1e-11)
 

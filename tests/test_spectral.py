@@ -16,12 +16,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (count_transforms, full_grad, full_k2, full_lin_symbol,
-                      inv_laplacian, ref_cncs, ref_solve)
+from conftest import (count_transforms, full_k2, full_lin_symbol, inv_laplacian, ref_cncs,
+                      ref_solve)
 import pfc
 import pfc.steppers as steppers
-from pfc.grid import (Field, Grid2D, backward, forward, gradient, inner, laplacian,
-                      sum_of_squares)
+from pfc.grid import Field, Grid2D, backward, forward, inner, laplacian, sum_of_squares
 from pfc.model import PfcParams, chemical_potential, energy, manufactured_forcing
 from pfc.steppers import (NL_LEVELS, StepperState, bdf2_step, cn_step, cncs_step,
                           cs1_step, run_fixed_mesh)
@@ -164,15 +163,9 @@ class TestLayer:
     def test_half_multipliers_are_slices(self):
         g = Grid2D(16, 8.0)
         p = PfcParams(0.3, g)
-        ikx, iky = full_grad(g)
         assert g.k2_half.shape == (16, 9)
         assert np.array_equal(g.k2_half, full_k2(g)[:, :9])
-        assert np.array_equal(g.ikx_half, ikx[:, :9])
-        assert np.array_equal(g.iky_half, iky[:, :9])
         assert np.array_equal(p.lin_symbol_half, full_lin_symbol(p)[:, :9])
-        # the unmatched Nyquist modes stay zeroed in the half plane
-        assert np.all(g.ikx_half[8, :] == 0)
-        assert np.all(g.iky_half[:, 8] == 0)
 
     def test_memory_budget(self):
         """The 256^2 grid and parameters hold only half-plane multipliers and
@@ -207,11 +200,7 @@ class TestLayer:
         fh = np.fft.fft2(f.values)
         full = lambda mult: np.fft.ifft2(mult * fh).real
         k2 = full_k2(g)
-        ikx, iky = full_grad(g)
         assert np.max(np.abs(laplacian(f).values - full(-k2))) < 1e-12
-        gx, gy = gradient(f)
-        assert np.max(np.abs(gx.values - full(ikx))) < 1e-13
-        assert np.max(np.abs(gy.values - full(iky))) < 1e-13
         z = Field(g, f.values - np.mean(f.values))
         inv = np.zeros_like(k2)
         inv[k2 > 0] = 1.0 / k2[k2 > 0]
