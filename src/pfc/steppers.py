@@ -1,15 +1,19 @@
 """One-step advancement operators for the PFC gradient flow.
 
 All schemes share one solver pattern: the stiff linear part is inverted
-exactly mode-by-mode (the spectral symbol is diagonal) and the remaining
+exactly mode-by-mode (the spectral symbol S is diagonal) and the remaining
 terms are lagged in a fixed-point loop that stops when successive iterates
-differ by at most 1e-12 in the max norm.  Each scheme hands
-``fixed_point_solve`` its symbol, its right-hand side formed in spectral
-space from the history fields' ``hat``, a start and its lagged
-nonlinearity as a physical-space function (``phi**3`` or CN's averaged
-product); the solver owns the spectral multiplier -k^2/symbol that turns
-that nonlinearity into an update.  The start is either a field's values or
-a spectrum standing in for the first iterate's transformed nonlinearity.
+differ by at most 1e-12 in the max norm.  Each scheme forms the two
+multipliers of its solve from one reciprocal 1/S (``_multipliers``):
+-k^2/S, which turns the lagged nonlinearity into an update, and S^{-1} rhs,
+for which each history field's ``hat`` is multiplied once, by its
+right-hand-side coefficient times 1/S.  It hands ``fixed_point_solve``
+those two, a start and its lagged nonlinearity as a physical-space
+function (``phi**3`` or CN's averaged product); the solver owns no symbol.
+The BDF2 and CN symbols are a shift plus (a multiple of) ``PfcParams.k2_lin``,
+so their positivity check costs O(1), from that array's stored minimum.
+The start is either a field's values or a spectrum standing in for the
+first iterate's transformed nonlinearity.
 The solver returns the new field with ``hat`` set to the spectrum whose
 inverse transform gave its values and ``nl_hat`` to the last transformed
 nonlinearity, so an iteration costs one transform pair, one started from a
@@ -93,8 +97,15 @@ class StepperState:
         return StepperState(phi_new, self.phi_prev, tau, self.t + tau, nl_hats, nl_steps)
 
 
-def _check_symbol(symbol: np.ndarray, tau: float):
-    if np.min(symbol) <= 0.0:
+def _check_symbol(shift: float, stiff: np.ndarray, stiff_min: float, tau: float):
+    """Raise ``ConditioningError`` unless the symbol shift + stiff is positive.
+
+    Adding a scalar and rounding keep the order of the entries, so the
+    symbol's minimum is shift + stiff_min bit for bit and the check costs
+    O(1); the full symbol is formed only to name the failing mode.
+    """
+    if shift + stiff_min <= 0.0:
+        symbol = shift + stiff
         idx = np.unravel_index(np.argmin(symbol), symbol.shape)
         raise ConditioningError(
             f"non-positive linear symbol {symbol[idx]:.3e} at mode {idx}; "
@@ -102,22 +113,40 @@ def _check_symbol(symbol: np.ndarray, tau: float):
         )
 
 
-def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray,
+def _multipliers(symbol: np.ndarray, k2: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
+    """The solve's multipliers -k^2/S and S^{-1} rhs from one reciprocal of S.
+
+    ``terms`` are the pairs (hat, c) of the right-hand side sum_i c_i hat_i,
+    each c a real scalar or half-plane array; each spectrum is multiplied
+    once, by c/S.  ``symbol`` is taken over as a work array and becomes
+    -k^2/S, and no temporary is larger than one half spectrum.
+    """
+    inv = np.divide(1.0, symbol, out=symbol)
+    coef = np.empty_like(inv)
+    (hat, c), *rest = terms
+    base_hat = hat * np.multiply(inv, c, out=coef)
+    for hat, c in rest:
+        base_hat += hat * np.multiply(inv, c, out=coef)
+    inv *= k2
+    return np.negative(inv, out=inv), base_hat
+
+
+def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
                       grid: Grid2D, nonlinear,
                       nl_start: np.ndarray | None = None) -> tuple[Field, SolveStats]:
-    """Iterate phi <- S^{-1}(rhs - k^2 F[N(phi)]) until the max-norm increment is tiny.
+    """Iterate phi <- S^{-1} rhs - k^2/S F[N(phi)] until the max-norm increment is tiny.
 
-    ``symbol`` S and ``rhs_hat`` are half-spectrum arrays in the layout of
-    ``grid.forward``; ``nonlinear(phi)`` returns the lagged terms N(phi) in
-    physical space for the current iterate.  The multipliers -k^2/S and
-    rhs_hat/S are formed once per solve, so an iteration costs one transform
-    pair.  The iteration starts from the values ``guess`` or, when
-    ``nl_start`` is given, from that spectrum in place of F[N(guess)]: the
-    first iterate then costs one inverse transform, ``guess`` is not read,
-    and the solve takes ``nl_start`` over as a work array.  That first
-    iterate has no predecessor to measure its increment against, so it is
-    never accepted.  ``SolveStats.iterations`` counts inverse transforms,
-    the applications of the map.
+    The scheme hands over its multipliers in the layout of ``grid.forward``:
+    ``mult`` = -k^2/S and ``base_hat`` = S^{-1} rhs, for its symbol S and
+    right-hand side rhs; ``nonlinear(phi)`` returns the lagged terms N(phi)
+    in physical space for the current iterate.  An iteration costs one
+    transform pair.  The iteration starts from the values ``guess`` or,
+    when ``nl_start`` is given, from that spectrum in place of
+    F[N(guess)]: the first iterate then costs one inverse transform,
+    ``guess`` is not read, and the solve takes ``nl_start`` over as a work
+    array.  That first iterate has no predecessor to measure its increment
+    against, so it is never accepted.  ``SolveStats.iterations`` counts
+    inverse transforms, the applications of the map.
 
     The converged field is returned with ``hat`` set to the spectrum whose
     ``backward`` gave its values and ``nl_hat`` to the last F[N(phi)], both
@@ -125,8 +154,6 @@ def fixed_point_solve(symbol: np.ndarray, rhs_hat: np.ndarray, guess: np.ndarray
     ``SolverError``.
     """
     M = grid.M
-    mult = -grid.k2_half / symbol
-    base_hat = rhs_hat / symbol
     phi = guess
     res = np.inf
     first = 1
@@ -235,29 +262,35 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
         b0 = (1.0 + 2.0 * r) / (tau_n * (1.0 + r))
         b1 = -(r * r) / (tau_n * (1.0 + r))
     else:
-        b0 = 1.0 / tau_n
-    symbol = b0 + g.k2_half * p.lin_symbol_half
-    _check_symbol(symbol, tau_n)
+        b0, b1 = 1.0 / tau_n, 0.0
+    _check_symbol(b0, p.k2_lin, p.k2_lin_min, tau_n)
     prev = state.phi_prev
-    rhs_hat = b0 * prev.hat
+    # rhs = b0 phi^{n-1} - b1 (phi^{n-1} - phi^{n-2}) + forcing
+    terms = [(prev.hat, b0 - b1)]
     if history:
-        rhs_hat -= b1 * (prev.hat - state.phi_prev2.hat)
+        terms.append((state.phi_prev2.hat, b1))
     if forcing is not None:
-        rhs_hat += forcing.hat
+        terms.append((forcing.hat, 1.0))
+    mult, base_hat = _multipliers(b0 + p.k2_lin, g.k2_half, terms)
     # the start is built in the call, so no name here keeps it alive after
     # the solve has turned it into its first iterate
-    return fixed_point_solve(symbol, rhs_hat, prev.values, g, _cube,
+    return fixed_point_solve(mult, base_hat, prev.values, g, _cube,
                              _extrapolated_nl(state, tau_n))
 
 
 def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
-    """sum_i w_i nl_hats[i] at t_n, in a new array; None without kept spectra."""
+    """sum_i w_i nl_hats[i] at t_n, in a new array; None without kept spectra.
+
+    Each product goes through one reused scratch array, so the sum makes
+    one temporary however many spectra are kept.
+    """
     if not state.nl_hats:
         return None
     weights = lagrange_weights(tau_n, state.nl_steps)
     nl = weights[0] * state.nl_hats[0]
+    scratch = np.empty_like(nl)
     for w, nl_hat in zip(weights[1:], state.nl_hats[1:]):
-        nl += w * nl_hat
+        nl += np.multiply(nl_hat, w, out=scratch)
     return nl
 
 
@@ -273,16 +306,13 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
     if tau <= 0:
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
-    k2 = g.k2_half
-    half = 0.5 * k2 * p.lin_symbol_half
-    symbol = 1.0 / tau + half
-    _check_symbol(symbol, tau)
+    shift = 1.0 / tau
+    half = 0.5 * p.k2_lin
+    _check_symbol(shift, half, 0.5 * p.k2_lin_min, tau)
     prev = state.phi_prev
-    # prev.hat / tau: numpy divides by the scalar as by a complex number,
-    # which with a zero imaginary part is this product at five times the cost
-    rhs_hat = prev.hat * (1.0 / tau)
-    rhs_hat -= half * prev.hat
-    return _without_nl(fixed_point_solve(symbol, rhs_hat, prev.values, g,
+    # rhs = (1/tau - half) phi^{n-1}
+    mult, base_hat = _multipliers(shift + half, g.k2_half, [(prev.hat, shift - half)])
+    return _without_nl(fixed_point_solve(mult, base_hat, prev.values, g,
                                          _midpoint_cube(prev.values)))
 
 
@@ -296,10 +326,13 @@ def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solv
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
     k2 = g.k2_half
-    symbol = 1.0 / tau + k2 * (k2 * k2 + 1.0 - p.eps)
+    k4 = k2 * k2
+    shift = 1.0 / tau
     prev = state.phi_prev
-    rhs_hat = prev.hat / tau + 2.0 * (k2 * k2) * prev.hat
-    return _without_nl(fixed_point_solve(symbol, rhs_hat, prev.values, g, _cube))
+    # rhs = (1/tau + 2 k^4) phi^{n-1}
+    mult, base_hat = _multipliers(shift + k2 * (k4 + 1.0 - p.eps), k2,
+                                  [(prev.hat, shift + 2.0 * k4)])
+    return _without_nl(fixed_point_solve(mult, base_hat, prev.values, g, _cube))
 
 
 def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -315,16 +348,15 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     g = state.phi_prev.grid
     k2 = g.k2_half
     k4 = k2 * k2
+    shift = 1.0 / tau
     half = 0.5 * k2 * (k4 + 1.0 - p.eps)
-    symbol = 1.0 / tau + half
+    extrap = 0.5 * k4
     prev = state.phi_prev
-    extrap_hat = 3.0 * prev.hat - state.phi_prev2.hat
-    extrap_hat *= 0.5
-    extrap_hat *= k4
-    rhs_hat = prev.hat * (1.0 / tau)   # prev.hat / tau, as in cn_step
-    rhs_hat -= half * prev.hat
-    rhs_hat += extrap_hat
-    return _without_nl(fixed_point_solve(symbol, rhs_hat, prev.values, g,
+    # rhs = (1/tau - half) phi^{n-1} + k^4/2 (3 phi^{n-1} - phi^{n-2})
+    mult, base_hat = _multipliers(shift + half, k2,
+                                  [(prev.hat, shift - half + 3.0 * extrap),
+                                   (state.phi_prev2.hat, -extrap)])
+    return _without_nl(fixed_point_solve(mult, base_hat, prev.values, g,
                                          _midpoint_cube(prev.values)))
 
 

@@ -236,10 +236,10 @@ class TestRun:
         solve_iters, started, trials = [], [], []
         solve, step = steppers.fixed_point_solve, adaptive.bdf2_step
 
-        def counted_solve(symbol, rhs_hat, guess, grid, nonlinear, nl_start=None):
+        def counted_solve(mult, base_hat, guess, grid, nonlinear, nl_start=None):
             started.append(nl_start is not None)
             try:
-                res = solve(symbol, rhs_hat, guess, grid, nonlinear, nl_start)
+                res = solve(mult, base_hat, guess, grid, nonlinear, nl_start)
             except SolverError as exc:
                 solve_iters.append(exc.stats.iterations)
                 raise

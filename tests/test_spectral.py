@@ -169,8 +169,9 @@ class TestLayer:
 
     def test_memory_budget(self):
         """The 256^2 grid and parameters hold only half-plane multipliers and
-        a 1-D axis: about 2.1 MB with the energy's interface weight, where
-        the full plane and the M x M coordinates took 5.9 MB."""
+        a 1-D axis: the set-up peaks at about 1.3 MB with the energy's
+        interface weight and ``k2_lin``, where the full plane and the M x M
+        coordinates took 5.9 MB."""
         Grid2D(8, 8.0)   # imports and first-call setup stay out of the count
         tracemalloc.start()
         try:
@@ -180,6 +181,25 @@ class TestLayer:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5e6
+
+    def test_step_memory_budget(self):
+        """One 256^2 BDF2 step started from five kept spectra peaks at seven
+        half spectra (3.7 MB) or less, its new field included: no temporary
+        on the step path is larger than one half spectrum."""
+        g, p, phi1, phi2 = two_levels(256, 256.0, 0.25, 13)
+        steps = (0.05, 0.04, 0.06, 0.05)
+        nl_hats = kept_spectra([phi1.values, phi2.values] + [phi2.values * s for s in steps[1:]])
+        state = StepperState(phi1, phi2, steps[0], nl_hats=nl_hats, nl_steps=steps)
+        phi1.hat, phi2.hat   # cached before the count starts
+        bdf2_step(state, 0.05, p)   # first-call set-up stays out of the count
+        half_spectrum = g.k2_half.size * 16
+        tracemalloc.start()
+        try:
+            bdf2_step(state, 0.05, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * half_spectrum
 
     def test_forward_backward(self, rng):
         vals = rng.standard_normal((24, 24))
@@ -282,9 +302,9 @@ def spy_starts(monkeypatch) -> list:
     starts = []
     solve = steppers.fixed_point_solve
 
-    def spy(symbol, rhs_hat, guess, grid, nonlinear, nl_start=None):
+    def spy(mult, base_hat, guess, grid, nonlinear, nl_start=None):
         starts.append((guess.copy(), None if nl_start is None else nl_start.copy()))
-        return solve(symbol, rhs_hat, guess, grid, nonlinear, nl_start)
+        return solve(mult, base_hat, guess, grid, nonlinear, nl_start)
 
     monkeypatch.setattr(steppers, "fixed_point_solve", spy)
     return starts

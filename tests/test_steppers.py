@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_field, coords, full_k2, full_lin_symbol, ref_cncs
+import pfc.steppers as steppers
 from pfc.grid import Field, Grid2D, mean
 from pfc.model import PfcParams, energy, manufactured_forcing, modified_energy
 from pfc.steppers import (FP_TOL, MAX_ITER, NL_LEVELS, ConditioningError, SolverError,
@@ -173,6 +174,105 @@ class TestBDF2:
         stats = exc.value.stats
         assert not np.isfinite(stats.final_residual)
         assert stats.iterations < MAX_ITER
+
+
+class SolveReached(Exception):
+    """Raised by ``stub_solve``: the step got past its conditioning check."""
+
+
+def stub_solve(monkeypatch) -> list:
+    """Replace the solver by one that records copies of (mult, base_hat) and
+    raises ``SolveReached``."""
+    calls = []
+
+    def solve(mult, base_hat, guess, grid, nonlinear, nl_start=None):
+        calls.append((mult.copy(), base_hat.copy()))
+        raise SolveReached
+
+    monkeypatch.setattr(steppers, "fixed_point_solve", solve)
+    return calls
+
+
+@pytest.mark.parametrize("L,eps", [(2 * np.pi, 0.5), (20.0, 0.25)])
+@pytest.mark.parametrize("scheme", ["bdf1", "bdf2", "cn"])
+def test_conditioning_check_matches_full_symbol(scheme, L, eps, monkeypatch):
+    """The check from the stored minimum of k^2 ((1 - k^2)^2 - eps) raises for
+    exactly the steps whose full symbol has a non-positive entry, with the
+    message that names that symbol's minimum and its mode.  The steps tried
+    are the two adjacent doubles that straddle the threshold, their outer
+    neighbours and steps a factor of two either side."""
+    g = Grid2D(16, L)
+    p = PfcParams(eps, g)
+    phi = constant_field(g, 0.1)
+    tau_prev = 0.3
+    k2_lin = g.k2_half * p.lin_symbol_half
+
+    def symbol(tau):
+        if scheme == "bdf1":
+            return 1.0 / tau + k2_lin
+        if scheme == "cn":
+            return 1.0 / tau + 0.5 * g.k2_half * p.lin_symbol_half
+        r = tau / tau_prev
+        return (1.0 + 2.0 * r) / (tau * (1.0 + r)) + k2_lin
+
+    def step(tau):
+        if scheme == "cn":
+            return cn_step(StepperState(phi), tau, p)
+        state = StepperState(phi) if scheme == "bdf1" else StepperState(phi, phi, tau_prev)
+        return bdf2_step(state, tau, p)
+
+    def ill(tau):
+        return np.min(symbol(tau)) <= 0.0
+
+    lo, hi = 1e-6, 1e6
+    assert not ill(lo) and ill(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            break
+        if ill(mid):
+            hi = mid
+        else:
+            lo = mid
+    stub_solve(monkeypatch)
+    taus = [0.5 * lo, np.nextafter(lo, 0.0), lo, hi, np.nextafter(hi, np.inf), 2.0 * hi]
+    for tau in map(float, taus):
+        if not ill(tau):
+            with pytest.raises(SolveReached):
+                step(tau)
+            continue
+        s = symbol(tau)
+        idx = np.unravel_index(np.argmin(s), s.shape)
+        with pytest.raises(ConditioningError) as exc:
+            step(tau)
+        assert str(exc.value) == (f"non-positive linear symbol {s[idx]:.3e} at mode {idx}; "
+                                  f"reduce the step size (tau={tau:.3e})")
+
+
+@pytest.mark.parametrize("ratio", [0.1, 1.0, 3.5, 100.0])
+@pytest.mark.parametrize("forced", [False, True])
+def test_bdf2_multipliers_match_rhs_over_symbol(ratio, forced, setup, rng, monkeypatch):
+    """The solver's multipliers, formed from one reciprocal of the symbol S,
+    agree with -k^2/S and rhs/S for rhs = b0 phi^{n-1} - b1 (phi^{n-1} -
+    phi^{n-2}) + f to 1e-13 of their largest entry; a sign slip in b0 - b1
+    shows at order one."""
+    g, p = setup
+    prev2 = random_field(g, rng)
+    prev = Field(g, prev2.values + 0.01 * rng.uniform(-1, 1, size=(g.M, g.M)))
+    tau = 0.05
+    f = manufactured_forcing(tau, g, p) if forced else None
+    calls = stub_solve(monkeypatch)
+    with pytest.raises(SolveReached):
+        bdf2_step(StepperState(prev, prev2, tau / ratio), tau, p, f)
+    r = tau / (tau / ratio)
+    b0 = (1 + 2 * r) / (tau * (1 + r))
+    b1 = -(r * r) / (tau * (1 + r))
+    symbol = b0 + g.k2_half * p.lin_symbol_half
+    rhs = b0 * prev.hat - b1 * (prev.hat - prev2.hat)
+    if forced:
+        rhs = rhs + f.hat
+    for got, want in zip(calls[0], (-g.k2_half / symbol, rhs / symbol)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestCN:
