@@ -228,7 +228,8 @@ def main(argv=None) -> int:
     except (SolverError, ConditioningError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: a mesh file that cannot be read, an output that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     return 0

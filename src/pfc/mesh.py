@@ -34,7 +34,7 @@ class TimeMesh:
         self.steps = np.asarray(self.steps, dtype=np.float64)
         if self.steps.ndim != 1 or self.steps.size == 0:
             raise ValueError("mesh needs at least one step")
-        if np.any(self.steps <= 0):
+        if not np.all(self.steps > 0):   # a NaN step fails this too
             raise ValueError("all step sizes must be positive")
         self.times = np.cumsum(self.steps)
         self.ratios = np.zeros_like(self.steps)

@@ -6,12 +6,14 @@ free energy
   E[phi] = 1/2 ||(1 + Lap) phi||^2 + 1/4 ||phi^2 - eps||^2 - 1/4 eps^2 |Omega|,
 
 its history-augmented (modified) variant, the conserved mass, and the
-manufactured-solution forcing used by the convergence study.
+manufactured-solution forcing used by the convergence study, as grid
+values and as a half spectrum formed without a transform per time.
 The constant shift in E is chosen so E[0] = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,3 +136,33 @@ def manufactured_forcing(t: float, grid: Grid2D, p: PfcParams) -> Field:
     dphi_dt = (-np.sin(t) * sx) * sy
     lap_mu = laplacian(chemical_potential(phi, p))
     return Field(grid, dphi_dt - lap_mu.values)
+
+
+def manufactured_forcing_hat(grid: Grid2D, p: PfcParams):
+    """The half spectrum of ``manufactured_forcing`` as a function of t.
+
+    With Phi = cos(t) S, S = sin(pi x / 2) sin(pi y / 2), the forcing is
+    linear spectral operators applied to S and S^3, scaled by cos t, cos^3 t
+    and sin t:
+
+      g^(t) = cos t A + cos^3 t B - sin t S^,  A = k^2 lin S^,  B = k^2 F(S^3).
+
+    The three spectra are formed here, once per grid, so the returned
+    function ``t -> g^(t)`` makes no transform; each call returns a new
+    array.  It equals ``forward(manufactured_forcing(t, grid, p).values)``
+    to roundoff amplified by k^2 |lin| on each mode.
+    """
+    sx, sy = _axis_sines(grid)
+    s = sx * sy
+    s_hat = forward(s)
+    a = p.k2_lin * s_hat
+    b = grid.k2_half * forward(s * s * s)
+
+    def forcing_hat(t: float) -> np.ndarray:
+        c = math.cos(t)
+        out = (c * c * c) * b
+        out += c * a
+        out -= math.sin(t) * s_hat
+        return out
+
+    return forcing_hat

@@ -18,8 +18,8 @@ The solver returns the new field with ``hat`` set to the spectrum whose
 inverse transform gave its values and ``nl_hat`` to the last transformed
 nonlinearity, so an iteration costs one transform pair, one started from a
 spectrum costs one inverse transform, and a step makes no other transform,
-except one for a forcing and one for a starting field that has no spectrum
-yet.
+except one for a starting field that has no spectrum yet.  A forcing is
+handed over as its half spectrum.
 
 Schemes:
   * variable-step BDF2, fully implicit (reduces to BDF1 without history).
@@ -242,7 +242,7 @@ def lagrange_weights(tau_n: float, steps) -> list[float]:
 
 
 def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
-              forcing: Field | None = None) -> tuple[Field, SolveStats]:
+              forcing_hat: np.ndarray | None = None) -> tuple[Field, SolveStats]:
     """Advance one level with the implicit two-step scheme.
 
     With a single history level the step degenerates to BDF1 (ratio 0).  A
@@ -250,10 +250,13 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
     Lagrange extrapolation to t_n, sum_i w_i F(N)^{n-1-i} with the weights
     of ``lagrange_weights``; any other starts from phi^{n-1}'s values.  The
     start changes the iteration count but not the fixed point, and the
-    state is left as it was.  The zero mode carries no dynamics, so the
-    mean is conserved whenever the forcing is absent or mean-free.
+    state is left as it was.  A forcing enters the right-hand side as
+    ``forcing_hat``, its half spectrum at t_n, which is not changed.  The
+    zero mode carries no dynamics, so the mean is conserved whenever the
+    forcing is absent or mean-free.  A NaN step is refused with the
+    non-positive ones.
     """
-    if tau_n <= 0:
+    if not (tau_n > 0):
         raise ValueError("tau_n must be positive")
     g = state.phi_prev.grid
     history = state.phi_prev2 is not None and state.tau_prev is not None
@@ -269,8 +272,8 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
     terms = [(prev.hat, b0 - b1)]
     if history:
         terms.append((state.phi_prev2.hat, b1))
-    if forcing is not None:
-        terms.append((forcing.hat, 1.0))
+    if forcing_hat is not None:
+        terms.append((forcing_hat, 1.0))
     mult, base_hat = _multipliers(b0 + p.k2_lin, g.k2_half, terms)
     # the start is built in the call, so no name here keeps it alive after
     # the solve has turned it into its first iterate
@@ -303,7 +306,7 @@ def _without_nl(solved: tuple[Field, SolveStats]) -> tuple[Field, SolveStats]:
 
 def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
     """Crank-Nicolson step with the averaged-square nonlinearity."""
-    if tau <= 0:
+    if not (tau > 0):
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
     shift = 1.0 / tau
@@ -322,7 +325,7 @@ def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solv
     Implicit: biharmonic, (1 - eps) phi, cubic (lagged).  Explicit: the
     concave gradient term 2 Lap phi^{n-1}.
     """
-    if tau <= 0:
+    if not (tau > 0):
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
     k2 = g.k2_half
@@ -341,7 +344,7 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     The explicit gradient term uses the extrapolated midpoint value
     (3 phi^{n-1} - phi^{n-2}) / 2.
     """
-    if tau <= 0:
+    if not (tau > 0):
         raise ValueError("tau must be positive")
     if state.phi_prev2 is None:
         raise ValueError("CNCS requires two history levels; use cs1_step to start")
@@ -367,8 +370,9 @@ def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",
     Returns the final state, and calls ``observer(state, stats)`` after
     every step; the observer is the one way to see per-step data.  The CN
     scheme is one-step; BDF2 starts with BDF1 and CNCS with the first-order
-    convex-splitting step.  Only BDF2 takes a forcing, ``forcing_fn(t)`` at
-    the new level.
+    convex-splitting step.  Only BDF2 takes a forcing: ``forcing_fn(t)``
+    returns its half spectrum at the new level (as
+    ``model.manufactured_forcing_hat`` does).
     """
     if scheme not in ("bdf2", "cn", "cncs"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -377,8 +381,8 @@ def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",
     state = StepperState(phi0)
     for tau in mesh_steps:
         if scheme == "bdf2":
-            forcing = forcing_fn(state.t + tau) if forcing_fn is not None else None
-            phi_new, stats = bdf2_step(state, tau, p, forcing)
+            forcing_hat = forcing_fn(state.t + tau) if forcing_fn is not None else None
+            phi_new, stats = bdf2_step(state, tau, p, forcing_hat)
         elif scheme == "cn":
             phi_new, stats = cn_step(state, tau, p)
         elif state.phi_prev2 is None:

@@ -130,6 +130,33 @@ class TestCommands:
         assert "DOC row sum inf" in err
         assert not report.exists()
 
+    def test_kernels_missing_mesh_file(self, tmp_path, capsys):
+        rc = main(["kernels", "--mesh", str(tmp_path / "missing.txt"),
+                   "--report", str(tmp_path / "k.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "missing.txt" in err[0]
+
+    def test_kernels_unwritable_report(self, tmp_path, capsys):
+        # the report's directory would have to be made inside a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        rc = main(["kernels", "--mesh", "uniform:4,1.0",
+                   "--report", str(blocker / "k.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    def test_kernels_refuses_nan_step(self, tmp_path, capsys):
+        taus = tmp_path / "taus.txt"
+        taus.write_text("0.5\nnan\n0.25\n")
+        report = tmp_path / "k.csv"
+        rc = main(["kernels", "--mesh", str(taus), "--report", str(report)])
+        assert rc == 3
+        assert capsys.readouterr().err == "config error: all step sizes must be positive\n"
+        assert not report.exists()
+
     def test_convergence_command_small(self, tmp_path, capsys, monkeypatch):
         # shrink the ladder through the config file override path
         out = str(tmp_path / "conv")

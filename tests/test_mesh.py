@@ -44,6 +44,11 @@ class TestTimeMesh:
         with pytest.raises(ValueError):
             TimeMesh(np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0])
+    def test_nan_and_non_positive_steps_refused(self, bad):
+        with pytest.raises(ValueError, match="all step sizes must be positive"):
+            TimeMesh(np.array([0.5, bad, 0.25]))
+
     def test_cumsum_exact(self, rng):
         m = TimeMesh(rng.uniform(0.1, 2.0, size=50))
         assert m.times[-1] == np.cumsum(m.steps)[-1]

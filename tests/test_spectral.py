@@ -21,7 +21,8 @@ from conftest import (count_transforms, full_k2, full_lin_symbol, inv_laplacian,
 import pfc
 import pfc.steppers as steppers
 from pfc.grid import Field, Grid2D, backward, forward, inner, laplacian, sum_of_squares
-from pfc.model import PfcParams, chemical_potential, energy, manufactured_forcing
+from pfc.model import (PfcParams, chemical_potential, energy, manufactured_forcing,
+                       manufactured_forcing_hat)
 from pfc.steppers import (NL_LEVELS, StepperState, bdf2_step, cn_step, cncs_step,
                           cs1_step, run_fixed_mesh)
 
@@ -139,7 +140,7 @@ class TestStepsMatchFullPlane:
         f = manufactured_forcing(tau, g, p)
         levels = [phi1.values, phi2.values]
         state = StepperState(phi1, phi2, tau, nl_hats=kept_spectra(levels), nl_steps=(tau,))
-        got, stats = bdf2_step(state, tau, p, forcing=f)
+        got, stats = bdf2_step(state, tau, p, forcing_hat=f.hat)
         assert_same_step(got, stats, *ref_bdf2(phi1.values, phi2.values, tau, tau, p,
                                                f.values, nl_levels=(levels, (tau,))))
 
@@ -382,35 +383,37 @@ SCHEMES = ["bdf1", "bdf2", "bdf2_nl", "bdf2_forced", "cn", "cs1", "cncs"]
 
 
 def one_step(scheme, g, p, phi1, phi2, tau):
-    """The state, forcing (or None) and step function of one step of ``scheme``.
+    """The state and step function of one step of ``scheme``.
 
-    ``bdf2_nl`` and ``bdf2_forced`` keep the two levels' nonlinearity spectra.
+    ``bdf2_nl`` and ``bdf2_forced`` keep the two levels' nonlinearity spectra;
+    ``bdf2_forced``'s forcing spectrum is formed before the step runs.
     """
     one_level = scheme in ("bdf1", "cn", "cs1")
     state = StepperState(phi1) if one_level else StepperState(phi1, phi2, 0.7 * tau)
     if scheme in ("bdf2_nl", "bdf2_forced"):
         state.nl_hats = kept_spectra([phi1.values, phi2.values])
         state.nl_steps = (0.7 * tau,)
-    forcing = manufactured_forcing(tau, g, p) if scheme == "bdf2_forced" else None
+    forcing_hat = (manufactured_forcing_hat(g, p)(tau) if scheme == "bdf2_forced"
+                   else None)
     if scheme.startswith("bdf"):
-        return state, forcing, lambda: bdf2_step(state, tau, p, forcing)
+        return state, lambda: bdf2_step(state, tau, p, forcing_hat)
     step = {"cn": cn_step, "cs1": cs1_step, "cncs": cncs_step}[scheme]
-    return state, forcing, lambda: step(state, tau, p)
+    return state, lambda: step(state, tau, p)
 
 
 @pytest.mark.parametrize("step", SCHEMES)
 def test_transforms_per_step(step, monkeypatch):
     """With the history spectra cached, one inverse transform per iteration,
     one forward transform per iteration but a spectrum-started first, and
-    nothing else, except one transform of a forcing."""
+    nothing else: a forcing comes as its half spectrum."""
     g, p, phi1, phi2 = two_levels(32, 8.0, 0.2, 8)
-    state, forcing, run = one_step(step, g, p, phi1, phi2, 0.05)
+    state, run = one_step(step, g, p, phi1, phi2, 0.05)
     phi1.hat, phi2.hat   # cached before the count starts
     started = bool(state.nl_hats)
     calls = count_transforms(monkeypatch)
     _, stats = run()
     assert stats.iterations > 1
-    assert len(calls) == (forcing is not None) + 2 * stats.iterations - started
+    assert len(calls) == 2 * stats.iterations - started
     assert calls.count("backward") == stats.iterations
 
 
@@ -422,7 +425,7 @@ def test_carried_spectrum(scheme, M, L, eps, tau):
     CS1 and CNCS fields keep none.  The step leaves the history spectra as
     they were."""
     g, p, phi1, phi2 = two_levels(M, L, eps, 10)
-    state, _, run = one_step(scheme, g, p, phi1, phi2, tau)
+    state, run = one_step(scheme, g, p, phi1, phi2, tau)
     kept = [f.hat for f in (state.phi_prev, state.phi_prev2) if f is not None]
     kept += state.nl_hats
     before = [h.copy() for h in kept]

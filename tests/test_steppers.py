@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import constant_field, coords, full_k2, full_lin_symbol, ref_cncs
 import pfc.steppers as steppers
 from pfc.grid import Field, Grid2D, mean
-from pfc.model import PfcParams, energy, manufactured_forcing, modified_energy
+from pfc.model import (PfcParams, energy, manufactured_forcing, manufactured_forcing_hat,
+                       modified_energy)
 from pfc.steppers import (FP_TOL, MAX_ITER, NL_LEVELS, ConditioningError, SolverError,
                           StepperState, _midpoint_cube, bdf2_step, cn_step, cncs_step,
                           cs1_step, run_fixed_mesh)
@@ -97,7 +100,7 @@ class TestBDF2:
         prev = random_field(g, rng)
         tau = 0.05
         f = manufactured_forcing(tau, g, p)
-        phi, _ = bdf2_step(StepperState(prev), tau, p, forcing=f)
+        phi, _ = bdf2_step(StepperState(prev), tau, p, forcing_hat=f.hat)
         res = spectral_residual_bdf2(phi, prev, None, 1.0 / tau, 0.0, p, f)
         assert res < 1e-8
 
@@ -260,17 +263,17 @@ def test_bdf2_multipliers_match_rhs_over_symbol(ratio, forced, setup, rng, monke
     prev2 = random_field(g, rng)
     prev = Field(g, prev2.values + 0.01 * rng.uniform(-1, 1, size=(g.M, g.M)))
     tau = 0.05
-    f = manufactured_forcing(tau, g, p) if forced else None
+    f_hat = manufactured_forcing(tau, g, p).hat if forced else None
     calls = stub_solve(monkeypatch)
     with pytest.raises(SolveReached):
-        bdf2_step(StepperState(prev, prev2, tau / ratio), tau, p, f)
+        bdf2_step(StepperState(prev, prev2, tau / ratio), tau, p, f_hat)
     r = tau / (tau / ratio)
     b0 = (1 + 2 * r) / (tau * (1 + r))
     b1 = -(r * r) / (tau * (1 + r))
     symbol = b0 + g.k2_half * p.lin_symbol_half
     rhs = b0 * prev.hat - b1 * (prev.hat - prev2.hat)
     if forced:
-        rhs = rhs + f.hat
+        rhs = rhs + f_hat
     for got, want in zip(calls[0], (-g.k2_half / symbol, rhs / symbol)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -459,10 +462,22 @@ class TestRunFixedMesh:
         tau = 1e-3
         steps = [tau] * 50
 
-        def forcing(t):
-            return manufactured_forcing(t, g, p)
-
-        state = run_fixed_mesh(exact_solution(0.0, g), steps, p, forcing_fn=forcing)
+        state = run_fixed_mesh(exact_solution(0.0, g), steps, p,
+                               forcing_fn=manufactured_forcing_hat(g, p))
         err = np.max(np.abs(state.phi_prev.values
                             - exact_solution(state.t, g).values))
         assert err < 1e-5
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.05])
+@pytest.mark.parametrize("step", [bdf2_step, cn_step, cs1_step, cncs_step])
+def test_nan_and_non_positive_steps_refused(step, bad, setup, rng, monkeypatch):
+    """A NaN step is refused before any solve, with the message of a
+    non-positive one, rather than reaching the solver as a divergence."""
+    g, p = setup
+    prev2 = random_field(g, rng)
+    state = StepperState(random_field(g, rng), prev2, 0.05)
+    calls = stub_solve(monkeypatch)
+    with pytest.raises(ValueError, match="must be positive"):
+        step(state, bad, p)
+    assert calls == []
