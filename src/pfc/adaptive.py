@@ -38,18 +38,21 @@ class AdaptiveConfig:
     ratio_cap: float = 3.561
 
     def __post_init__(self):
+        # each test is written to fail on NaN, which every comparison rejects
         if not (0 < self.tau_min < self.tau_max):
             raise ValueError("need 0 < tau_min < tau_max")
-        if not (0 < self.rho <= 1) or self.tol <= 0:
+        if not (0 < self.rho <= 1) or not (self.tol > 0):
             raise ValueError("need 0 < rho <= 1 and tol > 0")
-        if self.ratio_cap > R_SUP:
-            raise ValueError(f"ratio_cap must be <= {R_SUP:.4f}")
+        if not (0 < self.ratio_cap <= R_SUP):
+            raise ValueError(f"ratio_cap must lie in (0, {R_SUP:.4f}]")
 
 
 def tau_ada(e: float, tau_cur: float, cfg: AdaptiveConfig) -> float:
-    if tau_cur <= 0:
+    if not (tau_cur > 0):
         raise ValueError("tau_cur must be positive")
-    if e <= 0.0:
+    if not (e >= 0.0):
+        raise ValueError("e must be non-negative")
+    if e == 0.0:
         return cfg.ratio_cap * tau_cur  # growth capped when the increment vanishes
     return min(cfg.ratio_cap, cfg.rho * np.sqrt(cfg.tol / e)) * tau_cur
 

@@ -158,7 +158,9 @@ class EnergyLog:
 
     def _record(self, phi: Field, t: float, tau: float, iters: int) -> EnergyRecord:
         e = energy(phi, self.p)
-        return EnergyRecord(t, tau, e, e, mass(phi), float(np.max(np.abs(phi.values))), iters)
+        v = phi.values
+        # the max norm without an abs pass: the same double as abs(v).max()
+        return EnergyRecord(t, tau, e, e, mass(phi), float(max(v.max(), -v.min())), iters)
 
     def __call__(self, state: StepperState, stats: SolveStats):
         last = self.records[-1]

@@ -24,7 +24,13 @@ from .grid import (Field, Grid2D, MeanZeroError, backward, forward, fold_conjuga
 
 @dataclass
 class PfcParams:
-    """Temperature-like parameter and the grid it acts on."""
+    """Temperature-like parameter and the grid it acts on.
+
+    Besides the fixed symbols it holds the multipliers of the newest solve a
+    stepper formed on it, reused while that solve's step coefficients recur
+    and refilled in place when they change; so steps on one instance must
+    not run concurrently, and a copy or pickle starts with nothing held.
+    """
 
     eps: float
     grid: Grid2D
@@ -41,6 +47,16 @@ class PfcParams:
         # its minimum, which settles the sign of b0 + k2_lin for any shift b0
         self.k2_lin = self.grid.k2_half * self.lin_symbol_half
         self.k2_lin_min = float(self.k2_lin.min())
+        # the steppers' one held solve: its key, -k^2/S and the c_i/S of the
+        # right-hand side sum_i c_i hat_i, read-only and refilled in place by
+        # the next step with another key (steppers._store_multipliers)
+        self.solve_key = None
+        self.solve_mult = None
+        self.solve_coefs = ()
+
+    def __getstate__(self):
+        # a copy sharing the held arrays would see them refilled for the other
+        return self.__dict__ | {"solve_key": None, "solve_mult": None, "solve_coefs": ()}
 
 
 @dataclass
@@ -89,8 +105,8 @@ def step_distance_sq(phi_k: Field, phi_km1: Field, linf: float | None = None) ->
 
 
 def history_weight(tau_k: float, r_kp1: float) -> float:
-    """r/(2(1+r)tau), the weight of the step-history term."""
-    if tau_k <= 0 or r_kp1 < 0:
+    """r/(2(1+r)tau), the weight of the step-history term; NaN is refused."""
+    if not (tau_k > 0) or not (r_kp1 >= 0):
         raise ValueError("need tau_k > 0 and r_kp1 >= 0")
     return r_kp1 / (2.0 * (1.0 + r_kp1) * tau_k)
 

@@ -3,15 +3,19 @@
 All schemes share one solver pattern: the stiff linear part is inverted
 exactly mode-by-mode (the spectral symbol S is diagonal) and the remaining
 terms are lagged in a fixed-point loop that stops when successive iterates
-differ by at most 1e-12 in the max norm.  Each scheme forms the two
-multipliers of its solve from one reciprocal 1/S (``_multipliers``):
--k^2/S, which turns the lagged nonlinearity into an update, and S^{-1} rhs,
-for which each history field's ``hat`` is multiplied once, by its
-right-hand-side coefficient times 1/S.  It hands ``fixed_point_solve``
-those two, a start and its lagged nonlinearity as a physical-space
-function (``phi**3`` or CN's averaged product); the solver owns no symbol.
-The BDF2 and CN symbols are a shift plus (a multiple of) ``PfcParams.k2_lin``,
-so their positivity check costs O(1), from that array's stored minimum.
+differ by at most 1e-12 in the max norm.  A solve has two multipliers:
+-k^2/S, which turns the lagged nonlinearity into an update, and S^{-1} rhs
+= sum_i (c_i/S) hat_i over the history fields' (and a forcing's) spectra.
+Each scheme forms -k^2/S and the c_i/S from one reciprocal 1/S once per step
+size: they are held, read-only, on ``PfcParams`` under a key of the scheme
+and its step coefficients (``_store_multipliers``).  A step whose key is the
+held one forms no array for them, only multiplying each ``hat`` by its
+c_i/S; one with another key refills the held arrays in place.  The scheme hands ``fixed_point_solve`` the two multipliers, a start
+and its lagged nonlinearity as a physical-space function (``phi**3`` or CN's
+averaged product); the solver owns no symbol.  The BDF2 and CN symbols are
+a shift plus (a multiple of) ``PfcParams.k2_lin``, so their positivity
+check costs O(1), from that array's stored minimum; it runs when a key is
+new, as a held key's symbol has passed it.
 The start is either a field's values or a spectrum standing in for the
 first iterate's transformed nonlinearity.
 The solver returns the new field with ``hat`` set to the spectrum whose
@@ -113,22 +117,38 @@ def _check_symbol(shift: float, stiff: np.ndarray, stiff_min: float, tau: float)
         )
 
 
-def _multipliers(symbol: np.ndarray, k2: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
-    """The solve's multipliers -k^2/S and S^{-1} rhs from one reciprocal of S.
+def _read_only_view(like: np.ndarray) -> np.ndarray:
+    """A read-only view of a new array shaped like ``like``; the array is its ``base``."""
+    view = np.empty_like(like).view()
+    view.flags.writeable = False
+    return view
 
-    ``terms`` are the pairs (hat, c) of the right-hand side sum_i c_i hat_i,
-    each c a real scalar or half-plane array; each spectrum is multiplied
-    once, by c/S.  ``symbol`` is taken over as a work array and becomes
-    -k^2/S, and no temporary is larger than one half spectrum.
+
+def _store_multipliers(p: PfcParams, key: tuple, shift: float, stiff: np.ndarray,
+                       k2: np.ndarray, coefs: list):
+    """Hold -k^2/S and each c/S on ``p`` as the solve of ``key``, S = shift + stiff.
+
+    ``coefs`` are the coefficients c_i of the right-hand side sum_i c_i hat_i,
+    each a real scalar or half-plane array, in the order the step adds the
+    terms; ``p.solve_coefs`` keeps that order.  Both come from one reciprocal
+    of S.  The held arrays are read-only views, and a miss refills the arrays
+    behind the views of the entry before it: it allocates no array unless
+    the new entry has more terms, and an entry is valid until the next miss.
     """
-    inv = np.divide(1.0, symbol, out=symbol)
-    coef = np.empty_like(inv)
-    (hat, c), *rest = terms
-    base_hat = hat * np.multiply(inv, c, out=coef)
-    for hat, c in rest:
-        base_hat += hat * np.multiply(inv, c, out=coef)
+    p.solve_key = None   # no key while the arrays are refilled
+    if p.solve_mult is None:
+        p.solve_mult = _read_only_view(stiff)
+    inv = np.add(stiff, shift, out=p.solve_mult.base)
+    np.divide(1.0, inv, out=inv)
+    views = p.solve_coefs[:len(coefs)]
+    while len(views) < len(coefs):
+        views += (_read_only_view(inv),)
+    for view, c in zip(views, coefs):
+        np.multiply(inv, c, out=view.base)
     inv *= k2
-    return np.negative(inv, out=inv), base_hat
+    np.negative(inv, out=inv)
+    p.solve_coefs = views
+    p.solve_key = key
 
 
 def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
@@ -146,7 +166,9 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
     ``guess`` is not read, and the solve takes ``nl_start`` over as a work
     array.  That first iterate has no predecessor to measure its increment
     against, so it is never accepted.  ``SolveStats.iterations`` counts
-    inverse transforms, the applications of the map.
+    inverse transforms, the applications of the map.  No other array handed
+    over is written: the increment is subtracted into the previous iterate
+    only when the solve made that iterate, never into ``guess``.
 
     The converged field is returned with ``hat`` set to the spectrum whose
     ``backward`` gave its values and ``nl_hat`` to the last F[N(phi)], both
@@ -171,9 +193,10 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
             x = nl_hat * mult
             x += base_hat
             phi_new = backward(x, M)
-            d = phi_new - phi
-            np.abs(d, out=d)
-            res = float(d.max())
+            d = phi_new - phi if phi is guess else np.subtract(phi, phi_new, out=phi)
+            # in place: max(d.max(), -d.min()) is the same double, but its two
+            # reductions cost more than this pass on a 32^2 grid
+            res = float(np.abs(d, out=d).max())
             phi = phi_new
             if res <= FP_TOL:
                 # a finite increment rules out a non-finite iterate
@@ -265,19 +288,26 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
         b0 = (1.0 + 2.0 * r) / (tau_n * (1.0 + r))
         b1 = -(r * r) / (tau_n * (1.0 + r))
     else:
-        b0, b1 = 1.0 / tau_n, 0.0
-    _check_symbol(b0, p.k2_lin, p.k2_lin_min, tau_n)
+        b0, b1 = 1.0 / tau_n, None
+    forced = forcing_hat is not None
+    key = ("bdf2", b0, b1, forced)
+    if key != p.solve_key:
+        _check_symbol(b0, p.k2_lin, p.k2_lin_min, tau_n)
+        # rhs = b0 phi^{n-1} - b1 (phi^{n-1} - phi^{n-2}) + forcing
+        coefs = [b0] if b1 is None else [b0 - b1, b1]
+        if forced:
+            coefs.append(1.0)
+        _store_multipliers(p, key, b0, p.k2_lin, g.k2_half, coefs)
     prev = state.phi_prev
-    # rhs = b0 phi^{n-1} - b1 (phi^{n-1} - phi^{n-2}) + forcing
-    terms = [(prev.hat, b0 - b1)]
+    c = p.solve_coefs
+    base_hat = prev.hat * c[0]
     if history:
-        terms.append((state.phi_prev2.hat, b1))
-    if forcing_hat is not None:
-        terms.append((forcing_hat, 1.0))
-    mult, base_hat = _multipliers(b0 + p.k2_lin, g.k2_half, terms)
+        base_hat += state.phi_prev2.hat * c[1]
+    if forced:
+        base_hat += forcing_hat * c[-1]
     # the start is built in the call, so no name here keeps it alive after
     # the solve has turned it into its first iterate
-    return fixed_point_solve(mult, base_hat, prev.values, g, _cube,
+    return fixed_point_solve(p.solve_mult, base_hat, prev.values, g, _cube,
                              _extrapolated_nl(state, tau_n))
 
 
@@ -309,13 +339,16 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
     if not (tau > 0):
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
-    shift = 1.0 / tau
-    half = 0.5 * p.k2_lin
-    _check_symbol(shift, half, 0.5 * p.k2_lin_min, tau)
+    key = ("cn", tau)
+    if key != p.solve_key:
+        shift = 1.0 / tau
+        half = 0.5 * p.k2_lin
+        _check_symbol(shift, half, 0.5 * p.k2_lin_min, tau)
+        # rhs = (1/tau - half) phi^{n-1}
+        _store_multipliers(p, key, shift, half, g.k2_half, [shift - half])
     prev = state.phi_prev
-    # rhs = (1/tau - half) phi^{n-1}
-    mult, base_hat = _multipliers(shift + half, g.k2_half, [(prev.hat, shift - half)])
-    return _without_nl(fixed_point_solve(mult, base_hat, prev.values, g,
+    base_hat = prev.hat * p.solve_coefs[0]
+    return _without_nl(fixed_point_solve(p.solve_mult, base_hat, prev.values, g,
                                          _midpoint_cube(prev.values)))
 
 
@@ -328,14 +361,16 @@ def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solv
     if not (tau > 0):
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
-    k2 = g.k2_half
-    k4 = k2 * k2
-    shift = 1.0 / tau
+    key = ("cs1", tau)
+    if key != p.solve_key:
+        k2 = g.k2_half
+        k4 = k2 * k2
+        shift = 1.0 / tau
+        # rhs = (1/tau + 2 k^4) phi^{n-1}
+        _store_multipliers(p, key, shift, k2 * (k4 + 1.0 - p.eps), k2, [shift + 2.0 * k4])
     prev = state.phi_prev
-    # rhs = (1/tau + 2 k^4) phi^{n-1}
-    mult, base_hat = _multipliers(shift + k2 * (k4 + 1.0 - p.eps), k2,
-                                  [(prev.hat, shift + 2.0 * k4)])
-    return _without_nl(fixed_point_solve(mult, base_hat, prev.values, g, _cube))
+    base_hat = prev.hat * p.solve_coefs[0]
+    return _without_nl(fixed_point_solve(p.solve_mult, base_hat, prev.values, g, _cube))
 
 
 def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -349,17 +384,20 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     if state.phi_prev2 is None:
         raise ValueError("CNCS requires two history levels; use cs1_step to start")
     g = state.phi_prev.grid
-    k2 = g.k2_half
-    k4 = k2 * k2
-    shift = 1.0 / tau
-    half = 0.5 * k2 * (k4 + 1.0 - p.eps)
-    extrap = 0.5 * k4
+    key = ("cncs", tau)
+    if key != p.solve_key:
+        k2 = g.k2_half
+        k4 = k2 * k2
+        shift = 1.0 / tau
+        half = 0.5 * k2 * (k4 + 1.0 - p.eps)
+        extrap = 0.5 * k4
+        # rhs = (1/tau - half) phi^{n-1} + k^4/2 (3 phi^{n-1} - phi^{n-2})
+        _store_multipliers(p, key, shift, half, k2, [shift - half + 3.0 * extrap, -extrap])
     prev = state.phi_prev
-    # rhs = (1/tau - half) phi^{n-1} + k^4/2 (3 phi^{n-1} - phi^{n-2})
-    mult, base_hat = _multipliers(shift + half, k2,
-                                  [(prev.hat, shift - half + 3.0 * extrap),
-                                   (state.phi_prev2.hat, -extrap)])
-    return _without_nl(fixed_point_solve(mult, base_hat, prev.values, g,
+    c = p.solve_coefs
+    base_hat = prev.hat * c[0]
+    base_hat += state.phi_prev2.hat * c[1]
+    return _without_nl(fixed_point_solve(p.solve_mult, base_hat, prev.values, g,
                                          _midpoint_cube(prev.values)))
 
 

@@ -53,6 +53,33 @@ class TestConfig:
             AdaptiveConfig(ratio_cap=4.0)
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if any nonlinear solve starts."""
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve was started")
+
+    monkeypatch.setattr(steppers, "fixed_point_solve", solve)
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"ratio_cap": math.nan},
+                                    {"ratio_cap": 0.0}, {"ratio_cap": -1.0},
+                                    {"rho": math.nan}, {"tau_min": math.nan},
+                                    {"tau_max": math.nan}])
+def test_config_refuses_nan_and_non_positive(kwargs, setup, no_solve):
+    """A NaN tolerance, cap or step bound, or a cap <= 0, is refused when the
+    config is made; ``tol=nan`` would otherwise reject every trial forever."""
+    g, p = setup
+    with pytest.raises(ValueError):
+        adaptive_run(smooth_field(g), 1.0, AdaptiveConfig(**kwargs), p)
+
+
+@pytest.mark.parametrize("e,tau", [(1e-3, math.nan), (math.nan, 0.1), (-1e-3, 0.1)])
+def test_tau_ada_refuses_nan_and_negative(e, tau, no_solve):
+    with pytest.raises(ValueError):
+        tau_ada(e, tau, AdaptiveConfig())
+
+
 class TestUpdateFactor:
     def test_cap_for_tiny_error(self):
         cfg = AdaptiveConfig()

@@ -5,7 +5,7 @@ from conftest import constant_field, coords, full_k2, hminus1_norm, linf_monitor
 from pfc.grid import Field, Grid2D, MeanZeroError, forward, inner, laplacian
 from pfc.model import (PfcParams, chemical_potential, energy, exact_solution,
                        manufactured_forcing, manufactured_forcing_hat, mass,
-                       modified_energy, step_distance_sq)
+                       history_weight, modified_energy, step_distance_sq)
 
 
 @pytest.fixture
@@ -135,6 +135,12 @@ class TestModifiedEnergy:
             step_distance_sq(shifted, prev, float(np.max(np.abs(shifted.values))))
         # the check is judged at the scale passed in
         step_distance_sq(shifted, prev, 1e7)
+
+    @pytest.mark.parametrize("tau,r", [(np.nan, 0.5), (0.1, np.nan), (0.0, 0.5),
+                                       (0.1, -0.5)])
+    def test_history_weight_refuses_nan_and_out_of_range(self, tau, r):
+        with pytest.raises(ValueError):
+            history_weight(tau, r)
 
     def test_never_below_plain_energy(self, setup, rng):
         g, p = setup

@@ -183,23 +183,37 @@ class TestLayer:
             tracemalloc.stop()
         assert peak <= 2.5e6
 
-    def test_step_memory_budget(self):
-        """One 256^2 BDF2 step started from five kept spectra peaks at seven
-        half spectra (3.7 MB) or less, its new field included: no temporary
-        on the step path is larger than one half spectrum."""
+    @staticmethod
+    def step_peak(tau: float) -> tuple[int, int]:
+        """Traced peak of a 256^2 BDF2 step of size ``tau`` started from five
+        kept spectra, after a warm-up step of size 0.05, and a half spectrum's
+        size in bytes."""
         g, p, phi1, phi2 = two_levels(256, 256.0, 0.25, 13)
         steps = (0.05, 0.04, 0.06, 0.05)
         nl_hats = kept_spectra([phi1.values, phi2.values] + [phi2.values * s for s in steps[1:]])
         state = StepperState(phi1, phi2, steps[0], nl_hats=nl_hats, nl_steps=steps)
         phi1.hat, phi2.hat   # cached before the count starts
         bdf2_step(state, 0.05, p)   # first-call set-up stays out of the count
-        half_spectrum = g.k2_half.size * 16
         tracemalloc.start()
         try:
-            bdf2_step(state, 0.05, p)
+            bdf2_step(state, tau, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, g.k2_half.size * 16
+
+    def test_step_memory_budget(self):
+        """One 256^2 BDF2 step started from five kept spectra peaks at seven
+        half spectra (3.7 MB) or less, its new field included: no temporary
+        on the step path is larger than one half spectrum."""
+        peak, half_spectrum = self.step_peak(0.05)
+        assert peak <= 7 * half_spectrum
+
+    def test_step_memory_budget_new_step_size(self):
+        """A step of another size than the warm-up's forms its multipliers
+        afresh, into the arrays held for the last size, within the same seven
+        half spectra."""
+        peak, half_spectrum = self.step_peak(0.06)
         assert peak <= 7 * half_spectrum
 
     def test_forward_backward(self, rng):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -481,3 +483,211 @@ def test_nan_and_non_positive_steps_refused(step, bad, setup, rng, monkeypatch):
     with pytest.raises(ValueError, match="must be positive"):
         step(state, bad, p)
     assert calls == []
+
+
+STEPS = {"bdf2": bdf2_step, "cn": cn_step, "cs1": cs1_step, "cncs": cncs_step}
+
+
+def assert_same_solve(got, want):
+    """Two solves' fields, spectra and stats agree bit for bit."""
+    (phi, stats), (phi_w, stats_w) = got, want
+    assert np.array_equal(phi.values, phi_w.values)
+    assert np.array_equal(phi.hat, phi_w.hat)
+    assert (phi.nl_hat is None) == (phi_w.nl_hat is None)
+    if phi.nl_hat is not None:
+        assert np.array_equal(phi.nl_hat, phi_w.nl_hat)
+    assert stats == stats_w
+
+
+def count_misses(monkeypatch, params) -> list:
+    """Record the key of every step on ``params`` that forms its multipliers afresh."""
+    keys = []
+    store = steppers._store_multipliers
+
+    def spy(p, key, *args):
+        if p is params:
+            keys.append(key)
+        return store(p, key, *args)
+
+    monkeypatch.setattr(steppers, "_store_multipliers", spy)
+    return keys
+
+
+class TestHeldMultipliers:
+    """Steps on one PfcParams reuse the multipliers of the newest solve while
+    its key recurs; each must give the bits of the same step on new params."""
+
+    def test_steps_match_fresh_params(self, setup, rng, monkeypatch):
+        g, p = setup
+        a, b = 0.05, 0.03
+        f_hat = manufactured_forcing_hat(g, p)(0.4)
+        # BDF2 at a, a, a, b, a, a, a; CN at a right after BDF2 at a; then an
+        # unforced and a forced BDF2 step of the same size
+        plan = [(bdf2_step, tau, None) for tau in (a, a, a, b, a, a, a)]
+        plan += [(cn_step, a, None), (bdf2_step, a, None), (bdf2_step, a, f_hat)]
+        misses = count_misses(monkeypatch, p)
+        state = StepperState(random_field(g, rng))
+        hits = []
+        for step, tau, forcing in plan:
+            args = () if forcing is None else (forcing,)
+            n = len(misses)
+            got = step(state, tau, p, *args)
+            hits.append(len(misses) == n)
+            assert_same_solve(got, step(state, tau, PfcParams(p.eps, g), *args))
+            state = state.advanced(got[0], tau)
+        # hits: BDF2 at ratio 1 after a ratio-1 step of the same size
+        assert hits == [False, False, True, False, False, False, True,
+                        False, False, False]
+
+    @pytest.mark.parametrize("scheme", ["cn", "cs1", "cncs"])
+    def test_one_step_schemes_match_fresh_params(self, scheme, setup, rng, monkeypatch):
+        g, p = setup
+        step = STEPS[scheme]
+        state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
+        misses = count_misses(monkeypatch, p)
+        for tau in (0.05, 0.05, 0.02, 0.05):
+            got = step(state, tau, p)
+            assert_same_solve(got, step(state, tau, PfcParams(p.eps, g)))
+        assert len(misses) == 3
+
+    def test_adaptive_run_with_rejection_matches_fresh_params(self, setup, rng, monkeypatch):
+        import pfc.adaptive as adaptive
+        g, p = setup
+        phi0 = random_field(g, rng)
+        run_fixed_mesh(phi0, [0.05] * 2, p)   # an entry is held already
+        cfg = adaptive.AdaptiveConfig(tol=1e-3)
+
+        def accepted(params, step):
+            monkeypatch.setattr(adaptive, "bdf2_step", step)
+            fields = []
+            adaptive.adaptive_run(phi0, 0.5, cfg, params, tau_init=0.5,
+                                  observer=lambda s, _: fields.append(s.phi_prev))
+            return fields
+
+        trials = []
+
+        def counted(state, tau, params):
+            trials.append(tau)
+            return bdf2_step(state, tau, params)
+
+        got = accepted(p, counted)
+        want = accepted(p, lambda s, tau, params: bdf2_step(s, tau, PfcParams(params.eps, g)))
+        assert len(trials) > len(got)   # at least one trial was rejected
+        assert len(got) == len(want)
+        for phi, phi_w in zip(got, want):
+            assert np.array_equal(phi.values, phi_w.values)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda p: pickle.loads(pickle.dumps(p))])
+    def test_copies_hold_nothing(self, clone, setup, rng):
+        """A copy made while an entry is held shares none of its arrays, so a
+        miss on one leaves the other's entry as it was."""
+        g, p = setup
+        state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
+        first = bdf2_step(state, 0.05, p)
+        twin = clone(p)
+        assert twin.solve_key is None and twin.solve_mult is None
+        bdf2_step(state, 0.02, twin)
+        assert_same_solve(bdf2_step(state, 0.05, p), first)
+
+    @pytest.mark.parametrize("scheme", ["bdf2", "cn", "cs1", "cncs"])
+    def test_held_arrays_are_read_only(self, scheme, setup, rng):
+        g, p = setup
+        state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
+        step = STEPS[scheme]
+        args = (manufactured_forcing_hat(g, p)(0.1),) if scheme == "bdf2" else ()
+        step(state, 0.05, p, *args)
+        held = (p.solve_mult,) + p.solve_coefs
+        assert len(held) == {"bdf2": 4, "cn": 2, "cs1": 2, "cncs": 3}[scheme]
+        for a in held:
+            with pytest.raises(ValueError):
+                a[0, 1] = 1.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+
+
+def spy_guesses(monkeypatch) -> list:
+    """Record the ``guess`` array of every solve, with a copy taken before it."""
+    guesses = []
+    solve = steppers.fixed_point_solve
+
+    def spy(mult, base_hat, guess, grid, nonlinear, nl_start=None):
+        guesses.append((guess, guess.copy()))
+        return solve(mult, base_hat, guess, grid, nonlinear, nl_start)
+
+    monkeypatch.setattr(steppers, "fixed_point_solve", spy)
+    return guesses
+
+
+def snapshot(state):
+    """Copies of every array of ``state`` a step reads."""
+    fields = [state.phi_prev, state.phi_prev2]
+    return ([f.values.copy() for f in fields] + [f.hat.copy() for f in fields]
+            + [nl.copy() for nl in state.nl_hats])
+
+
+def assert_unchanged(state, before, guesses):
+    after = snapshot(state)
+    assert len(after) == len(before)
+    for now, then in zip(after, before):
+        assert np.array_equal(now, then)
+    assert guesses
+    for guess, then in guesses:
+        assert np.array_equal(guess, then)
+
+
+class TestSolveInputs:
+    """The solve writes none of the arrays it is handed but a start spectrum
+    made for it: not the history fields, the kept spectra or ``guess``."""
+
+    @pytest.mark.parametrize("scheme", ["bdf2", "cn", "cs1", "cncs"])
+    def test_step_from_values(self, scheme, setup, rng, monkeypatch):
+        g, p = setup
+        state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
+        step = STEPS[scheme]
+        before = snapshot(state)
+        guesses = spy_guesses(monkeypatch)
+        _, stats = step(state, 0.05, p)
+        assert stats.iterations >= 2   # the increment was taken in place at least once
+        assert guesses[0][0] is state.phi_prev.values
+        assert_unchanged(state, before, guesses)
+
+    def test_steps_from_kept_spectra(self, setup, rng, monkeypatch):
+        g, p = setup
+        state = run_fixed_mesh(random_field(g, rng), [0.05] * (NL_LEVELS + 1), p)
+        assert len(state.nl_hats) == NL_LEVELS
+        before = snapshot(state)
+        guesses = spy_guesses(monkeypatch)
+        for tau in (0.05, 0.05, 0.02):   # a hit, then a miss
+            bdf2_step(state, tau, p)
+        assert_unchanged(state, before, guesses)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_increment_raises(self, bad, setup):
+        """A non-finite entry in the first increment, where the previous
+        iterate is ``guess`` and is not written, ends the solve; +inf in
+        ``guess`` gives an increment whose only non-finite entry is -inf."""
+        g, _ = setup
+        guess = np.zeros((g.M, g.M))
+        guess[3, 5] = bad
+        kept = guess.copy()
+        mult = np.zeros(g.k2_half.shape)
+        base_hat = np.zeros(g.k2_half.shape, dtype=complex)
+        with pytest.raises(SolverError) as exc:
+            steppers.fixed_point_solve(mult, base_hat, guess, g, np.zeros_like)
+        assert exc.value.stats.iterations == 1
+        assert not math.isfinite(exc.value.stats.final_residual)
+        assert np.array_equal(guess, kept, equal_nan=True)
+
+    def test_non_finite_increment_in_place_raises(self, setup):
+        """A NaN iterate after one the solve made itself, whose increment is
+        taken in place, ends the solve too."""
+        g, _ = setup
+        mult = np.ones(g.k2_half.shape)
+        base_hat = np.zeros(g.k2_half.shape, dtype=complex)
+        nl_start = np.zeros(g.k2_half.shape, dtype=complex)
+        with pytest.raises(SolverError) as exc:
+            steppers.fixed_point_solve(mult, base_hat, np.zeros((g.M, g.M)), g,
+                                       lambda phi: np.full_like(phi, math.nan), nl_start)
+        assert exc.value.stats.iterations == 2
+        assert math.isnan(exc.value.stats.final_residual)
