@@ -108,7 +108,11 @@ def adaptive_run(phi0: Field, T: float, cfg: AdaptiveConfig, p: PfcParams,
     The first trial step defaults to tau_min.  ``observer(state, stats)`` is
     called after every accepted step with the solve stats of that step; the
     state carries the accepted step as ``tau_prev`` and its time as ``t``.
+    T must be positive and finite: NaN would return phi0 without a step,
+    and inf would never stop.
     """
+    if not (0 < T < np.inf):
+        raise ValueError(f"T must be positive and finite, got {T}")
     state = StepperState(phi0)
     tau_next = tau_init if tau_init is not None else cfg.tau_min
     while state.t < T * (1.0 - 1e-12):

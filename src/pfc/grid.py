@@ -41,8 +41,8 @@ class Grid2D:
     def __post_init__(self):
         if self.M < 4 or self.M % 2 != 0:
             raise ValueError(f"M must be even and >= 4, got {self.M}")
-        if self.L <= 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not (0 < self.L < np.inf):   # NaN fails both comparisons
+            raise ValueError(f"L must be positive and finite, got {self.L}")
         self.h = self.L / self.M
         self.nu = 2.0 * np.pi / self.L
         # integer wavenumbers: rows 0..M/2-1, -M/2..-1; columns 0..M/2
@@ -71,8 +71,8 @@ class Grid2D:
 class Field:
     """Real periodic grid function.
 
-    A field made by a BDF2 solve also carries ``nl_hat``, the half spectrum
-    of the solve's last lagged nonlinearity; it is None otherwise.
+    A field made by a solve of any scheme also carries ``nl_hat``, the half
+    spectrum of the solve's last lagged nonlinearity; it is None otherwise.
     """
 
     grid: Grid2D

@@ -24,12 +24,9 @@ from .grid import (Field, Grid2D, MeanZeroError, backward, forward, fold_conjuga
 
 @dataclass
 class PfcParams:
-    """Temperature-like parameter and the grid it acts on.
+    """Temperature-like parameter, the grid it acts on and their fixed symbols.
 
-    Besides the fixed symbols it holds the multipliers of the newest solve a
-    stepper formed on it, reused while that solve's step coefficients recur
-    and refilled in place when they change; so steps on one instance must
-    not run concurrently, and a copy or pickle starts with nothing held.
+    It holds no solver state, so any number of trajectories may share it.
     """
 
     eps: float
@@ -47,16 +44,6 @@ class PfcParams:
         # its minimum, which settles the sign of b0 + k2_lin for any shift b0
         self.k2_lin = self.grid.k2_half * self.lin_symbol_half
         self.k2_lin_min = float(self.k2_lin.min())
-        # the steppers' one held solve: its key, -k^2/S and the c_i/S of the
-        # right-hand side sum_i c_i hat_i, read-only and refilled in place by
-        # the next step with another key (steppers._store_multipliers)
-        self.solve_key = None
-        self.solve_mult = None
-        self.solve_coefs = ()
-
-    def __getstate__(self):
-        # a copy sharing the held arrays would see them refilled for the other
-        return self.__dict__ | {"solve_key": None, "solve_mult": None, "solve_coefs": ()}
 
 
 @dataclass

@@ -7,10 +7,11 @@ differ by at most 1e-12 in the max norm.  A solve has two multipliers:
 -k^2/S, which turns the lagged nonlinearity into an update, and S^{-1} rhs
 = sum_i (c_i/S) hat_i over the history fields' (and a forcing's) spectra.
 Each scheme forms -k^2/S and the c_i/S from one reciprocal 1/S once per step
-size: they are held, read-only, on ``PfcParams`` under a key of the scheme
-and its step coefficients (``_store_multipliers``).  A step whose key is the
-held one forms no array for them, only multiplying each ``hat`` by its
-c_i/S; one with another key refills the held arrays in place.  The scheme hands ``fixed_point_solve`` the two multipliers, a start
+size: they are held, read-only, in the trajectory's ``StepperState`` under
+a key of the scheme and its step coefficients (``_store_multipliers``).  A
+step whose key is the held one forms no array for them, only multiplying
+each ``hat`` by its c_i/S; one with another key refills the held arrays in
+place.  The scheme hands ``fixed_point_solve`` the two multipliers, a start
 and its lagged nonlinearity as a physical-space function (``phi**3`` or CN's
 averaged product); the solver owns no symbol.  The BDF2 and CN symbols are
 a shift plus (a multiple of) ``PfcParams.k2_lin``, so their positivity
@@ -36,14 +37,13 @@ Schemes:
   * Crank-Nicolson (CN) with the product-form midpoint nonlinearity;
   * Crank-Nicolson convex splitting (CNCS) with an explicit extrapolated
     gradient term, started by a first-order convex-splitting step.
-    These start from phi^{n-1}'s values, and their fields keep no
-    ``nl_hat``, as nothing reads it.
+    These start from phi^{n-1}'s values; no step reads their ``nl_hat``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +73,19 @@ class ConditioningError(ValueError):
     pass
 
 
+class HeldSolve:
+    """A trajectory's newest solve: its ``key``, -k^2/S (``mult``) and the c_i/S (``coefs``).
+
+    A copy shares it; a deep copy or pickle starts empty, as a copied view
+    has no base for ``_store_multipliers`` to refill.
+    """
+
+    key, mult, coefs = None, None, ()
+
+    def __reduce__(self):
+        return HeldSolve, ()
+
+
 @dataclass
 class StepperState:
     """Solution history: the two newest levels, and the nonlinearity spectra of up to five.
@@ -83,7 +96,8 @@ class StepperState:
     their fields (``Field.nl_hat``), newest first, and ``nl_steps`` the
     steps between those levels, also newest first.  Only the BDF2 start
     reads them, and no values of older levels are kept.  A level with no
-    such spectrum (phi^0, or a CN, CS1 or CNCS level) starts the list afresh.
+    such spectrum (phi^0, or a field no solve made) starts the list afresh.
+    ``held`` is the trajectory's one held solve, which ``advanced`` passes on.
     """
 
     phi_prev: Field
@@ -92,13 +106,15 @@ class StepperState:
     t: float = 0.0
     nl_hats: tuple = ()
     nl_steps: tuple = ()
+    held: HeldSolve = field(default_factory=HeldSolve, compare=False, repr=False)
 
     def advanced(self, phi_new: Field, tau: float) -> "StepperState":
         nl_hats, nl_steps = (), ()
         if phi_new.nl_hat is not None:
             nl_hats = (phi_new.nl_hat,) + self.nl_hats[:NL_LEVELS - 1]
             nl_steps = ((tau,) + self.nl_steps)[:len(nl_hats) - 1]
-        return StepperState(phi_new, self.phi_prev, tau, self.t + tau, nl_hats, nl_steps)
+        return StepperState(phi_new, self.phi_prev, tau, self.t + tau, nl_hats, nl_steps,
+                            self.held)
 
 
 def _check_symbol(shift: float, stiff: np.ndarray, stiff_min: float, tau: float):
@@ -124,31 +140,31 @@ def _read_only_view(like: np.ndarray) -> np.ndarray:
     return view
 
 
-def _store_multipliers(p: PfcParams, key: tuple, shift: float, stiff: np.ndarray,
+def _store_multipliers(held: HeldSolve, key: tuple, shift: float, stiff: np.ndarray,
                        k2: np.ndarray, coefs: list):
-    """Hold -k^2/S and each c/S on ``p`` as the solve of ``key``, S = shift + stiff.
+    """Hold -k^2/S and each c/S in ``held`` as the solve of ``key``, S = shift + stiff.
 
     ``coefs`` are the coefficients c_i of the right-hand side sum_i c_i hat_i,
     each a real scalar or half-plane array, in the order the step adds the
-    terms; ``p.solve_coefs`` keeps that order.  Both come from one reciprocal
+    terms; ``held.coefs`` keeps that order.  Both come from one reciprocal
     of S.  The held arrays are read-only views, and a miss refills the arrays
     behind the views of the entry before it: it allocates no array unless
     the new entry has more terms, and an entry is valid until the next miss.
     """
-    p.solve_key = None   # no key while the arrays are refilled
-    if p.solve_mult is None:
-        p.solve_mult = _read_only_view(stiff)
-    inv = np.add(stiff, shift, out=p.solve_mult.base)
+    held.key = None   # no key while the arrays are refilled
+    if held.mult is None:
+        held.mult = _read_only_view(stiff)
+    inv = np.add(stiff, shift, out=held.mult.base)
     np.divide(1.0, inv, out=inv)
-    views = p.solve_coefs[:len(coefs)]
+    views = held.coefs[:len(coefs)]
     while len(views) < len(coefs):
         views += (_read_only_view(inv),)
     for view, c in zip(views, coefs):
         np.multiply(inv, c, out=view.base)
     inv *= k2
     np.negative(inv, out=inv)
-    p.solve_coefs = views
-    p.solve_key = key
+    held.coefs = views
+    held.key = key
 
 
 def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
@@ -291,15 +307,16 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
         b0, b1 = 1.0 / tau_n, None
     forced = forcing_hat is not None
     key = ("bdf2", b0, b1, forced)
-    if key != p.solve_key:
+    held = state.held
+    if key != held.key:
         _check_symbol(b0, p.k2_lin, p.k2_lin_min, tau_n)
         # rhs = b0 phi^{n-1} - b1 (phi^{n-1} - phi^{n-2}) + forcing
         coefs = [b0] if b1 is None else [b0 - b1, b1]
         if forced:
             coefs.append(1.0)
-        _store_multipliers(p, key, b0, p.k2_lin, g.k2_half, coefs)
+        _store_multipliers(held, key, b0, p.k2_lin, g.k2_half, coefs)
     prev = state.phi_prev
-    c = p.solve_coefs
+    c = held.coefs
     base_hat = prev.hat * c[0]
     if history:
         base_hat += state.phi_prev2.hat * c[1]
@@ -307,7 +324,7 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
         base_hat += forcing_hat * c[-1]
     # the start is built in the call, so no name here keeps it alive after
     # the solve has turned it into its first iterate
-    return fixed_point_solve(p.solve_mult, base_hat, prev.values, g, _cube,
+    return fixed_point_solve(held.mult, base_hat, prev.values, g, _cube,
                              _extrapolated_nl(state, tau_n))
 
 
@@ -327,29 +344,22 @@ def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
     return nl
 
 
-def _without_nl(solved: tuple[Field, SolveStats]) -> tuple[Field, SolveStats]:
-    """Drop the solve's ``nl_hat``: only the BDF2 start reads a kept spectrum."""
-    phi, stats = solved
-    phi.nl_hat = None
-    return phi, stats
-
-
 def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
     """Crank-Nicolson step with the averaged-square nonlinearity."""
     if not (tau > 0):
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
     key = ("cn", tau)
-    if key != p.solve_key:
+    held = state.held
+    if key != held.key:
         shift = 1.0 / tau
         half = 0.5 * p.k2_lin
         _check_symbol(shift, half, 0.5 * p.k2_lin_min, tau)
         # rhs = (1/tau - half) phi^{n-1}
-        _store_multipliers(p, key, shift, half, g.k2_half, [shift - half])
+        _store_multipliers(held, key, shift, half, g.k2_half, [shift - half])
     prev = state.phi_prev
-    base_hat = prev.hat * p.solve_coefs[0]
-    return _without_nl(fixed_point_solve(p.solve_mult, base_hat, prev.values, g,
-                                         _midpoint_cube(prev.values)))
+    base_hat = prev.hat * held.coefs[0]
+    return fixed_point_solve(held.mult, base_hat, prev.values, g, _midpoint_cube(prev.values))
 
 
 def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -362,15 +372,16 @@ def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solv
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
     key = ("cs1", tau)
-    if key != p.solve_key:
+    held = state.held
+    if key != held.key:
         k2 = g.k2_half
         k4 = k2 * k2
         shift = 1.0 / tau
         # rhs = (1/tau + 2 k^4) phi^{n-1}
-        _store_multipliers(p, key, shift, k2 * (k4 + 1.0 - p.eps), k2, [shift + 2.0 * k4])
+        _store_multipliers(held, key, shift, k2 * (k4 + 1.0 - p.eps), k2, [shift + 2.0 * k4])
     prev = state.phi_prev
-    base_hat = prev.hat * p.solve_coefs[0]
-    return _without_nl(fixed_point_solve(p.solve_mult, base_hat, prev.values, g, _cube))
+    base_hat = prev.hat * held.coefs[0]
+    return fixed_point_solve(held.mult, base_hat, prev.values, g, _cube)
 
 
 def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -385,20 +396,20 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
         raise ValueError("CNCS requires two history levels; use cs1_step to start")
     g = state.phi_prev.grid
     key = ("cncs", tau)
-    if key != p.solve_key:
+    held = state.held
+    if key != held.key:
         k2 = g.k2_half
         k4 = k2 * k2
         shift = 1.0 / tau
         half = 0.5 * k2 * (k4 + 1.0 - p.eps)
         extrap = 0.5 * k4
         # rhs = (1/tau - half) phi^{n-1} + k^4/2 (3 phi^{n-1} - phi^{n-2})
-        _store_multipliers(p, key, shift, half, k2, [shift - half + 3.0 * extrap, -extrap])
+        _store_multipliers(held, key, shift, half, k2, [shift - half + 3.0 * extrap, -extrap])
     prev = state.phi_prev
-    c = p.solve_coefs
+    c = held.coefs
     base_hat = prev.hat * c[0]
     base_hat += state.phi_prev2.hat * c[1]
-    return _without_nl(fixed_point_solve(p.solve_mult, base_hat, prev.values, g,
-                                         _midpoint_cube(prev.values)))
+    return fixed_point_solve(held.mult, base_hat, prev.values, g, _midpoint_cube(prev.values))
 
 
 def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",

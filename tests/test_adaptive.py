@@ -74,6 +74,15 @@ def test_config_refuses_nan_and_non_positive(kwargs, setup, no_solve):
         adaptive_run(smooth_field(g), 1.0, AdaptiveConfig(**kwargs), p)
 
 
+@pytest.mark.parametrize("T", [math.nan, 0.0, -1.0, math.inf])
+def test_run_refuses_bad_end_time(T, setup, no_solve):
+    """T must be positive and finite: NaN, 0 and -1 used to return phi0 with
+    no step and no error, and inf would step forever."""
+    g, p = setup
+    with pytest.raises(ValueError, match="positive and finite"):
+        adaptive_run(smooth_field(g), T, AdaptiveConfig(), p)
+
+
 @pytest.mark.parametrize("e,tau", [(1e-3, math.nan), (math.nan, 0.1), (-1e-3, 0.1)])
 def test_tau_ada_refuses_nan_and_negative(e, tau, no_solve):
     with pytest.raises(ValueError):

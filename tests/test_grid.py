@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -32,6 +33,12 @@ class TestGridConstruction:
     def test_bad_L(self):
         with pytest.raises(ValueError):
             Grid2D(8, -1.0)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_zero_L_refused(self, L):
+        # NaN used to build NaN wavenumbers and inf all-zero ones
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid2D(8, L)
 
     def test_field_shape_checked(self):
         g = make_grid(8)

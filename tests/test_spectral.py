@@ -434,10 +434,10 @@ def test_transforms_per_step(step, monkeypatch):
 @pytest.mark.parametrize("M,L,eps,tau", CASES)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_carried_spectrum(scheme, M, L, eps, tau):
-    """The solver hands the new field the spectrum of its values and, for
-    BDF2, that of its cubic nonlinearity (to the fixed-point tolerance); CN,
-    CS1 and CNCS fields keep none.  The step leaves the history spectra as
-    they were."""
+    """The solver hands the new field the spectrum of its values and that of
+    its scheme's lagged nonlinearity, the cube or CN's averaged product (to
+    the fixed-point tolerance).  The step leaves the history spectra as they
+    were."""
     g, p, phi1, phi2 = two_levels(M, L, eps, 10)
     state, run = one_step(scheme, g, p, phi1, phi2, tau)
     kept = [f.hat for f in (state.phi_prev, state.phi_prev2) if f is not None]
@@ -447,8 +447,7 @@ def test_carried_spectrum(scheme, M, L, eps, tau):
     assert "hat" in vars(got)   # set by the solver, not computed on first use
     assert np.max(np.abs(got.hat - forward(got.values))) <= 1e-14 * np.max(np.abs(got.hat))
     assert all(np.array_equal(h, b) for h, b in zip(kept, before))
-    if not scheme.startswith("bdf"):
-        assert got.nl_hat is None
-    else:
-        cube_hat = forward(got.values**3)
-        assert np.max(np.abs(got.nl_hat - cube_hat)) <= 1e-10 * np.max(np.abs(cube_hat))
+    nonlinear = (steppers._midpoint_cube(phi1.values) if scheme in ("cn", "cncs")
+                 else lambda phi: phi**3)
+    nl_hat = forward(nonlinear(got.values))
+    assert np.max(np.abs(got.nl_hat - nl_hat)) <= 1e-10 * np.max(np.abs(nl_hat))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -424,16 +425,19 @@ class TestRunFixedMesh:
         assert all(st.final_residual <= FP_TOL for _, st in seen)
         assert seen[-1][0] is state
 
-    @pytest.mark.parametrize("scheme", ["cn", "cncs"])
-    def test_no_spectra_kept_without_bdf2(self, setup, rng, scheme):
-        # only the BDF2 start reads a kept nonlinearity spectrum, so CN, CS1
-        # and CNCS levels carry none and the state keeps none of them
+    @pytest.mark.parametrize("scheme", ["bdf2", "cn", "cncs"])
+    def test_spectra_kept_for_every_scheme(self, setup, rng, scheme):
+        # every solve leaves its last nonlinearity spectrum on its field, and
+        # the state keeps those of the newest NL_LEVELS levels, newest first
         g, p = setup
         levels = []
-        state = run_fixed_mesh(random_field(g, rng), [0.02] * 10, p, scheme=scheme,
-                               observer=lambda s, _: levels.append(s))
-        assert state.nl_hats == () and state.nl_steps == ()
-        assert all(s.phi_prev.nl_hat is None for s in levels)
+        run_fixed_mesh(random_field(g, rng), [0.02] * 10, p, scheme=scheme,
+                       observer=lambda s, _: levels.append(s))
+        for k, s in enumerate(levels, 1):
+            assert len(s.nl_hats) == min(k, NL_LEVELS)
+            assert len(s.nl_steps) == len(s.nl_hats) - 1
+            assert s.nl_hats[0] is s.phi_prev.nl_hat
+        assert levels[-1].nl_hats[1] is levels[-2].phi_prev.nl_hat
 
     def test_schemes_agree_for_small_tau(self, setup, rng):
         # all three schemes are consistent, so their trajectories collapse
@@ -493,29 +497,32 @@ def assert_same_solve(got, want):
     (phi, stats), (phi_w, stats_w) = got, want
     assert np.array_equal(phi.values, phi_w.values)
     assert np.array_equal(phi.hat, phi_w.hat)
-    assert (phi.nl_hat is None) == (phi_w.nl_hat is None)
-    if phi.nl_hat is not None:
-        assert np.array_equal(phi.nl_hat, phi_w.nl_hat)
+    assert np.array_equal(phi.nl_hat, phi_w.nl_hat)
     assert stats == stats_w
 
 
-def count_misses(monkeypatch, params) -> list:
-    """Record the key of every step on ``params`` that forms its multipliers afresh."""
+def count_misses(monkeypatch) -> list:
+    """Record the key of every step that forms its multipliers afresh."""
     keys = []
     store = steppers._store_multipliers
 
-    def spy(p, key, *args):
-        if p is params:
-            keys.append(key)
-        return store(p, key, *args)
+    def spy(held, key, *args):
+        keys.append(key)
+        return store(held, key, *args)
 
     monkeypatch.setattr(steppers, "_store_multipliers", spy)
     return keys
 
 
+def fresh(state):
+    """``state``'s history with a new, empty held solve."""
+    return dataclasses.replace(state, held=steppers.HeldSolve())
+
+
 class TestHeldMultipliers:
-    """Steps on one PfcParams reuse the multipliers of the newest solve while
-    its key recurs; each must give the bits of the same step on new params."""
+    """A trajectory's steps reuse the multipliers its state holds while the
+    key of the newest solve recurs; each must give the bits of the same step
+    from a fresh state on fresh params."""
 
     def test_steps_match_fresh_params(self, setup, rng, monkeypatch):
         g, p = setup
@@ -525,15 +532,16 @@ class TestHeldMultipliers:
         # unforced and a forced BDF2 step of the same size
         plan = [(bdf2_step, tau, None) for tau in (a, a, a, b, a, a, a)]
         plan += [(cn_step, a, None), (bdf2_step, a, None), (bdf2_step, a, f_hat)]
-        misses = count_misses(monkeypatch, p)
+        misses = count_misses(monkeypatch)
         state = StepperState(random_field(g, rng))
         hits = []
         for step, tau, forcing in plan:
             args = () if forcing is None else (forcing,)
+            want = step(fresh(state), tau, PfcParams(p.eps, g), *args)
             n = len(misses)
             got = step(state, tau, p, *args)
             hits.append(len(misses) == n)
-            assert_same_solve(got, step(state, tau, PfcParams(p.eps, g), *args))
+            assert_same_solve(got, want)
             state = state.advanced(got[0], tau)
         # hits: BDF2 at ratio 1 after a ratio-1 step of the same size
         assert hits == [False, False, True, False, False, False, True,
@@ -544,23 +552,23 @@ class TestHeldMultipliers:
         g, p = setup
         step = STEPS[scheme]
         state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
-        misses = count_misses(monkeypatch, p)
-        for tau in (0.05, 0.05, 0.02, 0.05):
-            got = step(state, tau, p)
-            assert_same_solve(got, step(state, tau, PfcParams(p.eps, g)))
+        taus = (0.05, 0.05, 0.02, 0.05)
+        wants = [step(fresh(state), tau, PfcParams(p.eps, g)) for tau in taus]
+        misses = count_misses(monkeypatch)
+        for tau, want in zip(taus, wants):
+            assert_same_solve(step(state, tau, p), want)
         assert len(misses) == 3
 
     def test_adaptive_run_with_rejection_matches_fresh_params(self, setup, rng, monkeypatch):
         import pfc.adaptive as adaptive
         g, p = setup
         phi0 = random_field(g, rng)
-        run_fixed_mesh(phi0, [0.05] * 2, p)   # an entry is held already
         cfg = adaptive.AdaptiveConfig(tol=1e-3)
 
-        def accepted(params, step):
+        def accepted(step):
             monkeypatch.setattr(adaptive, "bdf2_step", step)
             fields = []
-            adaptive.adaptive_run(phi0, 0.5, cfg, params, tau_init=0.5,
+            adaptive.adaptive_run(phi0, 0.5, cfg, p, tau_init=0.5,
                                   observer=lambda s, _: fields.append(s.phi_prev))
             return fields
 
@@ -570,8 +578,8 @@ class TestHeldMultipliers:
             trials.append(tau)
             return bdf2_step(state, tau, params)
 
-        got = accepted(p, counted)
-        want = accepted(p, lambda s, tau, params: bdf2_step(s, tau, PfcParams(params.eps, g)))
+        got = accepted(counted)
+        want = accepted(lambda s, tau, params: bdf2_step(fresh(s), tau, PfcParams(params.eps, g)))
         assert len(trials) > len(got)   # at least one trial was rejected
         assert len(got) == len(want)
         for phi, phi_w in zip(got, want):
@@ -580,15 +588,62 @@ class TestHeldMultipliers:
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                        lambda p: pickle.loads(pickle.dumps(p))])
     def test_copies_hold_nothing(self, clone, setup, rng):
-        """A copy made while an entry is held shares none of its arrays, so a
-        miss on one leaves the other's entry as it was."""
+        """Steps leave PfcParams with the attributes it was built with, so a
+        copy of it made after steps holds no solver state either."""
+        g, p = setup
+        built = set(vars(p))
+        state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
+        for step in STEPS.values():
+            step(state, 0.05, p)
+        twin = clone(p)
+        assert set(vars(p)) == set(vars(twin)) == built
+        assert_same_solve(bdf2_step(fresh(state), 0.05, twin),
+                          bdf2_step(fresh(state), 0.05, p))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda s: pickle.loads(pickle.dumps(s))])
+    def test_state_copies(self, clone, setup, rng):
+        """A shallow copy of a state shares its held solve, key and arrays
+        together; a deep copy or pickle starts with nothing held.  Either
+        way, a miss on the copy leaves the original's steps bit for bit."""
         g, p = setup
         state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
         first = bdf2_step(state, 0.05, p)
-        twin = clone(p)
-        assert twin.solve_key is None and twin.solve_mult is None
-        bdf2_step(state, 0.02, twin)
+        twin = clone(state)
+        if clone is copy.copy:
+            assert twin.held is state.held
+        else:
+            assert twin.held.key is None and twin.held.mult is None
+            assert twin.held.coefs == ()
+        assert_same_solve(bdf2_step(twin, 0.02, p), bdf2_step(fresh(state), 0.02, p))
         assert_same_solve(bdf2_step(state, 0.05, p), first)
+
+    def test_trajectories_share_params(self, setup, rng, monkeypatch):
+        """Two trajectories stepping alternately on one PfcParams at different
+        steps each hit their own held key from their third step on, and each
+        gives the bits it gives when it runs alone."""
+        g, p = setup
+        taus = (0.05, 0.03)
+        phi0s = [random_field(g, rng) for _ in taus]
+
+        def alone(phi0, tau):
+            fields = []
+            run_fixed_mesh(phi0, [tau] * 6, PfcParams(p.eps, g),
+                           observer=lambda s, _: fields.append(s.phi_prev))
+            return fields
+
+        wants = [alone(phi0, tau) for phi0, tau in zip(phi0s, taus)]
+        misses = count_misses(monkeypatch)
+        states = [StepperState(phi0) for phi0 in phi0s]
+        hits = [[], []]
+        for k in range(6):
+            for i, tau in enumerate(taus):
+                n = len(misses)
+                phi, _ = bdf2_step(states[i], tau, p)
+                hits[i].append(len(misses) == n)
+                assert np.array_equal(phi.values, wants[i][k].values)
+                states[i] = states[i].advanced(phi, tau)
+        assert hits == [[False, False, True, True, True, True]] * 2
 
     @pytest.mark.parametrize("scheme", ["bdf2", "cn", "cs1", "cncs"])
     def test_held_arrays_are_read_only(self, scheme, setup, rng):
@@ -597,7 +652,7 @@ class TestHeldMultipliers:
         step = STEPS[scheme]
         args = (manufactured_forcing_hat(g, p)(0.1),) if scheme == "bdf2" else ()
         step(state, 0.05, p, *args)
-        held = (p.solve_mult,) + p.solve_coefs
+        held = (state.held.mult,) + state.held.coefs
         assert len(held) == {"bdf2": 4, "cn": 2, "cs1": 2, "cncs": 3}[scheme]
         for a in held:
             with pytest.raises(ValueError):
