@@ -11,7 +11,7 @@ from .grid import Field, Grid2D, inner, laplacian, norms
 from .kernels import bdf2_coeffs, eigen_bounds, verify_orthogonality, verify_telescope
 from .mesh import TimeMesh, analyze, check_restriction, random_mesh, uniform_mesh
 from .model import PfcParams, chemical_potential, energy, mass, modified_energy
-from .steppers import StepperState, bdf2_step, cn_step, cncs_step, cs1_step
+from .steppers import StepperState, bdf2_step, cn_step, cncs_step
 
 __all__ = [
     "AdaptiveConfig", "adaptive_advance", "adaptive_run", "tau_ada",
@@ -19,7 +19,7 @@ __all__ = [
     "bdf2_coeffs", "eigen_bounds", "verify_orthogonality", "verify_telescope",
     "TimeMesh", "analyze", "check_restriction", "random_mesh", "uniform_mesh",
     "PfcParams", "chemical_potential", "energy", "mass", "modified_energy",
-    "StepperState", "bdf2_step", "cn_step", "cncs_step", "cs1_step",
+    "StepperState", "bdf2_step", "cn_step", "cncs_step",
 ]
 
 __version__ = "0.1.0"

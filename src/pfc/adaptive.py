@@ -105,14 +105,18 @@ def adaptive_run(phi0: Field, T: float, cfg: AdaptiveConfig, p: PfcParams,
                  tau_init: float | None = None, observer=None):
     """Run the controller until time T and return the final state.
 
-    The first trial step defaults to tau_min.  ``observer(state, stats)`` is
-    called after every accepted step with the solve stats of that step; the
-    state carries the accepted step as ``tau_prev`` and its time as ``t``.
-    T must be positive and finite: NaN would return phi0 without a step,
-    and inf would never stop.
+    The first trial step defaults to tau_min; a given ``tau_init`` must lie
+    in [tau_min, tau_max], as every later trial step does.
+    ``observer(state, stats)`` is called after every accepted step with the
+    solve stats of that step; the state carries the accepted step as
+    ``tau_prev`` and its time as ``t``.  T must be positive and finite: NaN
+    would return phi0 without a step, and inf would never stop.
     """
     if not (0 < T < np.inf):
         raise ValueError(f"T must be positive and finite, got {T}")
+    if tau_init is not None and not (cfg.tau_min <= tau_init <= cfg.tau_max):
+        raise ValueError(f"tau_init must lie in [tau_min, tau_max] = "
+                         f"[{cfg.tau_min}, {cfg.tau_max}], got {tau_init}")
     state = StepperState(phi0)
     tau_next = tau_init if tau_init is not None else cfg.tau_min
     while state.t < T * (1.0 - 1e-12):

@@ -23,7 +23,7 @@ import numpy as np
 from . import experiments as ex
 from .adaptive import AdaptiveConfig
 from .mesh import parse_mesh_spec
-from .steppers import ConditioningError, SolverError
+from .steppers import SCHEMES, ConditioningError, SolverError
 
 
 def load_config(path: str) -> dict:
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("compare", help="BDF2 / CN / CNCS comparison")
     m.add_argument("--seed", type=int, default=2023)
     m.add_argument("--out", default="out_compare")
-    m.add_argument("--scheme", choices=["bdf2", "cn", "cncs"], action="append",
+    m.add_argument("--scheme", choices=SCHEMES, action="append",
                    help="restrict to given scheme(s)")
     m.add_argument("--skip-energy-runs", action="store_true")
 
@@ -149,7 +149,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_compare(args) -> int:
     _echo_config(args.out, args)
-    schemes = tuple(args.scheme) if args.scheme else ("bdf2", "cn", "cncs")
+    schemes = tuple(args.scheme) if args.scheme else SCHEMES
     res = ex.run_compare(seed=args.seed, schemes=schemes,
                          with_energy_runs=not args.skip_energy_runs)
     ex.write_csv(os.path.join(args.out, "profile_reference.csv"), ["phi"],

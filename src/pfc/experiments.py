@@ -23,7 +23,7 @@ from .mesh import R_SUP, TimeMesh, analyze, random_mesh, uniform_mesh
 from .model import (EnergyRecord, PfcParams, energy, exact_solution, history_weight,
                     manufactured_forcing_hat, mass, step_distance_sq)
 from .rng import SplitMix64
-from .steppers import SolveStats, StepperState, run_fixed_mesh
+from .steppers import SCHEMES, SolveStats, StepperState, run_fixed_mesh
 
 FMT = "%.17g"
 
@@ -194,7 +194,7 @@ def run_compare(M: int = 128, L: float = 64.0, eps: float = 0.2,
                 seed: int = 2023, profile_T: float = 0.01,
                 profile_taus=(1e-2, 1e-3, 5e-4, 2.5e-4), ref_tau: float = 1e-4,
                 energy_T: float = 5.0, energy_taus=(1e-1, 1e-2, 1e-3),
-                schemes=("bdf2", "cn", "cncs"),
+                schemes=SCHEMES,
                 with_energy_runs: bool = True) -> CompareResult:
     """Short-horizon profile comparison plus (optionally) energy-curve runs."""
     grid = Grid2D(M, L)

@@ -29,6 +29,8 @@ import numpy as np
 
 from .mesh import R_SUP, TimeMesh
 
+EIG_TOL = 1e-10   # width at which the eigenvalue bisection stops
+
 
 @dataclass
 class BDF2Coeffs:
@@ -156,8 +158,7 @@ def _all_eigs_below(d0: float, pairs: list[tuple[float, float]], x: float) -> bo
     return True
 
 
-def tridiag_extreme_eig(d: np.ndarray, e: np.ndarray, which: str,
-                        tol: float = 1e-10) -> float:
+def tridiag_extreme_eig(d: np.ndarray, e: np.ndarray, which: str) -> float:
     """Extreme eigenvalue of a symmetric tridiagonal matrix by bisection.
 
     Brackets come from Gershgorin disks; ``which`` is 'min' or 'max'.
@@ -181,12 +182,12 @@ def tridiag_extreme_eig(d: np.ndarray, e: np.ndarray, which: str,
     else:
         raise ValueError("which must be 'min' or 'max'")
     # invariant: pred(hi + eps) true, pred(lo) false
-    lo -= tol
-    hi += tol
-    while hi - lo > tol:
+    lo -= EIG_TOL
+    hi += EIG_TOL
+    while hi - lo > EIG_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break  # adjacent doubles: tol is below the spacing at this magnitude
+            break  # adjacent doubles: EIG_TOL is below the spacing at this magnitude
         if pred(mid):
             hi = mid
         else:
@@ -201,19 +202,19 @@ class EigenBounds(NamedTuple):
     s1_ok: bool
 
 
-def eigen_bounds(mesh: TimeMesh, tol: float = 1e-10) -> EigenBounds:
+def eigen_bounds(mesh: TimeMesh) -> EigenBounds:
     """Extreme eigenvalues of the scaled certificate matrices and their ratio."""
     tb0, tb1 = scaled_tridiagonals(mesh)
     N = mesh.N
     # Bt: diag 2*tb0_k, offdiag tb1_{k+1}
     d_bt = 2.0 * tb0
     e_bt = tb1[1:]
-    lam_min = tridiag_extreme_eig(d_bt, e_bt, "min", tol)
+    lam_min = tridiag_extreme_eig(d_bt, e_bt, "min")
     # B2t^T B2t: diag tb0_k^2 + tb1_{k+1}^2, offdiag tb0_{k+1} * tb1_{k+1}
     d_p = tb0**2
     d_p[:-1] += tb1[1:] ** 2
     e_p = tb0[1:] * tb1[1:] if N > 1 else np.array([])
-    lam_max = tridiag_extreme_eig(d_p, e_p, "max", tol)
+    lam_max = tridiag_extreme_eig(d_p, e_p, "max")
     quad_const = lam_max / lam_min**2
     return EigenBounds(lam_min, lam_max, quad_const, mesh.satisfies_s1())
 

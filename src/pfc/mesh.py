@@ -26,7 +26,7 @@ R_TRANSITION = 1.0 + np.sqrt(2.0)
 
 @dataclass
 class TimeMesh:
-    """Ordered positive time steps with derived levels and ratios."""
+    """Ordered positive, finite time steps with derived levels and ratios."""
 
     steps: np.ndarray
 
@@ -36,6 +36,8 @@ class TimeMesh:
             raise ValueError("mesh needs at least one step")
         if not np.all(self.steps > 0):   # a NaN step fails this too
             raise ValueError("all step sizes must be positive")
+        if not np.all(np.isfinite(self.steps)):
+            raise ValueError("all step sizes must be finite")
         self.times = np.cumsum(self.steps)
         self.ratios = np.zeros_like(self.steps)
         if self.steps.size > 1:

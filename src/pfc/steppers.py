@@ -36,7 +36,7 @@ Schemes:
     level already made;
   * Crank-Nicolson (CN) with the product-form midpoint nonlinearity;
   * Crank-Nicolson convex splitting (CNCS) with an explicit extrapolated
-    gradient term, started by a first-order convex-splitting step.
+    gradient term; from a single level, first-order convex splitting.
     These start from phi^{n-1}'s values; no step reads their ``nl_hat``.
 """
 
@@ -53,6 +53,7 @@ from .model import PfcParams
 MAX_ITER = 500
 FP_TOL = 1e-12
 NL_LEVELS = 5   # nonlinearity spectra kept for the BDF2 start
+SCHEMES = ("bdf2", "cn", "cncs")   # run_fixed_mesh calls <scheme>_step
 
 
 @dataclass
@@ -362,82 +363,62 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
     return fixed_point_solve(held.mult, base_hat, prev.values, g, _midpoint_cube(prev.values))
 
 
-def cs1_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
-    """First-order convex-splitting step (CNCS starter).
+def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
+    """Crank-Nicolson convex-splitting step; from a single level, its first-order start.
 
-    Implicit: biharmonic, (1 - eps) phi, cubic (lagged).  Explicit: the
-    concave gradient term 2 Lap phi^{n-1}.
+    With two history levels the explicit gradient term uses the extrapolated
+    midpoint value (3 phi^{n-1} - phi^{n-2}) / 2.  From phi^{n-1} alone the
+    step is first-order convex splitting: implicit biharmonic, (1 - eps) phi
+    and cubic (lagged); explicit the concave gradient term 2 Lap phi^{n-1}.
     """
     if not (tau > 0):
         raise ValueError("tau must be positive")
     g = state.phi_prev.grid
-    key = ("cs1", tau)
+    start = state.phi_prev2 is None
+    key = ("cs1" if start else "cncs", tau)
     held = state.held
     if key != held.key:
         k2 = g.k2_half
         k4 = k2 * k2
         shift = 1.0 / tau
-        # rhs = (1/tau + 2 k^4) phi^{n-1}
-        _store_multipliers(held, key, shift, k2 * (k4 + 1.0 - p.eps), k2, [shift + 2.0 * k4])
+        stiff = k2 * (k4 + 1.0 - p.eps)
+        if start:
+            # rhs = (1/tau + 2 k^4) phi^{n-1}
+            coefs = [shift + 2.0 * k4]
+        else:
+            stiff *= 0.5   # the midpoint puts half the linear term on each level
+            extrap = 0.5 * k4
+            # rhs = (1/tau - stiff) phi^{n-1} + k^4/2 (3 phi^{n-1} - phi^{n-2})
+            coefs = [shift - stiff + 3.0 * extrap, -extrap]
+        _store_multipliers(held, key, shift, stiff, k2, coefs)
     prev = state.phi_prev
     base_hat = prev.hat * held.coefs[0]
-    return fixed_point_solve(held.mult, base_hat, prev.values, g, _cube)
-
-
-def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
-    """Crank-Nicolson convex-splitting step; needs two history levels.
-
-    The explicit gradient term uses the extrapolated midpoint value
-    (3 phi^{n-1} - phi^{n-2}) / 2.
-    """
-    if not (tau > 0):
-        raise ValueError("tau must be positive")
-    if state.phi_prev2 is None:
-        raise ValueError("CNCS requires two history levels; use cs1_step to start")
-    g = state.phi_prev.grid
-    key = ("cncs", tau)
-    held = state.held
-    if key != held.key:
-        k2 = g.k2_half
-        k4 = k2 * k2
-        shift = 1.0 / tau
-        half = 0.5 * k2 * (k4 + 1.0 - p.eps)
-        extrap = 0.5 * k4
-        # rhs = (1/tau - half) phi^{n-1} + k^4/2 (3 phi^{n-1} - phi^{n-2})
-        _store_multipliers(held, key, shift, half, k2, [shift - half + 3.0 * extrap, -extrap])
-    prev = state.phi_prev
-    c = held.coefs
-    base_hat = prev.hat * c[0]
-    base_hat += state.phi_prev2.hat * c[1]
+    if start:
+        return fixed_point_solve(held.mult, base_hat, prev.values, g, _cube)
+    base_hat += state.phi_prev2.hat * held.coefs[1]
     return fixed_point_solve(held.mult, base_hat, prev.values, g, _midpoint_cube(prev.values))
 
 
 def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",
                    forcing_fn=None, observer=None):
-    """Advance a trajectory over a fixed step sequence.
+    """Advance a trajectory over a fixed step sequence with one of ``SCHEMES``.
 
     Returns the final state, and calls ``observer(state, stats)`` after
-    every step; the observer is the one way to see per-step data.  The CN
-    scheme is one-step; BDF2 starts with BDF1 and CNCS with the first-order
-    convex-splitting step.  Only BDF2 takes a forcing: ``forcing_fn(t)``
-    returns its half spectrum at the new level (as
-    ``model.manufactured_forcing_hat`` does).
+    every step; the observer is the one way to see per-step data.  Every
+    scheme takes its first step from phi^0 alone.  Only BDF2 takes a
+    forcing: ``forcing_fn(t)`` returns its half spectrum at the new level
+    (as ``model.manufactured_forcing_hat`` does).
     """
-    if scheme not in ("bdf2", "cn", "cncs"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if forcing_fn is not None and scheme != "bdf2":
         raise ValueError(f"scheme {scheme!r} takes no forcing")
+    # looked up at call time, so a wrapper installed on the module is called
+    step = globals()[f"{scheme}_step"]
     state = StepperState(phi0)
     for tau in mesh_steps:
-        if scheme == "bdf2":
-            forcing_hat = forcing_fn(state.t + tau) if forcing_fn is not None else None
-            phi_new, stats = bdf2_step(state, tau, p, forcing_hat)
-        elif scheme == "cn":
-            phi_new, stats = cn_step(state, tau, p)
-        elif state.phi_prev2 is None:
-            phi_new, stats = cs1_step(state, tau, p)
-        else:
-            phi_new, stats = cncs_step(state, tau, p)
+        forcing = () if forcing_fn is None else (forcing_fn(state.t + tau),)
+        phi_new, stats = step(state, tau, p, *forcing)
         state = state.advanced(phi_new, tau)
         if observer is not None:
             observer(state, stats)

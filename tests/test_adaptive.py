@@ -83,6 +83,15 @@ def test_run_refuses_bad_end_time(T, setup, no_solve):
         adaptive_run(smooth_field(g), T, AdaptiveConfig(), p)
 
 
+@pytest.mark.parametrize("tau_init", [2.0, 5e-5, math.nan, math.inf])
+def test_run_refuses_tau_init_outside_bounds(tau_init, setup, no_solve):
+    """The first trial step keeps the bounds that every later one keeps:
+    with tau_max = 0.5, tau_init = 2.0 used to be accepted as a step of 2.0."""
+    g, p = setup
+    with pytest.raises(ValueError, match=r"tau_init must lie in \[tau_min, tau_max\]"):
+        adaptive_run(smooth_field(g), 1.0, AdaptiveConfig(tau_max=0.5), p, tau_init=tau_init)
+
+
 @pytest.mark.parametrize("e,tau", [(1e-3, math.nan), (math.nan, 0.1), (-1e-3, 0.1)])
 def test_tau_ada_refuses_nan_and_negative(e, tau, no_solve):
     with pytest.raises(ValueError):

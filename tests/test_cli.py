@@ -1,5 +1,6 @@
 import hashlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ class TestCommands:
         rc = main(["kernels", "--mesh", str(taus), "--report", str(report)])
         assert rc == 3
         assert capsys.readouterr().err == "config error: all step sizes must be positive\n"
+        assert not report.exists()
+
+    def test_kernels_refuses_infinite_step(self, tmp_path, capsys):
+        # an infinite step used to reach the kernels as inf / inf ratios,
+        # with a divide warning and an error about level 1
+        report = tmp_path / "k.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["kernels", "--mesh", "uniform:10,inf", "--report", str(report)])
+        assert rc == 3
+        assert capsys.readouterr().err == "config error: all step sizes must be finite\n"
         assert not report.exists()
 
     def test_convergence_command_small(self, tmp_path, capsys, monkeypatch):

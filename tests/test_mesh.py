@@ -49,6 +49,14 @@ class TestTimeMesh:
         with pytest.raises(ValueError, match="all step sizes must be positive"):
             TimeMesh(np.array([0.5, bad, 0.25]))
 
+    @pytest.mark.parametrize("build", [lambda: TimeMesh(np.array([0.5, np.inf, 0.25])),
+                                       lambda: uniform_mesh(3, np.inf),
+                                       lambda: random_mesh(5, np.inf, 1)],
+                             ids=["steps", "uniform", "random"])
+    def test_infinite_steps_refused(self, build):
+        with pytest.raises(ValueError, match="all step sizes must be finite"):
+            build()
+
     def test_cumsum_exact(self, rng):
         m = TimeMesh(rng.uniform(0.1, 2.0, size=50))
         assert m.times[-1] == np.cumsum(m.steps)[-1]

@@ -24,7 +24,7 @@ from pfc.grid import Field, Grid2D, backward, forward, inner, laplacian, sum_of_
 from pfc.model import (PfcParams, chemical_potential, energy, manufactured_forcing,
                        manufactured_forcing_hat)
 from pfc.steppers import (NL_LEVELS, StepperState, bdf2_step, cn_step, cncs_step,
-                          cs1_step, run_fixed_mesh)
+                          run_fixed_mesh)
 
 FIELD_TOL = 1e-13
 CASES = [(32, 8.0, 0.2, 0.05), (128, 64.0, 0.2, 0.1)]
@@ -150,8 +150,9 @@ class TestStepsMatchFullPlane:
         assert_same_step(got, stats, *ref_cn(phi1.values, tau, p))
 
     def test_cs1(self, M, L, eps, tau):
+        # CNCS from a single level takes the first-order convex-splitting step
         g, p, phi1, _ = two_levels(M, L, eps, 5)
-        got, stats = cs1_step(StepperState(phi1), tau, p)
+        got, stats = cncs_step(StepperState(phi1), tau, p)
         assert_same_step(got, stats, *ref_cs1(phi1.values, tau, p))
 
     def test_cncs(self, M, L, eps, tau):
@@ -411,7 +412,7 @@ def one_step(scheme, g, p, phi1, phi2, tau):
                    else None)
     if scheme.startswith("bdf"):
         return state, lambda: bdf2_step(state, tau, p, forcing_hat)
-    step = {"cn": cn_step, "cs1": cs1_step, "cncs": cncs_step}[scheme]
+    step = cn_step if scheme == "cn" else cncs_step   # cs1: CNCS from one level
     return state, lambda: step(state, tau, p)
 
 
