@@ -13,6 +13,9 @@ numpy ``fftfreq`` order and columns in ``rfftfreq`` order.  The
 second-derivative multiplier keeps the full -nu^2 (M/2)^2 weight on the
 Nyquist mode.  Weights of Parseval sums are stored folded
 (``fold_conjugates``), so that ``sum_of_squares`` is one dot product.
+
+The test oracles ``laplacian``, ``inner`` and ``mean`` live in
+``tests/conftest.py``, and ``norms`` in ``tests/test_grid.py``.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class GridMismatchError(ValueError):
-    """Two fields do not share the same grid."""
 
 
 class MeanZeroError(ValueError):
@@ -107,11 +106,6 @@ class Field:
         return forward(self.values)
 
 
-def _check_same_grid(f: Field, g: Field):
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
-
-
 def forward(values: np.ndarray) -> np.ndarray:
     """Unnormalized half-spectrum transform of real M x M values.
 
@@ -133,50 +127,21 @@ def fold_conjugates(weight: np.ndarray) -> np.ndarray:
     return weight
 
 
-def sum_of_squares(coeffs: np.ndarray, M: int,
-                   folded_weight: np.ndarray | None = None) -> float:
-    """sum(values**2) of the field whose ``forward`` is ``coeffs`` (Parseval).
+def sum_of_squares(coeffs: np.ndarray, M: int, folded_weight: np.ndarray) -> float:
+    """Weighted Parseval sum of the field whose ``forward`` is ``coeffs``.
 
     Each mode's power is multiplied by ``folded_weight``, a half-plane weight
-    passed through ``fold_conjugates``; without one every mode has weight 1.
+    passed through ``fold_conjugates``; a weight of ones gives sum(values**2).
     """
-    if folded_weight is None:
-        folded_weight = fold_conjugates(np.ones(coeffs.shape))
     power = np.square(coeffs.real)
     power += np.square(coeffs.imag)
     return float(np.dot(power.ravel(), folded_weight.ravel())) / (M * M)
 
 
-def inner(f: Field, g: Field) -> float:
-    """Discrete L2 inner product h^2 * sum(f * g)."""
-    _check_same_grid(f, g)
-    return f.grid.cell_area * float(np.sum(f.values * g.values))
-
-
-def norms(f: Field) -> tuple[float, float, float]:
-    """Return (l2, l4, linf) norms of the field."""
-    a = f.grid.cell_area
-    v = f.values
-    v2 = v * v
-    l2 = float(np.sqrt(a * np.sum(v2)))
-    l4 = float((a * np.sum(v2 * v2)) ** 0.25)
-    linf = float(np.max(np.abs(v)))
-    return l2, l4, linf
-
-
 def l2_norm(f: Field) -> float:
-    """The l2 norm alone, the same double as ``norms(f)[0]``."""
+    """The discrete L2 norm sqrt(h^2 * sum(f**2))."""
     v = f.values
     return float(np.sqrt(f.grid.cell_area * np.sum(v * v)))
-
-
-def mean(f: Field) -> float:
-    return float(np.mean(f.values))
-
-
-def laplacian(f: Field) -> Field:
-    g = f.grid
-    return Field(g, backward(-g.k2_half * forward(f.values), g.M))
 
 
 def save_snapshot(path, f: Field, t: float):

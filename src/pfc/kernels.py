@@ -12,12 +12,18 @@ and the DOC kernels theta are their convolution inverse, in closed form
   theta_{n-j}^(n) = (1 / b0^(j)) * prod_{i=j+1..n} g_i,   g_i = r_i^2 / (1 + 2 r_i).
 
 The lower-triangular DOC matrix is thus semiseparable of rank one: its
-products, row sums, quadratic forms and orthogonality residual follow from
-O(N) recurrences, and no kernel table is built.  Certificates work with the
+products, row sums and orthogonality residual follow from O(N)
+recurrences, and no kernel table is built.  Certificates work with the
 scaled matrices Bt2 = diag(sqrt(tau)) B2 diag(sqrt(tau)) and
 Bt = Bt2 + Bt2^T, whose extreme eigenvalues admit mesh-independent bounds
 (21/40 below for Bt, 53/5 above for Bt2^T Bt2) whenever all ratios satisfy
 S1.
+
+The lemmas that no run prints are test oracles: the kernel forms
+(``quad_form_b``, ``quad_form_theta``, ``cross_form_theta``) in
+``tests/conftest.py``, and ``verify_telescope``, ``apply_d2`` and the
+Gershgorin bounds (``min_eig_bound``, ``max_eig_bound``,
+``refined_quad_const``) in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import R_SUP, TimeMesh
+from .mesh import TimeMesh
 
 EIG_TOL = 1e-10   # width at which the eigenvalue bisection stops
 
@@ -92,27 +98,6 @@ def verify_orthogonality(mesh: TimeMesh) -> float:
         row = max(rk, gn * row)
         worst = max(worst, row)
     return worst
-
-
-def apply_d2(mesh: TimeMesh, v: np.ndarray) -> np.ndarray:
-    """Two-step difference operator applied to a sequence v[0..N]."""
-    if v.shape[0] != mesh.N + 1:
-        raise ValueError(f"sequence length {v.shape[0]} != N+1 = {mesh.N + 1}")
-    c = bdf2_coeffs(mesh)
-    d = np.diff(v, axis=0)
-    if v.ndim == 1:
-        out = c.b0 * d
-        out[1:] += c.b1[1:] * d[:-1]
-    else:
-        out = c.b0[:, None] * d
-        out[1:] += c.b1[1:, None] * d[:-1]
-    return out
-
-
-def verify_telescope(mesh: TimeMesh, v: np.ndarray) -> float:
-    """Max residual of sum_j theta_{n-j}^(n) D2 v^j - (v^n - v^{n-1})."""
-    v = np.asarray(v, dtype=np.float64)
-    return float(np.max(np.abs(doc_apply(mesh, apply_d2(mesh, v)) - np.diff(v))))
 
 
 def scaled_tridiagonals(mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -217,49 +202,3 @@ def eigen_bounds(mesh: TimeMesh) -> EigenBounds:
     lam_max = tridiag_extreme_eig(d_p, e_p, "max")
     quad_const = lam_max / lam_min**2
     return EigenBounds(lam_min, lam_max, quad_const, mesh.satisfies_s1())
-
-
-def min_eig_bound(z: float, s: float) -> float:
-    """Gershgorin lower-bound function (2 + 4z - z^{3/2})/(1+z) - s^{3/2}/(1+s)."""
-    if not (0 <= z < R_SUP and 0 <= s < R_SUP):
-        raise ValueError(f"arguments must lie in [0, {R_SUP:.4f})")
-    return (2.0 + 4.0 * z - z**1.5) / (1.0 + z) - s**1.5 / (1.0 + s)
-
-
-def max_eig_bound(z: float, s: float) -> float:
-    """Gershgorin upper-bound function for the scaled normal matrix."""
-    if not (0 <= z < R_SUP and 0 <= s < R_SUP):
-        raise ValueError(f"arguments must lie in [0, {R_SUP:.4f})")
-    return ((1.0 + 2.0 * z) * (1.0 + 2.0 * z + z**1.5) / (1.0 + z) ** 2
-            + s**1.5 * (1.0 + 2.0 * s + s**1.5) / (1.0 + s) ** 2)
-
-
-def refined_quad_const(max_ratio: float, next_ratio_cap: float | None = None) -> float:
-    """Case-based practical ceiling for the convolution-inequality constant."""
-    if max_ratio <= np.sqrt(3.0) - 1.0:
-        return 1.19
-    if max_ratio <= 2.0:
-        return 3.25
-    if next_ratio_cap is not None and next_ratio_cap <= 1.45:
-        return 3.94
-    return 4.0
-
-
-def quad_form_b(mesh: TimeMesh, w: np.ndarray) -> float:
-    """2 sum_k w_k sum_j b_{k-j}^(k) w_j (lower bidiagonal convolution form)."""
-    c = bdf2_coeffs(mesh)
-    w = np.asarray(w, dtype=np.float64)
-    conv = c.b0 * w
-    conv[1:] += c.b1[1:] * w[:-1]
-    return 2.0 * float(w @ conv)
-
-
-def quad_form_theta(mesh: TimeMesh, v: np.ndarray) -> float:
-    """2 sum_k v_k sum_j theta_{k-j}^(k) v_j."""
-    v = np.asarray(v, dtype=np.float64)
-    return 2.0 * float(v @ doc_apply(mesh, v))
-
-
-def cross_form_theta(mesh: TimeMesh, w: np.ndarray, v: np.ndarray) -> float:
-    """sum_k sum_j theta_{k-j}^(k) w_k v_j."""
-    return float(np.asarray(w, dtype=np.float64) @ doc_apply(mesh, v))

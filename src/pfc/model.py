@@ -1,14 +1,15 @@
 """Phase field crystal physics on the discrete grid.
 
-Chemical potential mu = (1 + Lap)^2 phi + phi^3 - eps*phi, the discrete
-free energy
+The chemical potential is mu = (1 + Lap)^2 phi + phi^3 - eps*phi; the
+discrete free energy is
 
   E[phi] = 1/2 ||(1 + Lap) phi||^2 + 1/4 ||phi^2 - eps||^2 - 1/4 eps^2 |Omega|,
 
-its history-augmented (modified) variant, the conserved mass, and the
-manufactured-solution forcing used by the convergence study, as grid
-values and as a half spectrum formed without a transform per time.
-The constant shift in E is chosen so E[0] = 0.
+its constant shift chosen so E[0] = 0.  Here are E, the two factors of
+the modified energy's history term, the mass, and the convergence study's
+forcing as a half spectrum.  ``chemical_potential``, ``modified_energy`` and the forcing in
+grid values (``manufactured_forcing``) are test oracles in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid2D, MeanZeroError, backward, forward, fold_conjugates,
-                   laplacian, sum_of_squares)
+from .grid import Field, Grid2D, MeanZeroError, forward, fold_conjugates, sum_of_squares
 
 
 @dataclass
@@ -57,12 +57,6 @@ class EnergyRecord:
     iters: int
 
 
-def chemical_potential(phi: Field, p: PfcParams) -> Field:
-    v = phi.values
-    lin = backward(p.lin_symbol_half * forward(v), phi.grid.M)
-    return Field(phi.grid, lin + v * v * v)
-
-
 def energy(phi: Field, p: PfcParams) -> float:
     """Free energy; the gradient part is summed in spectral space (Parseval)."""
     g = phi.grid
@@ -75,17 +69,15 @@ def energy(phi: Field, p: PfcParams) -> float:
     return e_interf + e_bulk - 0.25 * p.eps**2 * g.volume
 
 
-def step_distance_sq(phi_k: Field, phi_km1: Field, linf: float | None = None) -> float:
+def step_distance_sq(phi_k: Field, phi_km1: Field, linf: float) -> float:
     """||phi_k - phi_km1||_{-1}^2 by Parseval from the fields' cached spectra.
 
-    The means must agree to 1e-12 of max|phi_k|, the roundoff of the zero mode;
-    a caller that has that maximum already passes it as ``linf``.
+    The means must agree to 1e-12 of ``linf`` = max|phi_k|, the roundoff of
+    the zero mode.
     """
     g = phi_k.grid
     d = phi_k.hat - phi_km1.hat
     dmean = float(d[0, 0].real) / (g.M * g.M)
-    if linf is None:
-        linf = float(np.max(np.abs(phi_k.values)))
     if abs(dmean) > 1e-12 * linf:
         raise MeanZeroError(f"field has mean {dmean:.3e}, expected mean zero")
     return g.cell_area * sum_of_squares(d, g.M, g.inv_k2_folded)
@@ -98,15 +90,8 @@ def history_weight(tau_k: float, r_kp1: float) -> float:
     return r_kp1 / (2.0 * (1.0 + r_kp1) * tau_k)
 
 
-def modified_energy(phi_k: Field, phi_km1: Field, tau_k: float, r_kp1: float,
-                    p: PfcParams) -> float:
-    """E[phi_k] plus the step-history term r/(2(1+r)tau) ||phi_k - phi_km1||_{-1}^2."""
-    w = history_weight(tau_k, r_kp1)
-    return energy(phi_k, p) + (w * step_distance_sq(phi_k, phi_km1) if w else 0.0)
-
-
 def mass(phi: Field) -> float:
-    """Discrete integral h^2 * sum(phi), bit for bit inner(phi, 1) since x * 1.0 == x."""
+    """Discrete integral h^2 * sum(phi)."""
     return phi.grid.cell_area * float(np.sum(phi.values))
 
 
@@ -127,22 +112,12 @@ def exact_solution(t: float, grid: Grid2D) -> Field:
     return Field(grid, (np.cos(t) * sx) * sy)
 
 
-def manufactured_forcing(t: float, grid: Grid2D, p: PfcParams) -> Field:
-    """Source g = d/dt Phi - Lap_h mu(Phi) built with the discrete operators.
+def manufactured_forcing_hat(grid: Grid2D, p: PfcParams):
+    """The half spectrum of the source g = d/dt Phi - Lap_h mu(Phi) as a function of t.
 
     Spatial derivatives use the same spectral operators as the stepper, so
     the spatial consistency error of the forced problem sits at roundoff and
     measured errors are purely temporal.
-    """
-    phi = exact_solution(t, grid)
-    sx, sy = _axis_sines(grid)
-    dphi_dt = (-np.sin(t) * sx) * sy
-    lap_mu = laplacian(chemical_potential(phi, p))
-    return Field(grid, dphi_dt - lap_mu.values)
-
-
-def manufactured_forcing_hat(grid: Grid2D, p: PfcParams):
-    """The half spectrum of ``manufactured_forcing`` as a function of t.
 
     With Phi = cos(t) S, S = sin(pi x / 2) sin(pi y / 2), the forcing is
     linear spectral operators applied to S and S^3, scaled by cos t, cos^3 t
@@ -152,8 +127,9 @@ def manufactured_forcing_hat(grid: Grid2D, p: PfcParams):
 
     The three spectra are formed here, once per grid, so the returned
     function ``t -> g^(t)`` makes no transform; each call returns a new
-    array.  It equals ``forward(manufactured_forcing(t, grid, p).values)``
-    to roundoff amplified by k^2 |lin| on each mode.
+    array.  It equals the forward transform of g formed in grid values (the
+    tests' ``manufactured_forcing``) to roundoff amplified by k^2 |lin| on
+    each mode.
     """
     sx, sy = _axis_sines(grid)
     s = sx * sy

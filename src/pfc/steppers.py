@@ -293,11 +293,11 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
     state is left as it was.  A forcing enters the right-hand side as
     ``forcing_hat``, its half spectrum at t_n, which is not changed.  The
     zero mode carries no dynamics, so the mean is conserved whenever the
-    forcing is absent or mean-free.  A NaN step is refused with the
-    non-positive ones.
+    forcing is absent or mean-free.  A NaN or infinite step is refused with
+    the non-positive ones.
     """
-    if not (tau_n > 0):
-        raise ValueError("tau_n must be positive")
+    if not (0 < tau_n < math.inf):
+        raise ValueError(f"tau_n must be positive and finite, got {tau_n}")
     g = state.phi_prev.grid
     history = state.phi_prev2 is not None and state.tau_prev is not None
     if history:
@@ -347,8 +347,8 @@ def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
 
 def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
     """Crank-Nicolson step with the averaged-square nonlinearity."""
-    if not (tau > 0):
-        raise ValueError("tau must be positive")
+    if not (0 < tau < math.inf):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     g = state.phi_prev.grid
     key = ("cn", tau)
     held = state.held
@@ -371,8 +371,8 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     step is first-order convex splitting: implicit biharmonic, (1 - eps) phi
     and cubic (lagged); explicit the concave gradient term 2 Lap phi^{n-1}.
     """
-    if not (tau > 0):
-        raise ValueError("tau must be positive")
+    if not (0 < tau < math.inf):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     g = state.phi_prev.grid
     start = state.phi_prev2 is None
     key = ("cs1" if start else "cncs", tau)

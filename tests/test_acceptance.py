@@ -11,15 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import doc_kernels, doc_kernels_recursive, random_s1_mesh
-from pfc.experiments import (oscillation_indicator, random_initial,
-                             run_compare, run_convergence, run_polycrystal,
+from conftest import (chemical_potential, cross_form_theta, doc_kernels, doc_kernels_recursive,
+                      inner, mesh_from_ratios, oscillation_indicator, quad_form_b,
+                      quad_form_theta, random_s1_mesh)
+from pfc.experiments import (random_initial, run_compare, run_convergence, run_polycrystal,
                              run_with_energy_log)
-from pfc.grid import Field, Grid2D, inner
-from pfc.kernels import cross_form_theta, doc_apply, eigen_bounds, quad_form_b, \
-    quad_form_theta, verify_orthogonality
-from pfc.mesh import mesh_from_ratios, stability_bound
-from pfc.model import PfcParams, chemical_potential, energy
+from pfc.grid import Field, Grid2D
+from pfc.kernels import doc_apply, eigen_bounds, verify_orthogonality
+from pfc.mesh import stability_bound
+from pfc.model import PfcParams, energy
 from pfc.steppers import run_fixed_mesh
 
 

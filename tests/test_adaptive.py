@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constant_field, coords, count_transforms
+from conftest import constant_field, coords, count_transforms, mean
 import pfc.adaptive as adaptive
 import pfc.steppers as steppers
 from pfc.adaptive import (AdaptiveConfig, adaptive_advance, adaptive_run,
                           tau_ada)
 from pfc.experiments import patched_initial
-from pfc.grid import Field, Grid2D, mean
+from pfc.grid import Field, Grid2D
 from pfc.model import PfcParams
 from pfc.steppers import (FP_TOL, NL_LEVELS, SolverError, StepperState, bdf2_step,
                           run_fixed_mesh)

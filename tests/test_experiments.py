@@ -4,18 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import coords, count_transforms, kernel_matrices, random_s1_mesh
+from conftest import (coords, count_transforms, kernel_matrices, manufactured_forcing,
+                      modified_energy, oscillation_indicator, random_s1_mesh)
 import pfc.adaptive as adaptive
 import pfc.experiments as ex
 import pfc.steppers as steppers
 from pfc.adaptive import AdaptiveConfig, adaptive_run
 from pfc.experiments import (DEFAULT_PATCHES, EnergyLog, kernels_report, midline,
-                             oscillation_indicator, patched_initial,
+                             patched_initial,
                              random_initial, run_bdf2_forced, run_convergence,
                              energy_rows, run_with_energy_log, write_csv)
 from pfc.grid import Field, Grid2D, forward
 from pfc.mesh import check_restriction, random_mesh, uniform_mesh
-from pfc.model import PfcParams, manufactured_forcing, modified_energy
+from pfc.model import PfcParams
 
 STEP_FUNCTIONS = ("bdf2_step", "cn_step", "cncs_step", "adaptive_advance")
 
@@ -203,7 +204,6 @@ class TestEnergyLog:
 
     def test_energy_computed_once_per_record(self, monkeypatch):
         import pfc.experiments as ex
-        from pfc.model import modified_energy
         g = Grid2D(32, 8.0)
         p = PfcParams(0.2, g)
         phi0 = random_initial(0.1, 0.02, g, 11)
@@ -230,11 +230,9 @@ class TestEnergyLog:
         phi0 = random_initial(0.1, 0.02, g, 11)
         seen = []
 
-        def spy(phi, prev, linf=None):
+        def spy(phi, prev, linf):
             seen.append((linf, float(np.max(np.abs(phi.values)))))
-            got = step_distance_sq(phi, prev, linf)
-            assert got == step_distance_sq(phi, prev)
-            return got
+            return step_distance_sq(phi, prev, linf)
 
         monkeypatch.setattr(ex, "step_distance_sq", spy)
         _, recs = run_with_energy_log(phi0, [0.01, 0.02, 0.01], p)

@@ -4,10 +4,20 @@ import os
 import numpy as np
 import pytest
 
-from conftest import (constant_field, coords, full_grad, hminus1_norm, inv_laplacian,
-                      load_snapshot)
-from pfc.grid import (Field, Grid2D, GridMismatchError, MeanZeroError, inner, l2_norm,
-                      laplacian, mean, norms, save_snapshot)
+from conftest import (GridMismatchError, constant_field, coords, full_grad, hminus1_norm,
+                      inner, inv_laplacian, laplacian, load_snapshot, mean)
+from pfc.grid import Field, Grid2D, MeanZeroError, l2_norm, save_snapshot
+
+
+def norms(f: Field) -> tuple[float, float, float]:
+    """Return (l2, l4, linf) norms of the field."""
+    a = f.grid.cell_area
+    v = f.values
+    v2 = v * v
+    l2 = float(np.sqrt(a * np.sum(v2)))
+    l4 = float((a * np.sum(v2 * v2)) ** 0.25)
+    linf = float(np.max(np.abs(v)))
+    return l2, l4, linf
 
 
 def make_grid(M=32, L=8.0):

@@ -4,20 +4,65 @@ import numpy as np
 import pytest
 
 import pfc.kernels
-from conftest import (doc_kernels, doc_kernels_recursive, kernel_matrices, random_s1_mesh,
+from conftest import (cross_form_theta, doc_kernels, doc_kernels_recursive, kernel_matrices,
+                      mesh_from_ratios, quad_form_b, quad_form_theta, random_s1_mesh,
                       table_orthogonality)
 from pfc.kernels import (_all_eigs_below, _doc_ratios, _has_eig_below, bdf2_coeffs,
-                         cross_form_theta, doc_apply, eigen_bounds, max_eig_bound,
-                         min_eig_bound, quad_form_b, quad_form_theta,
-                         refined_quad_const, scaled_tridiagonals, tridiag_extreme_eig,
-                         verify_orthogonality, verify_telescope)
-from pfc.mesh import (R_SUP, TimeMesh, mesh_from_ratios, random_mesh,
-                      stability_bound, uniform_mesh)
+                         doc_apply, eigen_bounds, scaled_tridiagonals, tridiag_extreme_eig,
+                         verify_orthogonality)
+from pfc.mesh import R_SUP, TimeMesh, random_mesh, stability_bound, uniform_mesh
 
 # Agreement of the O(N) recurrences with the O(N^2) kernel table, relative
 # to the sum of the terms' magnitudes: 4e-16 at most was measured on the
 # meshes below, so this leaves a margin of 25 for meshes not tried.
 TABLE_RTOL = 1e-14
+
+
+def apply_d2(mesh: TimeMesh, v: np.ndarray) -> np.ndarray:
+    """Two-step difference operator applied to a sequence v[0..N]."""
+    if v.shape[0] != mesh.N + 1:
+        raise ValueError(f"sequence length {v.shape[0]} != N+1 = {mesh.N + 1}")
+    c = bdf2_coeffs(mesh)
+    d = np.diff(v, axis=0)
+    if v.ndim == 1:
+        out = c.b0 * d
+        out[1:] += c.b1[1:] * d[:-1]
+    else:
+        out = c.b0[:, None] * d
+        out[1:] += c.b1[1:, None] * d[:-1]
+    return out
+
+
+def verify_telescope(mesh: TimeMesh, v: np.ndarray) -> float:
+    """Max residual of sum_j theta_{n-j}^(n) D2 v^j - (v^n - v^{n-1})."""
+    v = np.asarray(v, dtype=np.float64)
+    return float(np.max(np.abs(doc_apply(mesh, apply_d2(mesh, v)) - np.diff(v))))
+
+
+def min_eig_bound(z: float, s: float) -> float:
+    """Gershgorin lower-bound function (2 + 4z - z^{3/2})/(1+z) - s^{3/2}/(1+s)."""
+    if not (0 <= z < R_SUP and 0 <= s < R_SUP):
+        raise ValueError(f"arguments must lie in [0, {R_SUP:.4f})")
+    return (2.0 + 4.0 * z - z**1.5) / (1.0 + z) - s**1.5 / (1.0 + s)
+
+
+def max_eig_bound(z: float, s: float) -> float:
+    """Gershgorin upper-bound function for the scaled normal matrix."""
+    if not (0 <= z < R_SUP and 0 <= s < R_SUP):
+        raise ValueError(f"arguments must lie in [0, {R_SUP:.4f})")
+    return ((1.0 + 2.0 * z) * (1.0 + 2.0 * z + z**1.5) / (1.0 + z) ** 2
+            + s**1.5 * (1.0 + 2.0 * s + s**1.5) / (1.0 + s) ** 2)
+
+
+def refined_quad_const(max_ratio: float, next_ratio_cap: float | None = None) -> float:
+    """Case-based practical ceiling for the convolution-inequality constant."""
+    if max_ratio <= np.sqrt(3.0) - 1.0:
+        return 1.19
+    if max_ratio <= 2.0:
+        return 3.25
+    if next_ratio_cap is not None and next_ratio_cap <= 1.45:
+        return 3.94
+    return 4.0
 
 
 # Per-entry versions of the certificate code, kept as exact oracles: the

@@ -1,0 +1,77 @@
+"""Every public function and class of the package is used outside the tests.
+
+A public top-level function or class of ``src/pfc`` must be referenced
+somewhere other than its own definition: in the package as an import, a
+name (a call, an annotation, a default), an attribute of a ``pfc`` module or
+an ``__all__`` entry; or in ``perfbench`` the same way, or as the tracer's
+``layer.name`` key.  ``np.mean`` is no use of ``grid.mean``.  A name that
+only tests use lives beside them, in ``conftest.py`` or its one test file.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _pfc_aliases(tree: ast.Module) -> set[str]:
+    """Names a module binds to ``pfc`` or one of its modules."""
+    out = {"pfc"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names
+                    if a.name.split(".")[0] == "pfc"}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "pfc"):
+            out |= {a.asname or a.name for a in node.names}   # from . import experiments as ex
+    return out
+
+
+def _root(node: ast.expr) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _uses(node: ast.AST, modules: set[str], keys: bool) -> set[str]:
+    """Names referenced under ``node``; with ``keys``, also the last part of a
+    dotted string such as ``"model.energy"``."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.ImportFrom):
+            out |= {a.name for a in n.names}
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and _root(n.value) in modules:
+            out.add(n.attr)
+        elif isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
+            out |= {e.value for e in ast.walk(n.value) if isinstance(e, ast.Constant)}
+        elif keys and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            if len(parts) > 1 and all(p.isidentifier() for p in parts):
+                out.add(parts[-1])
+    return out
+
+
+def unused_public_names(root: Path = ROOT) -> list[str]:
+    """``module.name`` of each public top-level function or class that nothing uses."""
+    defined = []
+    used = {}   # name -> the (file, line) of each top-level statement that uses it
+    for path in sorted((root / "src" / "pfc").glob("*.py")) + sorted(
+            (root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_pfc = path.parent.name == "pfc"
+        aliases = _pfc_aliases(tree)
+        for stmt in tree.body:
+            where = (path, stmt.lineno)
+            if (in_pfc and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defined.append((path.stem, stmt.name, where))
+            for name in _uses(stmt, aliases, keys=not in_pfc):
+                used.setdefault(name, set()).add(where)
+    return [f"{mod}.{name}" for mod, name, where in defined
+            if not used.get(name, set()) - {where}]
+
+
+def test_every_public_name_is_used_outside_tests():
+    assert unused_public_names() == []

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_s1_mesh, scalar_random_mesh
-from pfc.mesh import (R_SUP, TimeMesh, analyze, check_restriction,
-                      mesh_from_ratios, parse_mesh_spec, random_mesh,
-                      stability_bound, uniform_mesh)
+from conftest import mesh_from_ratios, random_s1_mesh, scalar_random_mesh
+from pfc.mesh import (R_SUP, TimeMesh, analyze, check_restriction, parse_mesh_spec,
+                      random_mesh, stability_bound, uniform_mesh)
 
 
 def _scalar_check_restriction(mesh, eps, lookahead=0.0):

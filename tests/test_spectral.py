@@ -16,13 +16,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (count_transforms, full_k2, full_lin_symbol, inv_laplacian, ref_cncs,
-                      ref_solve)
+from conftest import (chemical_potential, count_transforms, full_k2, full_lin_symbol, inner,
+                      inv_laplacian, laplacian, manufactured_forcing, ref_cncs, ref_solve)
 import pfc
 import pfc.steppers as steppers
-from pfc.grid import Field, Grid2D, backward, forward, inner, laplacian, sum_of_squares
-from pfc.model import (PfcParams, chemical_potential, energy, manufactured_forcing,
-                       manufactured_forcing_hat)
+from pfc.grid import Field, Grid2D, backward, fold_conjugates, forward, sum_of_squares
+from pfc.model import PfcParams, energy, manufactured_forcing_hat
 from pfc.steppers import (NL_LEVELS, StepperState, bdf2_step, cn_step, cncs_step,
                           run_fixed_mesh)
 
@@ -254,7 +253,8 @@ class TestLayer:
     def test_sum_of_squares_is_parseval(self, rng):
         for M in (4, 16, 30):
             vals = rng.standard_normal((M, M))
-            assert sum_of_squares(forward(vals), M) == pytest.approx(
+            ones = fold_conjugates(np.ones((M, M // 2 + 1)))
+            assert sum_of_squares(forward(vals), M, ones) == pytest.approx(
                 float(np.sum(vals * vals)), rel=1e-13)
 
     @pytest.mark.parametrize("M,L", [(4, 8.0), (32, 8.0), (128, 64.0)])

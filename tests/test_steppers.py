@@ -6,11 +6,11 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import constant_field, coords, full_k2, full_lin_symbol, ref_cncs
+from conftest import (constant_field, coords, full_k2, full_lin_symbol, manufactured_forcing,
+                      mean, modified_energy, ref_cncs)
 import pfc.steppers as steppers
-from pfc.grid import Field, Grid2D, mean
-from pfc.model import (PfcParams, energy, manufactured_forcing, manufactured_forcing_hat,
-                       modified_energy)
+from pfc.grid import Field, Grid2D
+from pfc.model import PfcParams, energy, manufactured_forcing_hat
 from pfc.steppers import (FP_TOL, MAX_ITER, NL_LEVELS, ConditioningError, SolverError,
                           StepperState, _midpoint_cube, bdf2_step, cn_step, cncs_step,
                           run_fixed_mesh)
@@ -479,11 +479,12 @@ def cs1_step(state, tau, p):
     return cncs_step(StepperState(state.phi_prev, held=state.held), tau, p)
 
 
-@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.05])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.05, math.inf])
 @pytest.mark.parametrize("step", [bdf2_step, cn_step, cs1_step, cncs_step])
 def test_nan_and_non_positive_steps_refused(step, bad, setup, rng, monkeypatch):
-    """A NaN step is refused before any solve, with the message of a
-    non-positive one, rather than reaching the solver as a divergence."""
+    """A NaN or infinite step is refused before any solve, with the message
+    of a non-positive one, rather than reaching the solver as a divergence,
+    a division by zero or a conditioning error."""
     g, p = setup
     prev2 = random_field(g, rng)
     state = StepperState(random_field(g, rng), prev2, 0.05)
