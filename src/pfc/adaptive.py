@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, l2_norm
 from .mesh import R_SUP
 from .model import PfcParams
 from .steppers import (ConditioningError, SolverError, SolveStats, StepperState,
@@ -67,20 +67,11 @@ class AdaptiveStep:
     stats: SolveStats
 
 
-def _increment_norm(diff: np.ndarray, ref: np.ndarray, area: float) -> float:
-    denom = float(np.sqrt(area * np.sum(ref * ref)))
-    num = float(np.sqrt(area * np.sum(diff * diff)))
-    if denom < 1e-14:
-        return num
-    return num / denom
-
-
 def adaptive_advance(state: StepperState, tau_trial: float, cfg: AdaptiveConfig,
                      p: PfcParams) -> AdaptiveStep:
     """Advance one accepted level, possibly after rejections."""
     tau = tau_trial
     rejections = 0
-    area = state.phi_prev.grid.cell_area
     while True:
         try:
             phi_new, stats = bdf2_step(state, tau, p)
@@ -90,8 +81,9 @@ def adaptive_advance(state: StepperState, tau_trial: float, cfg: AdaptiveConfig,
             tau = max(cfg.tau_min, FAIL_SHRINK * tau)
             rejections += 1
             continue
-        e = _increment_norm(phi_new.values - state.phi_prev.values,
-                            phi_new.values, area)
+        num = l2_norm(phi_new.values - state.phi_prev.values, phi_new.grid)
+        denom = l2_norm(phi_new.values, phi_new.grid)
+        e = num if denom < 1e-14 else num / denom
         if e < cfg.tol:
             tau_next = min(max(cfg.tau_min, tau_ada(e, tau, cfg)), cfg.tau_max)
             return AdaptiveStep(phi_new, tau, tau_next, e, rejections, stats)

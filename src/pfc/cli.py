@@ -17,6 +17,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -138,9 +139,7 @@ def cmd_convergence(args) -> int:
     rows = ex.run_convergence(M=args.grid_m, seed=args.seed,
                               mesh_kind=args.mesh_kind)
     ex.write_csv(os.path.join(args.out, "convergence.csv"),
-                 ["N", "tau_max", "error", "order", "max_ratio", "N1"],
-                 [(r.N, r.tau_max, r.error, r.order, r.max_ratio, r.n1)
-                  for r in rows])
+                 ["N", "tau_max", "error", "order", "max_ratio", "N1"], map(astuple, rows))
     for r in rows:
         print(f"N={r.N:4d}  tau={r.tau_max:.3e}  e={r.error:.3e}  "
               f"order={r.order:5.2f}  max_r={r.max_ratio:8.2f}  N1={r.n1}")
@@ -213,26 +212,20 @@ def main(argv=None) -> int:
             given = _given_parser().parse_args(argv)
             apply_config(parser, given, load_config(args.config))
             vars(args).update(vars(given))
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    try:
         if args.command == "kernels":
             return cmd_kernels(args)
         if args.command == "convergence":
             return cmd_convergence(args)
         if args.command == "compare":
             return cmd_compare(args)
-        if args.command == "polycrystal":
-            return cmd_polycrystal(args)
-    except (SolverError, ConditioningError) as exc:
+        return cmd_polycrystal(args)
+    except (SolverError, ConditioningError) as exc:   # before ValueError, its base
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
-        # OSError: a mesh file that cannot be read, an output that cannot be written
+        # OSError: an unreadable config or mesh file, an unwritable output
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

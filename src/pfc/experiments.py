@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .adaptive import AdaptiveConfig, adaptive_run
 from .grid import Field, Grid2D, l2_norm, save_snapshot
 from .kernels import bdf2_coeffs, doc_apply, eigen_bounds, verify_orthogonality
-from .mesh import R_SUP, TimeMesh, analyze, random_mesh, uniform_mesh
+from .mesh import R_SUP, TimeMesh, random_mesh, uniform_mesh
 from .model import (EnergyRecord, PfcParams, energy, exact_solution, history_weight,
                     manufactured_forcing_hat, mass, step_distance_sq)
 from .rng import SplitMix64
@@ -36,22 +37,19 @@ def random_initial(mean: float, amp: float, grid: Grid2D, seed: int) -> Field:
     return Field(grid, mean + amp * vals.reshape(grid.M, grid.M))
 
 
-DEFAULT_PATCHES = [((128.0, 64.0), 10.0, 0.2),
+DEFAULT_PATCHES = (((128.0, 64.0), 10.0, 0.2),
                    ((64.0, 196.0), 10.0, 0.3),
-                   ((196.0, 196.0), 10.0, 0.9)]
+                   ((196.0, 196.0), 10.0, 0.9))
 
 
-def patched_initial(grid: Grid2D, patches=None, base: float = 0.285,
-                    seed: int = 0) -> Field:
-    """Constant background with uniform noise inside square seed patches.
+def patched_initial(grid: Grid2D, patches=DEFAULT_PATCHES, seed: int = 0) -> Field:
+    """The constant background 0.285 with uniform noise inside square seed patches.
 
     Each patch is (center, side, amp); perturbations compose additively if
     patches overlap.
     """
-    if patches is None:
-        patches = DEFAULT_PATCHES
     gen = SplitMix64(seed)
-    vals = np.full((grid.M, grid.M), float(base))
+    vals = np.full((grid.M, grid.M), 0.285)
     for (cx, cy), side, amp in patches:
         half = side / 2.0
         in_x = np.abs(grid.x - cx) <= half
@@ -82,10 +80,11 @@ def write_csv(path, header: list[str], rows, footer: str = ""):
         fh.write("".join(lines))
 
 
-def energy_rows(records: list[EnergyRecord]):
-    return [(r.t, r.tau, r.E, r.E_mod, r.mass, r.linf, r.iters) for r in records]
+ENERGY_HEADER = [f.name for f in fields(EnergyRecord)]
 
-ENERGY_HEADER = ["t", "tau", "E", "E_mod", "mass", "linf", "iters"]
+
+def energy_rows(records: list[EnergyRecord]):
+    return list(map(operator.attrgetter(*ENERGY_HEADER), records))
 
 
 @dataclass
@@ -109,7 +108,7 @@ def run_bdf2_forced(mesh: TimeMesh, grid: Grid2D, p: PfcParams) -> float:
     forcing_hat = manufactured_forcing_hat(grid, p)
     state = run_fixed_mesh(phi0, mesh.steps, p, "bdf2", forcing_fn=forcing_hat)
     ref = exact_solution(mesh.T, grid)
-    return l2_norm(Field(grid, state.phi_prev.values - ref.values))
+    return l2_norm(state.phi_prev.values - ref.values, grid)
 
 
 def run_convergence(M: int = 128, L: float = 8.0, eps: float = 0.02,
@@ -125,14 +124,13 @@ def run_convergence(M: int = 128, L: float = 8.0, eps: float = 0.02,
         else:
             mesh = uniform_mesh(N, T)
         err = run_bdf2_forced(mesh, grid, p)
-        rep = analyze(mesh)
-        n1 = sum(1 for r in mesh.ratios if r >= R_SUP)
+        n1 = int(np.count_nonzero(mesh.ratios >= R_SUP))
         if rows:
             prev = rows[-1]
             order = math.log(prev.error / err) / math.log(prev.tau_max / mesh.max_step)
         else:
             order = float("nan")
-        rows.append(ConvergenceRow(N, mesh.max_step, err, order, rep.max_ratio, n1))
+        rows.append(ConvergenceRow(N, mesh.max_step, err, order, mesh.max_ratio, n1))
     return rows
 
 
@@ -190,18 +188,16 @@ def midline(phi: Field) -> np.ndarray:
     return phi.values[:, phi.grid.M // 2].copy()
 
 
-def run_compare(M: int = 128, L: float = 64.0, eps: float = 0.2,
-                seed: int = 2023, profile_T: float = 0.01,
-                profile_taus=(1e-2, 1e-3, 5e-4, 2.5e-4), ref_tau: float = 1e-4,
-                energy_T: float = 5.0, energy_taus=(1e-1, 1e-2, 1e-3),
-                schemes=SCHEMES,
-                with_energy_runs: bool = True) -> CompareResult:
-    """Short-horizon profile comparison plus (optionally) energy-curve runs."""
-    grid = Grid2D(M, L)
-    p = PfcParams(eps, grid)
+def run_compare(seed: int = 2023, profile_taus=(1e-2, 1e-3, 5e-4, 2.5e-4),
+                schemes=SCHEMES, with_energy_runs: bool = True) -> CompareResult:
+    """Profiles at t = 0.01 against BDF2 at tau = 1e-4, and energy runs to t = 5 at tau =
+    0.1, 0.01 and 0.001; 128^2 on (0, 64)^2, eps = 0.2, ``random_initial`` 0.1 +- 0.02."""
+    grid = Grid2D(128, 64.0)
+    p = PfcParams(0.2, grid)
     phi0 = random_initial(0.1, 0.02, grid, seed)
     out = CompareResult()
 
+    profile_T, ref_tau = 0.01, 1e-4
     n_ref = round(profile_T / ref_tau)
     ref_state = run_fixed_mesh(phi0, [ref_tau] * n_ref, p, "bdf2")
     out.reference = midline(ref_state.phi_prev)
@@ -213,8 +209,8 @@ def run_compare(M: int = 128, L: float = 64.0, eps: float = 0.2,
             out.profiles[(scheme, tau)] = midline(state.phi_prev)
 
     if with_energy_runs:
-        for tau in energy_taus:
-            n = round(energy_T / tau)
+        for tau in (1e-1, 1e-2, 1e-3):
+            n = round(5.0 / tau)
             for scheme in schemes:
                 out.energy_logs[(scheme, tau)] = run_with_energy_log(
                     phi0, [tau] * n, p, scheme)[1]
@@ -243,36 +239,33 @@ class PolycrystalResult:
 
 
 def run_polycrystal(M: int = 256, L: float = 256.0, eps: float = 0.25,
-                    seed: int = 2023, T: float = 50.0, uniform_tau: float = 0.05,
-                    cfg: AdaptiveConfig | None = None) -> PolycrystalResult:
-    """Uniform vs adaptive comparison leg from the same seeded initial data."""
+                    seed: int = 2023, T: float = 50.0,
+                    uniform_tau: float = 0.05) -> PolycrystalResult:
+    """Uniform vs adaptive (default ``AdaptiveConfig``) legs from the same seeded data."""
     grid = Grid2D(M, L)
     p = PfcParams(eps, grid)
     phi0 = patched_initial(grid, seed=seed)
-    if cfg is None:
-        cfg = AdaptiveConfig()
 
     n_uni = round(T / uniform_tau)
     # only the records are kept: a held final state would keep its fields and
     # spectra alive through the adaptive leg
     uni_recs = run_with_energy_log(phi0, [uniform_tau] * n_uni, p, "bdf2")[1]
     ada = EnergyLog(phi0, p)
-    adaptive_run(phi0, T, cfg, p, observer=ada)
+    adaptive_run(phi0, T, AdaptiveConfig(), p, observer=ada)
     return PolycrystalResult(uni_recs, ada.records)
 
 
-def run_polycrystal_long(M: int = 256, L: float = 256.0, eps: float = 0.25,
-                         seed: int = 2023, T: float = 1000.0,
-                         snapshot_times=(1, 100, 150, 400, 800, 1000),
-                         out_dir: str | None = None,
-                         cfg: AdaptiveConfig | None = None):
-    """Long adaptive leg with snapshots at the first step reaching each target;
-    returns the final state and the energy records."""
+def run_polycrystal_long(M: int = 256, L: float = 256.0, seed: int = 2023,
+                         T: float = 1000.0, snapshot_times=(1, 100, 150, 400, 800, 1000),
+                         out_dir: str | None = None):
+    """Long adaptive leg at eps = 0.25 with the default ``AdaptiveConfig``: snapshots of the
+    first step reaching each target go to ``out_dir``, made before the first step.
+    Returns the final state and the energy records."""
     grid = Grid2D(M, L)
-    p = PfcParams(eps, grid)
+    p = PfcParams(0.25, grid)
     phi0 = patched_initial(grid, seed=seed)
-    if cfg is None:
-        cfg = AdaptiveConfig()
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     pending = sorted(snapshot_times)
     energy_log = EnergyLog(phi0, p)
 
@@ -284,7 +277,7 @@ def run_polycrystal_long(M: int = 256, L: float = 256.0, eps: float = 0.25,
                 save_snapshot(os.path.join(out_dir, f"snapshot_t{tgt:g}.csv"),
                               state.phi_prev, state.t)
 
-    return adaptive_run(phi0, T, cfg, p, observer=observer), energy_log.records
+    return adaptive_run(phi0, T, AdaptiveConfig(), p, observer=observer), energy_log.records
 
 
 def kernels_report(mesh: TimeMesh, out_path: str | None = None):

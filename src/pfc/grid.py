@@ -62,9 +62,6 @@ class Grid2D:
     def volume(self) -> float:
         return self.L * self.L
 
-    def __eq__(self, other):
-        return isinstance(other, Grid2D) and self.M == other.M and self.L == other.L
-
 
 @dataclass
 class Field:
@@ -138,10 +135,9 @@ def sum_of_squares(coeffs: np.ndarray, M: int, folded_weight: np.ndarray) -> flo
     return float(np.dot(power.ravel(), folded_weight.ravel())) / (M * M)
 
 
-def l2_norm(f: Field) -> float:
-    """The discrete L2 norm sqrt(h^2 * sum(f**2))."""
-    v = f.values
-    return float(np.sqrt(f.grid.cell_area * np.sum(v * v)))
+def l2_norm(values: np.ndarray, grid: Grid2D) -> float:
+    """The discrete L2 norm sqrt(h^2 * sum(values**2)) of values on ``grid``."""
+    return float(np.sqrt(grid.cell_area * np.sum(values * values)))
 
 
 def save_snapshot(path, f: Field, t: float):

@@ -46,12 +46,13 @@ class BDF2Coeffs:
     b1: np.ndarray
 
 
+def _bdf2_kernels(tau, r):
+    """(b0, b1) of a step tau at step ratio r (r = 0: BDF1), for scalars or arrays."""
+    return (1.0 + 2.0 * r) / (tau * (1.0 + r)), -(r * r) / (tau * (1.0 + r))
+
+
 def bdf2_coeffs(mesh: TimeMesh) -> BDF2Coeffs:
-    tau = mesh.steps
-    r = mesh.ratios
-    b0 = (1.0 + 2.0 * r) / (tau * (1.0 + r))
-    b1 = -(r * r) / (tau * (1.0 + r))
-    return BDF2Coeffs(b0, b1)
+    return BDF2Coeffs(*_bdf2_kernels(mesh.steps, mesh.ratios))
 
 
 def _doc_ratios(mesh: TimeMesh) -> np.ndarray:

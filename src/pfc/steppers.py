@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Field, Grid2D, backward, forward
+from .kernels import _bdf2_kernels
 from .model import PfcParams
 
 MAX_ITER = 500
@@ -116,6 +117,11 @@ class StepperState:
             nl_steps = ((tau,) + self.nl_steps)[:len(nl_hats) - 1]
         return StepperState(phi_new, self.phi_prev, tau, self.t + tau, nl_hats, nl_steps,
                             self.held)
+
+
+def _check_step(tau: float):
+    if not (0 < tau < math.inf):   # NaN fails too
+        raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
 def _check_symbol(shift: float, stiff: np.ndarray, stiff_min: float, tau: float):
@@ -296,14 +302,11 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
     forcing is absent or mean-free.  A NaN or infinite step is refused with
     the non-positive ones.
     """
-    if not (0 < tau_n < math.inf):
-        raise ValueError(f"tau_n must be positive and finite, got {tau_n}")
+    _check_step(tau_n)
     g = state.phi_prev.grid
     history = state.phi_prev2 is not None and state.tau_prev is not None
     if history:
-        r = tau_n / state.tau_prev
-        b0 = (1.0 + 2.0 * r) / (tau_n * (1.0 + r))
-        b1 = -(r * r) / (tau_n * (1.0 + r))
+        b0, b1 = _bdf2_kernels(tau_n, tau_n / state.tau_prev)
     else:
         b0, b1 = 1.0 / tau_n, None
     forced = forcing_hat is not None
@@ -347,8 +350,7 @@ def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
 
 def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
     """Crank-Nicolson step with the averaged-square nonlinearity."""
-    if not (0 < tau < math.inf):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_step(tau)
     g = state.phi_prev.grid
     key = ("cn", tau)
     held = state.held
@@ -371,8 +373,7 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     step is first-order convex splitting: implicit biharmonic, (1 - eps) phi
     and cubic (lagged); explicit the concave gradient term 2 Lap phi^{n-1}.
     """
-    if not (0 < tau < math.inf):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_step(tau)
     g = state.phi_prev.grid
     start = state.phi_prev2 is None
     key = ("cs1" if start else "cncs", tau)

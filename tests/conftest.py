@@ -8,8 +8,8 @@ norm that check ``model.step_distance_sq``.  Likewise the package computes
 with the DOC kernels through O(N) recurrences only, and the O(N^2)
 triangular kernel table and dense kernel matrices live here, for small
 meshes.  Helpers that only tests use (``constant_field``, ``linf_monitor``,
-``load_snapshot``) live here too, and so does ``scalar_random_mesh``, the
-one-draw-at-a-time form of ``random_mesh``.
+``load_snapshot``, ``lin_symbol_half``) live here too, and so does
+``scalar_random_mesh``, the one-draw-at-a-time form of ``random_mesh``.
 
 Oracles that no run calls came here from the package with their bodies:
 ``inner`` (with ``GridMismatchError``), ``mean``, ``laplacian``,
@@ -62,7 +62,7 @@ def laplacian(f: Field) -> Field:
 
 def chemical_potential(phi: Field, p: PfcParams) -> Field:
     v = phi.values
-    lin = backward(p.lin_symbol_half * forward(v), phi.grid.M)
+    lin = backward(lin_symbol_half(p) * forward(v), phi.grid.M)
     return Field(phi.grid, lin + v * v * v)
 
 
@@ -251,6 +251,12 @@ def full_grad(grid):
     ikx[grid.M // 2, :] = 0.0
     iky[:, grid.M // 2] = 0.0
     return ikx, iky
+
+
+def lin_symbol_half(p):
+    """(1 - k^2)^2 - eps, the symbol of the linear part of mu, on the half plane:
+    the expression ``PfcParams`` forms it with, so the bits are the same."""
+    return (1.0 - p.grid.k2_half) ** 2 - p.eps
 
 
 def full_lin_symbol(p):

@@ -14,6 +14,7 @@ from pfc.kernels import bdf2_coeffs
 from pfc.mesh import TimeMesh
 from pfc.model import PfcParams, energy, mass
 from pfc.rng import SplitMix64
+from pfc.steppers import ConditioningError, SolverError, SolveStats
 
 
 class TestSplitMix:
@@ -170,6 +171,22 @@ class TestCommands:
         assert rc == 3
         assert capsys.readouterr().err == "config error: all step sizes must be finite\n"
         assert not report.exists()
+
+    @pytest.mark.parametrize("error", [
+        SolverError("fixed-point iteration diverged", SolveStats(3, np.inf)),
+        ConditioningError("non-positive linear symbol")])
+    def test_solver_failure_exit_code(self, error, tmp_path, capsys, monkeypatch):
+        # a ConditioningError is a ValueError, but it is a solver failure, not
+        # a config error
+        def fail(**kw):
+            raise error
+
+        monkeypatch.setattr(ex, "run_convergence", fail)
+        rc = main(["convergence", "--out", str(tmp_path / "conv")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver failure:")
+        assert str(error) in err[0]
 
     def test_convergence_command_small(self, tmp_path, capsys, monkeypatch):
         # shrink the ladder through the config file override path
@@ -393,3 +410,11 @@ class TestPolycrystalLong:
         assert float(m0) == mass(phi0)
         assert float(linf) == float(np.max(np.abs(phi0.values)))
         assert times[-1] >= self.T
+
+    def test_long_leg_makes_its_snapshot_directory(self, tmp_path):
+        """Called from the library, where no ``_echo_config`` has made the
+        directory first, the leg still writes its snapshots."""
+        out = tmp_path / "new" / "dir"
+        ex.run_polycrystal_long(M=self.M, L=self.L, seed=self.SEED, T=self.T,
+                                snapshot_times=self.SNAPS, out_dir=str(out))
+        assert sorted(os.listdir(out)) == ["snapshot_t1.csv", "snapshot_t2.csv"]

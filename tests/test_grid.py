@@ -109,7 +109,7 @@ class TestNorms:
             g = make_grid(M, L)
             for f in (sin_x(g), constant_field(g, -1.7),
                       Field(g, 0.285 + rng.standard_normal((M, M)))):
-                assert l2_norm(f) == norms(f)[0]
+                assert l2_norm(f.values, f.grid) == norms(f)[0]
 
 
 class TestLaplacian:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (chemical_potential, constant_field, coords, full_k2, hminus1_norm,
-                      inner, laplacian, linf_monitor, manufactured_forcing, modified_energy)
+                      inner, laplacian, lin_symbol_half, linf_monitor, manufactured_forcing,
+                      modified_energy)
 from pfc.grid import Field, Grid2D, MeanZeroError, forward
 from pfc.model import (PfcParams, energy, exact_solution, manufactured_forcing_hat, mass,
                        history_weight, step_distance_sq)
@@ -242,7 +243,7 @@ class TestManufacturedForcingHat:
         g = Grid2D(M, 8.0)
         p = PfcParams(0.2, g)
         forcing_hat = manufactured_forcing_hat(g, p)
-        amplification = 1.0 + g.k2_half * np.abs(p.lin_symbol_half)
+        amplification = 1.0 + g.k2_half * np.abs(lin_symbol_half(p))
         for t in (0.0, 0.37, np.pi / 2, 1.7, 12.5):
             got = forcing_hat(t)
             want = forward(manufactured_forcing(t, g, p).values)

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import (chemical_potential, count_transforms, full_k2, full_lin_symbol, inner,
-                      inv_laplacian, laplacian, manufactured_forcing, ref_cncs, ref_solve)
+                      inv_laplacian, laplacian, lin_symbol_half, manufactured_forcing, ref_cncs,
+                      ref_solve)
 import pfc
 import pfc.steppers as steppers
 from pfc.grid import Field, Grid2D, backward, fold_conjugates, forward, sum_of_squares
@@ -166,7 +167,7 @@ class TestLayer:
         p = PfcParams(0.3, g)
         assert g.k2_half.shape == (16, 9)
         assert np.array_equal(g.k2_half, full_k2(g)[:, :9])
-        assert np.array_equal(p.lin_symbol_half, full_lin_symbol(p)[:, :9])
+        assert np.array_equal(lin_symbol_half(p), full_lin_symbol(p)[:, :9])
 
     def test_memory_budget(self):
         """The 256^2 grid and parameters hold only half-plane multipliers and

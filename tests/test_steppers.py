@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (constant_field, coords, full_k2, full_lin_symbol, manufactured_forcing,
-                      mean, modified_energy, ref_cncs)
+                      lin_symbol_half, mean, modified_energy, ref_cncs)
 import pfc.steppers as steppers
 from pfc.grid import Field, Grid2D
 from pfc.model import PfcParams, energy, manufactured_forcing_hat
@@ -211,13 +211,13 @@ def test_conditioning_check_matches_full_symbol(scheme, L, eps, monkeypatch):
     p = PfcParams(eps, g)
     phi = constant_field(g, 0.1)
     tau_prev = 0.3
-    k2_lin = g.k2_half * p.lin_symbol_half
+    k2_lin = g.k2_half * lin_symbol_half(p)
 
     def symbol(tau):
         if scheme == "bdf1":
             return 1.0 / tau + k2_lin
         if scheme == "cn":
-            return 1.0 / tau + 0.5 * g.k2_half * p.lin_symbol_half
+            return 1.0 / tau + 0.5 * g.k2_half * lin_symbol_half(p)
         r = tau / tau_prev
         return (1.0 + 2.0 * r) / (tau * (1.0 + r)) + k2_lin
 
@@ -273,7 +273,7 @@ def test_bdf2_multipliers_match_rhs_over_symbol(ratio, forced, setup, rng, monke
     r = tau / (tau / ratio)
     b0 = (1 + 2 * r) / (tau * (1 + r))
     b1 = -(r * r) / (tau * (1 + r))
-    symbol = b0 + g.k2_half * p.lin_symbol_half
+    symbol = b0 + g.k2_half * lin_symbol_half(p)
     rhs = b0 * prev.hat - b1 * (prev.hat - prev2.hat)
     if forced:
         rhs = rhs + f_hat
