@@ -285,7 +285,7 @@ def kernels_report(mesh: TimeMesh, out_path: str | None = None):
     # a kernel that overflows is refused below, with its level, not warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c = bdf2_coeffs(mesh)
-        row_sums = doc_apply(mesh, np.ones(mesh.N))
+        row_sums = doc_apply(mesh, c, np.ones(mesh.N))
     # the row-sum recurrence carries a non-finite value to every later level
     finite = (np.isfinite(mesh.ratios) & np.isfinite(c.b0) & np.isfinite(c.b1)
               & np.isfinite(row_sums))
@@ -296,7 +296,7 @@ def kernels_report(mesh: TimeMesh, out_path: str | None = None):
             f"b0={c.b0[n - 1]:.3e}, b1={c.b1[n - 1]:.3e}, DOC row sum "
             f"{row_sums[n - 1]:.3e}); the mesh cannot be certified")
     row_res = np.abs(row_sums - mesh.steps) / mesh.steps
-    ortho = verify_orthogonality(mesh)
+    ortho = verify_orthogonality(mesh, c)
     eb = eigen_bounds(mesh)
     b1 = c.b1.tolist()
     b1[0] = 0.0   # level 1 has no b1; the array holds -0.0 there, printed "-0"

@@ -7,6 +7,15 @@ carries the 1/M^2 factor; both are written as their two 1-D passes.  Fields
 are stored as M x M real arrays with ``values[i, j]`` the sample at
 ``(i*h, j*h)``.
 
+Both transforms write into arrays the caller gives, and allocate nothing
+when given them (numpy >= 2.0 takes ``out=`` in ``np.fft``).  ``forward``
+writes the half spectrum into ``out`` and runs its column pass in place
+there.  ``backward`` runs its column pass into the complex ``work``, which
+may be ``coeffs`` itself (that spectrum is then lost), and its row pass
+into the real ``out``.  ``out`` never aliases the input of either.  This is
+how the fixed-point solve of ``steppers`` runs its iterations without
+allocating.
+
 Multipliers live in the one layout that pairs with ``forward``/``backward``:
 the half plane (``k2_half`` and the H^-1 weight ``inv_k2_folded``), rows in
 numpy ``fftfreq`` order and columns in ``rfftfreq`` order.  The
@@ -103,18 +112,27 @@ class Field:
         return forward(self.values)
 
 
-def forward(values: np.ndarray) -> np.ndarray:
+def forward(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized half-spectrum transform of real M x M values.
 
     The axis-wise calls are what ``rfft2`` does inside, bit for bit, without
-    its n-d argument handling.
+    its n-d argument handling.  The row pass writes into ``out`` (a new
+    array when None) and the column pass runs in place there.
     """
-    return np.fft.fft(np.fft.rfft(values, axis=1), axis=0)
+    out = np.fft.rfft(values, axis=1, out=out)
+    return np.fft.fft(out, axis=0, out=out)
 
 
-def backward(coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Normalized inverse of ``forward``: real M x M values (``irfft2``, bit for bit)."""
-    return np.fft.irfft(np.fft.ifft(coeffs, axis=0), n=M, axis=1)
+def backward(coeffs: np.ndarray, M: int, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """Normalized inverse of ``forward``: real M x M values (``irfft2``, bit for bit).
+
+    The column pass writes into ``work`` and the row pass into ``out``; each
+    is a new array when None.  ``work`` may be ``coeffs`` itself, which then
+    ends overwritten; otherwise ``coeffs`` is not written.
+    """
+    work = np.fft.ifft(coeffs, axis=0, out=work)
+    return np.fft.irfft(work, n=M, axis=1, out=out)
 
 
 def fold_conjugates(weight: np.ndarray) -> np.ndarray:

@@ -61,14 +61,15 @@ def _doc_ratios(mesh: TimeMesh) -> np.ndarray:
     return r * r / (1.0 + 2.0 * r)
 
 
-def doc_apply(mesh: TimeMesh, v: np.ndarray) -> np.ndarray:
+def doc_apply(mesh: TimeMesh, c: BDF2Coeffs, v: np.ndarray) -> np.ndarray:
     """Theta v for a sequence v_1..v_N: (Theta v)_n = sum_{j<=n} theta_{n-j}^(n) v_j, in O(N).
 
+    ``c`` are the mesh's kernels, ``bdf2_coeffs(mesh)``.
     The recurrence S_n = g_n S_{n-1} + v_n / b0^(n) forms no kernel and no
     product of the g_i, so it neither overflows nor underflows where the
     kernels themselves do not; ``v`` of ones gives the row sums.
     """
-    terms = np.asarray(v, dtype=np.float64) / bdf2_coeffs(mesh).b0
+    terms = np.asarray(v, dtype=np.float64) / c.b0
     out = []
     s = 0.0
     for gn, tn in zip(_doc_ratios(mesh).tolist(), terms.tolist()):
@@ -77,9 +78,11 @@ def doc_apply(mesh: TimeMesh, v: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def verify_orthogonality(mesh: TimeMesh) -> float:
+def verify_orthogonality(mesh: TimeMesh, c: BDF2Coeffs) -> float:
     """Max residual of sum_{j=k..n} theta_{n-j}^(n) b_{j-k}^(j) - delta_{nk}, in O(N).
 
+    ``c`` are the kernels b, normally ``bdf2_coeffs(mesh)``; the DOC factors
+    come from the mesh's step ratios.
     The diagonal entries are (1/b0^(n)) b0^(n) - 1.  Below it, entry (n, k)
     factors as rho_k prod_{i=k+2..n} g_i with
     rho_k = g_{k+1} (1/b0^(k)) b0^(k) + b1^(k+1) / b0^(k+1), so the largest
@@ -87,7 +90,6 @@ def verify_orthogonality(mesh: TimeMesh) -> float:
     the residuals themselves, never a product of the g_i alone.  NaN entries
     are skipped.
     """
-    c = bdf2_coeffs(mesh)
     inv_b0 = 1.0 / c.b0
     scaled = inv_b0 * c.b0
     worst = float(np.fmax.reduce(np.abs(scaled - 1.0)))

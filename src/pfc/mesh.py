@@ -131,7 +131,11 @@ def analyze(mesh: TimeMesh, eps: float | None = None) -> MeshReport:
 
 
 def parse_mesh_spec(spec: str) -> TimeMesh:
-    """Parse `uniform:N,T` or `random:N,T,seed` or a path to a tau-per-line file."""
+    """Parse `uniform:N,T` or `random:N,T,seed` or a path to a tau-per-line file.
+
+    The file may start with the header line `tau`, as the `adaptive_taus.csv`
+    that `pfc polycrystal` writes does.
+    """
     if spec.startswith("uniform:"):
         n, t = spec[len("uniform:"):].split(",")
         return uniform_mesh(int(n), float(t))
@@ -139,5 +143,8 @@ def parse_mesh_spec(spec: str) -> TimeMesh:
         n, t, s = spec[len("random:"):].split(",")
         return random_mesh(int(n), float(t), int(s))
     with open(spec) as fh:
-        steps = [float(line) for line in fh if line.strip()]
+        lines = fh.read().splitlines()
+    if lines and lines[0].strip() == "tau":
+        lines = lines[1:]
+    steps = [float(line) for line in lines if line.strip()]
     return TimeMesh(np.array(steps))

@@ -26,6 +26,16 @@ spectrum costs one inverse transform, and a step makes no other transform,
 except one for a starting field that has no spectrum yet.  A forcing is
 handed over as its half spectrum.
 
+Buffers: a solve allocates its arrays once and an iteration allocates
+nothing.  Two real arrays take turns as N(phi), written by the scheme's
+``nonlinear(phi, out)`` (``_cube``, ``_midpoint_cube``), as the new iterate
+from ``backward`` and as the increment, which overwrites the older iterate
+but never ``guess``.  ``nl_hat`` takes ``forward``'s output and ``x`` the
+update; ``backward`` runs its column pass in one complex work array, which
+is the start spectrum when the solve has one.  The values, ``x`` and
+``nl_hat`` of the converged iterate go to the returned field, and no solve
+writes them again: the next solve allocates its own.
+
 Schemes:
   * variable-step BDF2, fully implicit (reduces to BDF1 without history).
     The first step starts from phi^0's values.  Every later solve starts
@@ -78,11 +88,12 @@ class ConditioningError(ValueError):
 class HeldSolve:
     """A trajectory's newest solve: its ``key``, -k^2/S (``mult``) and the c_i/S (``coefs``).
 
-    A copy shares it; a deep copy or pickle starts empty, as a copied view
-    has no base for ``_store_multipliers`` to refill.
+    ``inv`` is the real array in which a miss forms 1/S.  A copy shares it
+    all; a deep copy or pickle starts empty, as a copied view has no base
+    for ``_store_multipliers`` to refill.
     """
 
-    key, mult, coefs = None, None, ()
+    key, mult, coefs, inv = None, None, (), None
 
     def __reduce__(self):
         return HeldSolve, ()
@@ -140,9 +151,9 @@ def _check_symbol(shift: float, stiff: np.ndarray, stiff_min: float, tau: float)
         )
 
 
-def _read_only_view(like: np.ndarray) -> np.ndarray:
-    """A read-only view of a new array shaped like ``like``; the array is its ``base``."""
-    view = np.empty_like(like).view()
+def _read_only_view(like: np.ndarray, dtype=None) -> np.ndarray:
+    """A read-only view of a new zero array shaped like ``like``; the array is its ``base``."""
+    view = np.zeros_like(like, dtype=dtype).view()
     view.flags.writeable = False
     return view
 
@@ -157,19 +168,24 @@ def _store_multipliers(held: HeldSolve, key: tuple, shift: float, stiff: np.ndar
     of S.  The held arrays are read-only views, and a miss refills the arrays
     behind the views of the entry before it: it allocates no array unless
     the new entry has more terms, and an entry is valid until the next miss.
+    -k^2/S is held complex with a zero imaginary part, the value numpy would
+    cast it to in each product with a spectrum, so the solve's products need
+    no cast buffer.  The reciprocal is formed in the contiguous ``held.inv``,
+    and only the last pass writes the strided real part of ``mult``.
     """
     held.key = None   # no key while the arrays are refilled
     if held.mult is None:
-        held.mult = _read_only_view(stiff)
-    inv = np.add(stiff, shift, out=held.mult.base)
+        held.mult = _read_only_view(stiff, complex)
+        held.inv = np.empty_like(stiff)
+    inv = np.add(stiff, shift, out=held.inv)
     np.divide(1.0, inv, out=inv)
     views = held.coefs[:len(coefs)]
     while len(views) < len(coefs):
-        views += (_read_only_view(inv),)
+        views += (_read_only_view(stiff),)
     for view, c in zip(views, coefs):
         np.multiply(inv, c, out=view.base)
     inv *= k2
-    np.negative(inv, out=inv)
+    np.negative(inv, out=held.mult.base.real)
     held.coefs = views
     held.key = key
 
@@ -181,63 +197,69 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
 
     The scheme hands over its multipliers in the layout of ``grid.forward``:
     ``mult`` = -k^2/S and ``base_hat`` = S^{-1} rhs, for its symbol S and
-    right-hand side rhs; ``nonlinear(phi)`` returns the lagged terms N(phi)
-    in physical space for the current iterate.  An iteration costs one
-    transform pair.  The iteration starts from the values ``guess`` or,
-    when ``nl_start`` is given, from that spectrum in place of
-    F[N(guess)]: the first iterate then costs one inverse transform,
-    ``guess`` is not read, and the solve takes ``nl_start`` over as a work
-    array.  That first iterate has no predecessor to measure its increment
-    against, so it is never accepted.  ``SolveStats.iterations`` counts
-    inverse transforms, the applications of the map.  No other array handed
-    over is written: the increment is subtracted into the previous iterate
-    only when the solve made that iterate, never into ``guess``.
+    right-hand side rhs; ``nonlinear(phi, out)`` returns the lagged terms
+    N(phi) in physical space for the current iterate, written into the real
+    array ``out``.  An iteration costs one transform pair and allocates
+    nothing: the solve allocates its arrays once, two real buffers that take
+    turns as N(phi), the new iterate and the increment, and the spectra.
+    The iteration starts from the values ``guess`` or, when ``nl_start`` is
+    given, from that spectrum in place of F[N(guess)]: the first iterate
+    then costs one inverse transform, ``guess`` is not read, and the solve
+    takes ``nl_start`` over as its complex work array.  That first iterate
+    has no predecessor to measure its increment against, so it is never
+    accepted.  ``SolveStats.iterations`` counts inverse transforms, the
+    applications of the map.  No other array handed over is written.
 
     The converged field is returned with ``hat`` set to the spectrum whose
-    ``backward`` gave its values and ``nl_hat`` to the last F[N(phi)], both
-    by reference.  A non-finite increment ends the solve at once with
-    ``SolverError``.
+    ``backward`` gave its values and ``nl_hat`` to the last F[N(phi)], all
+    three arrays the solve's own, which it writes no more.  A non-finite
+    increment ends the solve at once with ``SolverError``.
     """
     M = grid.M
+    # N(phi) and the new iterate go into ``spare``; the increment into
+    # ``other``, which holds phi unless phi is ``guess``
+    spare, other = np.empty((M, M)), np.empty((M, M))
+    nl_hat, x = np.empty_like(base_hat), np.empty_like(base_hat)
     phi = guess
     res = np.inf
     first = 1
     # a diverging iterate overflows on its way to inf/nan; that ends the
     # solve below, so the floating-point warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
-        if nl_start is not None:
+        if nl_start is None:
+            work = np.empty_like(base_hat)
+        else:
             nl_start *= mult
             nl_start += base_hat
-            phi = backward(nl_start, M)
-            del nl_start   # frees it when the caller passed it as a temporary
+            work = nl_start
+            phi = backward(work, M, out=spare, work=work)
+            spare, other = other, spare
             first = 2
         for it in range(first, MAX_ITER + 1):
-            nl_hat = forward(nonlinear(phi))
-            x = nl_hat * mult
+            forward(nonlinear(phi, spare), out=nl_hat)
+            np.multiply(nl_hat, mult, out=x)
             x += base_hat
-            phi_new = backward(x, M)
-            d = phi_new - phi if phi is guess else np.subtract(phi, phi_new, out=phi)
-            # in place: max(d.max(), -d.min()) is the same double, but its two
-            # reductions cost more than this pass on a 32^2 grid
+            phi_new = backward(x, M, out=spare, work=work)
+            # abs in place: max(d.max(), -d.min()) is the same double, but its
+            # two reductions cost more than this pass on a 32^2 grid
+            d = np.subtract(phi_new, phi, out=other)
             res = float(np.abs(d, out=d).max())
-            phi = phi_new
             if res <= FP_TOL:
                 # a finite increment rules out a non-finite iterate
-                out = Field.unchecked(grid, phi, nl_hat)
+                out = Field.unchecked(grid, phi_new, nl_hat)
                 out.hat = x
                 return out, SolveStats(it, res)
-            # kept into the next iteration, these would add three grid
-            # arrays to the solve's peak memory
-            del nl_hat, x, d
             if not math.isfinite(res):
                 raise SolverError(f"fixed-point iteration diverged at iteration {it} "
                                   f"(residual {res:.3e})", SolveStats(it, res))
+            phi = phi_new
+            spare, other = other, spare
     raise SolverError(f"fixed-point iteration failed to converge (residual {res:.3e})",
                       SolveStats(MAX_ITER, res))
 
 
-def _cube(phi):
-    out = phi * phi
+def _cube(phi, out):
+    np.multiply(phi, phi, out=out)
     out *= phi
     return out
 
@@ -245,15 +267,16 @@ def _cube(phi):
 def _midpoint_cube(prev):
     """CN's averaged product (phi^2 + prev^2)/2 * (phi + prev)/2 as a function of phi.
 
-    Formed as 0.25 (phi^2 + prev^2)(phi + prev) in a product and a sum
-    buffer, the same bits: scaling by a power of two is exact.
+    Formed into ``out`` as 0.25 (phi^2 + prev^2)(phi + prev), with the sum in
+    a buffer of its own, the same bits: scaling by a power of two is exact.
     """
     prev_sq = prev * prev
+    total = np.empty_like(prev)
 
-    def nl(phi):
-        out = phi * phi
+    def nl(phi, out):
+        np.multiply(phi, phi, out=out)
         out += prev_sq
-        out *= phi + prev
+        out *= np.add(phi, prev, out=total)
         out *= 0.25
         return out
 

@@ -108,12 +108,12 @@ def quad_form_b(mesh: TimeMesh, w: np.ndarray) -> float:
 def quad_form_theta(mesh: TimeMesh, v: np.ndarray) -> float:
     """2 sum_k v_k sum_j theta_{k-j}^(k) v_j."""
     v = np.asarray(v, dtype=np.float64)
-    return 2.0 * float(v @ doc_apply(mesh, v))
+    return 2.0 * float(v @ doc_apply(mesh, bdf2_coeffs(mesh), v))
 
 
 def cross_form_theta(mesh: TimeMesh, w: np.ndarray, v: np.ndarray) -> float:
     """sum_k sum_j theta_{k-j}^(k) w_k v_j."""
-    return float(np.asarray(w, dtype=np.float64) @ doc_apply(mesh, v))
+    return float(np.asarray(w, dtype=np.float64) @ doc_apply(mesh, bdf2_coeffs(mesh), v))
 
 
 def oscillation_indicator(profile: np.ndarray) -> int:

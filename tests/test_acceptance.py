@@ -17,7 +17,7 @@ from conftest import (chemical_potential, cross_form_theta, doc_kernels, doc_ker
 from pfc.experiments import (random_initial, run_compare, run_convergence, run_polycrystal,
                              run_with_energy_log)
 from pfc.grid import Field, Grid2D
-from pfc.kernels import doc_apply, eigen_bounds, verify_orthogonality
+from pfc.kernels import bdf2_coeffs, doc_apply, eigen_bounds, verify_orthogonality
 from pfc.mesh import stability_bound
 from pfc.model import PfcParams, energy
 from pfc.steppers import run_fixed_mesh
@@ -36,8 +36,8 @@ def test_kernel_identities():
     worst_agree = 0.0
     for _ in range(100):
         m = random_s1_mesh(gen, n_max=200, n_min=2)
-        worst_ortho = max(worst_ortho, verify_orthogonality(m))
-        rel = np.max(np.abs(doc_apply(m, np.ones(m.N)) - m.steps) / m.steps)
+        worst_ortho = max(worst_ortho, verify_orthogonality(m, bdf2_coeffs(m)))
+        rel = np.max(np.abs(doc_apply(m, bdf2_coeffs(m), np.ones(m.N)) - m.steps) / m.steps)
         worst_rowsum = max(worst_rowsum, rel)
         doc = doc_kernels(m)
         rec = doc_kernels_recursive(m)

@@ -100,6 +100,25 @@ class TestCommands:
         assert os.path.exists(report)
         assert "30 levels" in capsys.readouterr().out
 
+    def test_kernels_reads_polycrystal_step_file(self, tmp_path, monkeypatch, capsys):
+        """The step file `pfc polycrystal` writes, header `tau` included, is a
+        mesh for `pfc kernels`, with the steps that were written."""
+        taus = [1e-4, 2.5e-4, 0.1 / 3.0]
+        path = str(tmp_path / "adaptive_taus.csv")
+        ex.write_csv(path, ["tau"], [(t,) for t in taus])   # as cmd_polycrystal writes it
+        meshes = []
+        report = ex.kernels_report
+
+        def spy(mesh, out_path=None):
+            meshes.append(mesh)
+            return report(mesh, out_path)
+
+        monkeypatch.setattr(ex, "kernels_report", spy)
+        rc = main(["kernels", "--mesh", path, "--report", str(tmp_path / "k.csv")])
+        assert rc == 0
+        assert "3 levels" in capsys.readouterr().out
+        assert meshes[0].steps.tolist() == taus
+
     def test_kernels_rejects_non_finite_kernels(self, tmp_path, capsys):
         # the second step ratio 1e300 / 1e-300 overflows to inf, so b0 is nan
         taus = tmp_path / "taus.txt"

@@ -8,6 +8,7 @@ from conftest import (coords, count_transforms, kernel_matrices, manufactured_fo
                       modified_energy, oscillation_indicator, random_s1_mesh)
 import pfc.adaptive as adaptive
 import pfc.experiments as ex
+import pfc.kernels as kernels
 import pfc.steppers as steppers
 from pfc.adaptive import AdaptiveConfig, adaptive_run
 from pfc.experiments import (DEFAULT_PATCHES, EnergyLog, kernels_report, midline,
@@ -420,6 +421,22 @@ class TestKernelsReport:
         text = open(path).read()
         assert text.startswith("n,tau,r,b0,b1")
         assert "lam_min=" in text
+
+    def test_kernels_formed_once(self, monkeypatch):
+        """A report forms the BDF2 kernels once and hands them to the DOC
+        row sums and the orthogonality check."""
+        calls = []
+        coeffs = kernels.bdf2_coeffs
+
+        def counted(mesh):
+            calls.append(mesh)
+            return coeffs(mesh)
+
+        monkeypatch.setattr(kernels, "bdf2_coeffs", counted)
+        monkeypatch.setattr(ex, "bdf2_coeffs", counted)
+        m = random_mesh(50, 1.0, 8)
+        kernels_report(m)
+        assert len(calls) == 1 and calls[0] is m
 
     def test_report_memory_is_linear(self):
         # the O(N) recurrences keep a report at N = 2e4 to a few MB: 6.7 MB

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import pfc.kernels
 from conftest import (cross_form_theta, doc_kernels, doc_kernels_recursive, kernel_matrices,
                       mesh_from_ratios, quad_form_b, quad_form_theta, random_s1_mesh,
                       table_orthogonality)
@@ -36,7 +35,7 @@ def apply_d2(mesh: TimeMesh, v: np.ndarray) -> np.ndarray:
 def verify_telescope(mesh: TimeMesh, v: np.ndarray) -> float:
     """Max residual of sum_j theta_{n-j}^(n) D2 v^j - (v^n - v^{n-1})."""
     v = np.asarray(v, dtype=np.float64)
-    return float(np.max(np.abs(doc_apply(mesh, apply_d2(mesh, v)) - np.diff(v))))
+    return float(np.max(np.abs(doc_apply(mesh, bdf2_coeffs(mesh), apply_d2(mesh, v)) - np.diff(v))))
 
 
 def min_eig_bound(z: float, s: float) -> float:
@@ -209,7 +208,7 @@ class TestDOCKernels:
     def test_row_sums_are_steps(self, rng):
         for _ in range(20):
             m = random_s1_mesh(rng)
-            sums = doc_apply(m, np.ones(m.N))
+            sums = doc_apply(m, bdf2_coeffs(m), np.ones(m.N))
             assert np.allclose(sums, m.steps, rtol=1e-12, atol=0)
 
     def test_positive(self, rng):
@@ -247,7 +246,7 @@ class TestDOCApply:
             rows = doc_kernels(m).rows
             for v in (np.ones(m.N), rng.standard_normal(m.N)):
                 want, scale = _table_apply(rows, v)
-                assert np.all(np.abs(doc_apply(m, v) - want) <= TABLE_RTOL * scale)
+                assert np.all(np.abs(doc_apply(m, bdf2_coeffs(m), v) - want) <= TABLE_RTOL * scale)
 
     def test_forms_match_table(self):
         rng = np.random.default_rng(606)
@@ -265,55 +264,48 @@ class TestDOCApply:
 
 class TestOrthogonality:
     def test_single_level(self):
-        assert verify_orthogonality(TimeMesh(np.array([0.3]))) == 0.0
+        m = TimeMesh(np.array([0.3]))
+        assert verify_orthogonality(m, bdf2_coeffs(m)) == 0.0
 
     def test_uniform(self):
-        assert verify_orthogonality(uniform_mesh(50, 1.0)) <= 1e-12
+        m = uniform_mesh(50, 1.0)
+        assert verify_orthogonality(m, bdf2_coeffs(m)) <= 1e-12
 
     def test_random_s1(self, rng):
         m = random_s1_mesh(rng, n_max=200, n_min=150)
-        assert verify_orthogonality(m) <= 1e-10
+        assert verify_orthogonality(m, bdf2_coeffs(m)) <= 1e-10
 
     def test_same_double_as_scalar_loop(self):
         for m in _oracle_meshes():
-            assert verify_orthogonality(m) == _loop_orthogonality(m)
+            assert verify_orthogonality(m, bdf2_coeffs(m)) == _loop_orthogonality(m)
 
     def test_table_residual_within_bound(self):
         for m in _oracle_meshes():
-            assert verify_orthogonality(m) <= 1e-10
+            assert verify_orthogonality(m, bdf2_coeffs(m)) <= 1e-10
             assert table_orthogonality(m) <= 1e-10
 
-    def test_corrupted_b1_is_caught(self, monkeypatch):
+    def test_corrupted_b1_is_caught(self):
         # the DOC factors g_n come from the step ratios, so a wrong b1 breaks
         # orthogonality: at level k it leaves rho_{k-1} = -g_k instead of 0
         m = random_mesh(40, 1.0, 9)
         g = _doc_ratios(m)
         k = int(np.argmax(g))
         assert g[k] > 0.5
-        coeffs = bdf2_coeffs
+        c = bdf2_coeffs(m)
+        assert verify_orthogonality(m, c) <= 1e-10
+        c.b1[k] *= 2.0
+        assert verify_orthogonality(m, c) >= g[k] * (1.0 - 1e-12)
 
-        def corrupted(mesh):
-            c = coeffs(mesh)
-            c.b1[k] *= 2.0
-            return c
-
-        assert verify_orthogonality(m) <= 1e-10
-        monkeypatch.setattr(pfc.kernels, "bdf2_coeffs", corrupted)
-        assert verify_orthogonality(m) >= g[k] * (1.0 - 1e-12)
-
-    def test_corrupted_residual_matches_table(self, monkeypatch):
+    def test_corrupted_residual_matches_table(self):
         # a residual far above roundoff is the same number from the factored
         # scan and from the table, entry by entry
         rng = np.random.default_rng(707)
-        coeffs = bdf2_coeffs
         for m in _oracle_meshes():
             if m.N < 2:
                 continue
-            c = coeffs(m)
+            c = bdf2_coeffs(m)
             c.b1[int(rng.integers(1, m.N))] *= 1.0 + rng.uniform(0.1, 1.0)
-            monkeypatch.setattr(pfc.kernels, "bdf2_coeffs", lambda mesh: c)
-            got = verify_orthogonality(m)
-            monkeypatch.undo()
+            got = verify_orthogonality(m, c)
             want = table_orthogonality(m, c)
             assert want > 1e-6
             assert got == pytest.approx(want, rel=1e-12)

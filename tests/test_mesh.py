@@ -234,3 +234,12 @@ class TestMeshSpec:
         p.write_text("0.5\n0.25\n")
         m = parse_mesh_spec(str(p))
         assert np.allclose(m.steps, [0.5, 0.25])
+
+    def test_file_spec_with_tau_header(self, tmp_path):
+        # only a first line naming the column is a header
+        p = tmp_path / "taus.csv"
+        p.write_text("tau\n0.5\n0.25\n")
+        assert parse_mesh_spec(str(p)).steps.tolist() == [0.5, 0.25]
+        p.write_text("0.5\ntau\n")
+        with pytest.raises(ValueError):
+            parse_mesh_spec(str(p))

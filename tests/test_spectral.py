@@ -450,6 +450,95 @@ def test_carried_spectrum(scheme, M, L, eps, tau):
     assert np.max(np.abs(got.hat - forward(got.values))) <= 1e-14 * np.max(np.abs(got.hat))
     assert all(np.array_equal(h, b) for h, b in zip(kept, before))
     nonlinear = (steppers._midpoint_cube(phi1.values) if scheme in ("cn", "cncs")
-                 else lambda phi: phi**3)
-    nl_hat = forward(nonlinear(got.values))
+                 else lambda phi, out: phi**3)
+    nl_hat = forward(nonlinear(got.values, np.empty_like(got.values)))
     assert np.max(np.abs(got.nl_hat - nl_hat)) <= 1e-10 * np.max(np.abs(nl_hat))
+
+
+def allocating_solve(mult, base_hat, guess, grid, nonlinear, nl_start=None):
+    """The fixed-point loop as it was before it wrote into its own arrays: the
+    oracle for ``steppers.fixed_point_solve``.  Every iteration makes fresh
+    arrays for N(phi), both passes of each transform, the update and the
+    increment."""
+    M = grid.M
+    phi = guess
+    res = np.inf
+    first = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if nl_start is not None:
+            nl_start *= mult
+            nl_start += base_hat
+            phi = np.fft.irfft(np.fft.ifft(nl_start, axis=0), n=M, axis=1)
+            first = 2
+        for it in range(first, steppers.MAX_ITER + 1):
+            nl = nonlinear(phi, np.empty_like(phi))
+            nl_hat = np.fft.fft(np.fft.rfft(nl, axis=1), axis=0)
+            x = nl_hat * mult
+            x += base_hat
+            phi_new = np.fft.irfft(np.fft.ifft(x, axis=0), n=M, axis=1)
+            d = phi_new - phi if phi is guess else np.subtract(phi, phi_new, out=phi)
+            res = float(np.abs(d, out=d).max())
+            phi = phi_new
+            if res <= steppers.FP_TOL:
+                out = Field.unchecked(grid, phi, nl_hat)
+                out.hat = x
+                return out, steppers.SolveStats(it, res)
+            if not math.isfinite(res):
+                raise steppers.SolverError("diverged", steppers.SolveStats(it, res))
+    raise steppers.SolverError("no convergence", steppers.SolveStats(steppers.MAX_ITER, res))
+
+
+@pytest.mark.parametrize("M,L,eps,tau", CASES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_solve_matches_allocating_loop(scheme, M, L, eps, tau, monkeypatch):
+    """The solve that writes into its own arrays gives the allocating loop's
+    values, spectra and statistics bit for bit: BDF2 from phi^0, from its
+    history's values, spectrum-started and forced, CN, CS1 and CNCS."""
+    g, p, phi1, phi2 = two_levels(M, L, eps, 14)
+    _, run = one_step(scheme, g, p, phi1, phi2, tau)
+    got, stats = run()
+    monkeypatch.setattr(steppers, "fixed_point_solve", allocating_solve)
+    want, want_stats = run()
+    assert stats == want_stats
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.hat, want.hat)
+    assert np.array_equal(got.nl_hat, want.nl_hat)
+
+
+def solve_peak(tau: float, monkeypatch) -> tuple[int, int]:
+    """Traced peak of the fixed-point solve of a 32^2 BDF1 step of size ``tau``
+    from the values of phi^0, after an untraced warm-up, and its iterations."""
+    g = Grid2D(32, 8.0)
+    p = PfcParams(0.2, g)
+    phi0 = Field(g, 0.1 + 0.01 * np.random.default_rng(15).uniform(-1, 1, size=(32, 32)))
+    phi0.hat   # cached before the count starts
+    bdf2_step(StepperState(phi0), tau, p)   # first-call set-up stays out of the count
+    solve = steppers.fixed_point_solve
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            res = solve(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(steppers, "fixed_point_solve", traced)
+        _, stats = bdf2_step(StepperState(phi0), tau, p)
+    return peaks[0], stats.iterations
+
+
+def test_solve_peak_does_not_grow_with_iterations(monkeypatch):
+    """An iteration allocates nothing: a solve of eight or more iterations
+    peaks where one of three does, within 1 KB.  The peak is the solve's own
+    arrays, two fields and three half spectra (42.5 KB at 32^2), and at most
+    4 KB of Python objects, less than any one more array."""
+    short, short_iters = solve_peak(1e-5, monkeypatch)
+    long, long_iters = solve_peak(2.0, monkeypatch)
+    assert short_iters == 3 and long_iters >= 8
+    assert abs(long - short) <= 1024
+    own = 2 * 32 * 32 * 8 + 3 * 32 * 17 * 16
+    assert long <= own + 4096

@@ -370,14 +370,15 @@ class TestCNCS:
 
 @pytest.mark.parametrize("M", [32, 128])
 def test_midpoint_cube_matches_halved_factors(M, rng):
-    """The in-place product is bit for bit 0.5 (phi^2 + prev^2) * 0.5 (phi + prev)."""
+    """The product written into ``out`` is bit for bit 0.5 (phi^2 + prev^2) * 0.5 (phi + prev)."""
     phi = 0.3 + 0.5 * rng.standard_normal((M, M))
     prev = 0.3 + 0.5 * rng.standard_normal((M, M))
     phi_in, prev_in = phi.copy(), prev.copy()
     mid = 0.5 * (phi + prev)
     want = 0.5 * (phi * phi + prev * prev) * mid
-    got = _midpoint_cube(prev)(phi)
-    assert np.array_equal(got, want)
+    out = np.empty_like(phi)
+    got = _midpoint_cube(prev)(phi, out)
+    assert got is out and np.array_equal(got, want)
     assert np.array_equal(phi, phi_in) and np.array_equal(prev, prev_in)
 
 
@@ -734,7 +735,8 @@ class TestSolveInputs:
         mult = np.zeros(g.k2_half.shape)
         base_hat = np.zeros(g.k2_half.shape, dtype=complex)
         with pytest.raises(SolverError) as exc:
-            steppers.fixed_point_solve(mult, base_hat, guess, g, np.zeros_like)
+            steppers.fixed_point_solve(mult, base_hat, guess, g,
+                                       lambda phi, out: np.zeros_like(phi))
         assert exc.value.stats.iterations == 1
         assert not math.isfinite(exc.value.stats.final_residual)
         assert np.array_equal(guess, kept, equal_nan=True)
@@ -748,6 +750,6 @@ class TestSolveInputs:
         nl_start = np.zeros(g.k2_half.shape, dtype=complex)
         with pytest.raises(SolverError) as exc:
             steppers.fixed_point_solve(mult, base_hat, np.zeros((g.M, g.M)), g,
-                                       lambda phi: np.full_like(phi, math.nan), nl_start)
+                                       lambda phi, out: np.full_like(phi, math.nan), nl_start)
         assert exc.value.stats.iterations == 2
         assert math.isnan(exc.value.stats.final_residual)
