@@ -6,7 +6,7 @@ model (energy, mass and the manufactured forcing), steppers (BDF2/CN/CNCS),
 adaptive (step-size controller), experiments (harnesses), cli.
 """
 
-from .adaptive import AdaptiveConfig, adaptive_advance, adaptive_run, tau_ada
+from .adaptive import adaptive_advance, adaptive_run, tau_ada
 from .grid import Field, Grid2D
 from .kernels import bdf2_coeffs, eigen_bounds, verify_orthogonality
 from .mesh import TimeMesh, analyze, check_restriction, random_mesh, uniform_mesh
@@ -14,7 +14,7 @@ from .model import PfcParams, energy, mass
 from .steppers import StepperState, bdf2_step, cn_step, cncs_step
 
 __all__ = [
-    "AdaptiveConfig", "adaptive_advance", "adaptive_run", "tau_ada",
+    "adaptive_advance", "adaptive_run", "tau_ada",
     "Field", "Grid2D",
     "bdf2_coeffs", "eigen_bounds", "verify_orthogonality",
     "TimeMesh", "analyze", "check_restriction", "random_mesh", "uniform_mesh",

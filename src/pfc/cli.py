@@ -22,7 +22,6 @@ from dataclasses import astuple
 import numpy as np
 
 from . import experiments as ex
-from .adaptive import AdaptiveConfig
 from .mesh import parse_mesh_spec
 from .steppers import SCHEMES, ConditioningError, SolverError
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, adaptive_run
+from .adaptive import adaptive_run
 from .grid import Field, Grid2D, l2_norm, save_snapshot
 from .kernels import bdf2_coeffs, doc_apply, eigen_bounds, verify_orthogonality
 from .mesh import R_SUP, TimeMesh, random_mesh, uniform_mesh
@@ -241,7 +241,7 @@ class PolycrystalResult:
 def run_polycrystal(M: int = 256, L: float = 256.0, eps: float = 0.25,
                     seed: int = 2023, T: float = 50.0,
                     uniform_tau: float = 0.05) -> PolycrystalResult:
-    """Uniform vs adaptive (default ``AdaptiveConfig``) legs from the same seeded data."""
+    """Uniform vs adaptive legs from the same seeded data."""
     grid = Grid2D(M, L)
     p = PfcParams(eps, grid)
     phi0 = patched_initial(grid, seed=seed)
@@ -251,21 +251,20 @@ def run_polycrystal(M: int = 256, L: float = 256.0, eps: float = 0.25,
     # spectra alive through the adaptive leg
     uni_recs = run_with_energy_log(phi0, [uniform_tau] * n_uni, p, "bdf2")[1]
     ada = EnergyLog(phi0, p)
-    adaptive_run(phi0, T, AdaptiveConfig(), p, observer=ada)
+    adaptive_run(phi0, T, p, observer=ada)
     return PolycrystalResult(uni_recs, ada.records)
 
 
 def run_polycrystal_long(M: int = 256, L: float = 256.0, seed: int = 2023,
                          T: float = 1000.0, snapshot_times=(1, 100, 150, 400, 800, 1000),
-                         out_dir: str | None = None):
-    """Long adaptive leg at eps = 0.25 with the default ``AdaptiveConfig``: snapshots of the
-    first step reaching each target go to ``out_dir``, made before the first step.
+                         *, out_dir: str):
+    """Long adaptive leg at eps = 0.25: snapshots of the first step reaching each
+    target go to ``out_dir``, made before the first step.
     Returns the final state and the energy records."""
     grid = Grid2D(M, L)
     p = PfcParams(0.25, grid)
     phi0 = patched_initial(grid, seed=seed)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     pending = sorted(snapshot_times)
     energy_log = EnergyLog(phi0, p)
 
@@ -273,11 +272,10 @@ def run_polycrystal_long(M: int = 256, L: float = 256.0, seed: int = 2023,
         energy_log(state, stats)
         while pending and state.t >= pending[0]:
             tgt = pending.pop(0)
-            if out_dir is not None:
-                save_snapshot(os.path.join(out_dir, f"snapshot_t{tgt:g}.csv"),
-                              state.phi_prev, state.t)
+            save_snapshot(os.path.join(out_dir, f"snapshot_t{tgt:g}.csv"),
+                          state.phi_prev, state.t)
 
-    return adaptive_run(phi0, T, AdaptiveConfig(), p, observer=observer), energy_log.records
+    return adaptive_run(phi0, T, p, observer=observer), energy_log.records
 
 
 def kernels_report(mesh: TimeMesh, out_path: str | None = None):

@@ -153,11 +153,9 @@ def tridiag_extreme_eig(d: np.ndarray, e: np.ndarray, which: str) -> float:
     """
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    n = d.size
-    radius = np.zeros(n)
-    if n > 1:
-        radius[:-1] += np.abs(e)
-        radius[1:] += np.abs(e)
+    radius = np.zeros(d.size)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
     # Python floats: the Sturm recurrence is scalar, and numpy scalars are slow
@@ -193,7 +191,6 @@ class EigenBounds(NamedTuple):
 def eigen_bounds(mesh: TimeMesh) -> EigenBounds:
     """Extreme eigenvalues of the scaled certificate matrices and their ratio."""
     tb0, tb1 = scaled_tridiagonals(mesh)
-    N = mesh.N
     # Bt: diag 2*tb0_k, offdiag tb1_{k+1}
     d_bt = 2.0 * tb0
     e_bt = tb1[1:]
@@ -201,7 +198,7 @@ def eigen_bounds(mesh: TimeMesh) -> EigenBounds:
     # B2t^T B2t: diag tb0_k^2 + tb1_{k+1}^2, offdiag tb0_{k+1} * tb1_{k+1}
     d_p = tb0**2
     d_p[:-1] += tb1[1:] ** 2
-    e_p = tb0[1:] * tb1[1:] if N > 1 else np.array([])
+    e_p = tb0[1:] * tb1[1:]
     lam_max = tridiag_extreme_eig(d_p, e_p, "max")
     quad_const = lam_max / lam_min**2
     return EigenBounds(lam_min, lam_max, quad_const, mesh.satisfies_s1())

@@ -40,11 +40,10 @@ class TimeMesh:
             raise ValueError("all step sizes must be finite")
         self.times = np.cumsum(self.steps)
         self.ratios = np.zeros_like(self.steps)
-        if self.steps.size > 1:
-            # a ratio past the largest double is inf: every ratio test flags it
-            # (S1, the step-size restriction, kernels_report's finiteness check)
-            with np.errstate(over="ignore"):
-                self.ratios[1:] = self.steps[1:] / self.steps[:-1]
+        # a ratio past the largest double is inf: every ratio test flags it
+        # (S1, the step-size restriction, kernels_report's finiteness check)
+        with np.errstate(over="ignore"):
+            self.ratios[1:] = self.steps[1:] / self.steps[:-1]
 
     @property
     def N(self) -> int:
@@ -60,7 +59,7 @@ class TimeMesh:
 
     @property
     def max_ratio(self) -> float:
-        return float(np.max(self.ratios)) if self.N > 1 else 0.0
+        return float(np.max(self.ratios))
 
     def satisfies_s1(self) -> bool:
         return bool(np.all(self.ratios < R_SUP))
@@ -120,14 +119,13 @@ def check_restriction(mesh: TimeMesh, eps: float, lookahead: float = 0.0) -> lis
     return (np.flatnonzero(bad) + 1).tolist()
 
 
-def analyze(mesh: TimeMesh, eps: float | None = None) -> MeshReport:
-    """Populate a MeshReport; restriction checks run only when eps is given."""
+def analyze(mesh: TimeMesh, eps: float) -> MeshReport:
+    """Populate a MeshReport, with the step-size restriction checked at ``eps``."""
     s1 = (np.flatnonzero(mesh.ratios[1:] >= R_SUP) + 2).tolist()
     n0 = int(
         np.sum((mesh.ratios >= R_TRANSITION) & (mesh.ratios < R_SUP))
     )
-    restr = check_restriction(mesh, eps) if eps is not None else []
-    return MeshReport(mesh.max_step, mesh.max_ratio, s1, n0, restr)
+    return MeshReport(mesh.max_step, mesh.max_ratio, s1, n0, check_restriction(mesh, eps))
 
 
 def parse_mesh_spec(spec: str) -> TimeMesh:
@@ -136,12 +134,16 @@ def parse_mesh_spec(spec: str) -> TimeMesh:
     The file may start with the header line `tau`, as the `adaptive_taus.csv`
     that `pfc polycrystal` writes does.
     """
-    if spec.startswith("uniform:"):
-        n, t = spec[len("uniform:"):].split(",")
-        return uniform_mesh(int(n), float(t))
-    if spec.startswith("random:"):
-        n, t, s = spec[len("random:"):].split(",")
-        return random_mesh(int(n), float(t), int(s))
+    for form, make, types in (("uniform:N,T", uniform_mesh, (int, float)),
+                              ("random:N,T,seed", random_mesh, (int, float, int))):
+        prefix = form.split(":")[0] + ":"
+        if spec.startswith(prefix):
+            args = spec[len(prefix):].split(",")
+            try:   # zip's strict check refuses a wrong count with a ValueError
+                values = [convert(a) for convert, a in zip(types, args, strict=True)]
+            except ValueError:
+                raise ValueError(f"mesh spec {spec!r} is not of the form {form}") from None
+            return make(*values)
     with open(spec) as fh:
         lines = fh.read().splitlines()
     if lines and lines[0].strip() == "tau":

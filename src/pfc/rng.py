@@ -42,8 +42,8 @@ class SplitMix64:
     def uniform_block(self, n: int) -> np.ndarray:
         """n ``uniform`` draws in one array, bit for bit, and the state n draws on.
 
-        Every constant is a ``uint64`` scalar, so the arithmetic wraps modulo
-        2^64 under both the legacy and the NEP 50 promotion rules.
+        Every constant is a ``uint64`` scalar, so under NEP 50 promotion the
+        arithmetic stays ``uint64`` and wraps modulo 2^64.
         """
         z = np.uint64(self.state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         for shift, mix in ((30, _MIX1), (27, _MIX2)):

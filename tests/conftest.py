@@ -9,7 +9,10 @@ with the DOC kernels through O(N) recurrences only, and the O(N^2)
 triangular kernel table and dense kernel matrices live here, for small
 meshes.  Helpers that only tests use (``constant_field``, ``linf_monitor``,
 ``load_snapshot``, ``lin_symbol_half``) live here too, and so does
-``scalar_random_mesh``, the one-draw-at-a-time form of ``random_mesh``.
+``scalar_random_mesh``, the one-draw-at-a-time form of ``random_mesh``,
+``adaptive_states``, ``adaptive_run``'s loop from a chosen first trial
+step, and the output-digest helpers ``DIGEST_BUILD``, ``on_digest_build``
+and ``sha256_file``.
 
 Oracles that no run calls came here from the package with their bodies:
 ``inner`` (with ``GridMismatchError``), ``mean``, ``laplacian``,
@@ -19,7 +22,10 @@ grid values that ``model.manufactured_forcing_hat`` transforms),
 and ``cross_form_theta``, and ``oscillation_indicator``.
 """
 
+import hashlib
+import platform
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +33,28 @@ import pytest
 import pfc.grid
 import pfc.model
 import pfc.steppers
+from pfc.adaptive import adaptive_advance
 from pfc.grid import Field, Grid2D, MeanZeroError, backward, forward
 from pfc.kernels import bdf2_coeffs, doc_apply
 from pfc.mesh import R_SUP, TimeMesh
 from pfc.model import (PfcParams, _axis_sines, energy, exact_solution, history_weight,
                        step_distance_sq)
 from pfc.rng import SplitMix64
-from pfc.steppers import FP_TOL, MAX_ITER
+from pfc.steppers import FP_TOL, MAX_ITER, StepperState
+
+
+# The build the output digests were recorded on: numpy's version and the
+# machine.  Solver outputs are bit-identical only per platform and numpy build,
+# so elsewhere the digest tests check stored values within stated tolerances.
+DIGEST_BUILD = ("2.4.6", "x86_64")
+
+
+def on_digest_build() -> bool:
+    return (np.__version__, platform.machine()) == DIGEST_BUILD
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class GridMismatchError(ValueError):
@@ -362,6 +383,17 @@ def count_transforms(monkeypatch) -> list:
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counted(fn))
     return calls
+
+
+def adaptive_states(phi0: Field, T: float, p: PfcParams, tau_trial: float):
+    """``adaptive_run``'s loop from the first trial step ``tau_trial`` instead
+    of TAU_MIN: yields the state after each accepted step."""
+    state = StepperState(phi0)
+    while state.t < T * (1.0 - 1e-12):
+        step = adaptive_advance(state, min(tau_trial, T - state.t), p)
+        state = state.advanced(step.phi, step.tau_accepted)
+        tau_trial = step.tau_next
+        yield state
 
 
 def ref_cncs(prev, prev2, tau, p, literal=False):

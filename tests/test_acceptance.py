@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import (chemical_potential, cross_form_theta, doc_kernels, doc_kernels_recursive,
-                      inner, mesh_from_ratios, oscillation_indicator, quad_form_b,
-                      quad_form_theta, random_s1_mesh)
-from pfc.experiments import (random_initial, run_compare, run_convergence, run_polycrystal,
-                             run_with_energy_log)
+                      inner, mesh_from_ratios, on_digest_build, oscillation_indicator,
+                      quad_form_b, quad_form_theta, random_s1_mesh, sha256_file)
+from pfc.experiments import (ENERGY_HEADER, energy_rows, random_initial, run_compare,
+                             run_convergence, run_polycrystal, run_with_energy_log, write_csv)
 from pfc.grid import Field, Grid2D
 from pfc.kernels import bdf2_coeffs, doc_apply, eigen_bounds, verify_orthogonality
 from pfc.mesh import stability_bound
@@ -204,7 +204,18 @@ def test_scheme_comparison():
     assert elapsed < 600.0
 
 
-def test_adaptive_efficiency():
+# The T=50 run's records as ``pfc polycrystal --seed 2023`` writes them:
+# (SHA-256 on DIGEST_BUILD, final E within 1e-8 relative, accepted steps
+# within 1), the tolerances perfbench puts on the adaptive leg.
+POLYCRYSTAL = {
+    "uniform": ("28339130d8696e7d8ad098d968c8b0cdadee505b9afc3800dbb3e537a52a4d93",
+                2103.0221323243295, 1000),
+    "adaptive": ("7ecf2965d9893dbccb5273cdfc398f8a667e5df6c8c05e64efbe0b42715533ce",
+                 2103.0223156720076, 229),
+}
+
+
+def test_adaptive_efficiency(tmp_path):
     """Polycrystal growth: adaptive run beats the uniform step count."""
     t0 = time.perf_counter()
     res = run_polycrystal()
@@ -229,6 +240,14 @@ def test_adaptive_efficiency():
     assert max_ratio <= 3.561 * (1 + 1e-10)
     assert in_bounds
     assert elapsed < 1200.0
+    for leg, recs in (("uniform", res.uniform_records), ("adaptive", res.adaptive_records)):
+        digest, final_e, steps = POLYCRYSTAL[leg]
+        assert recs[-1].E == pytest.approx(final_e, rel=1e-8)
+        assert abs(len(recs) - 1 - steps) <= 1
+        path = tmp_path / f"energy_{leg}.csv"
+        write_csv(path, ENERGY_HEADER, energy_rows(recs))
+        if on_digest_build():
+            assert sha256_file(path) == digest, leg
 
 
 def test_discrete_gradient():

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constant_field, coords, count_transforms, mean
+from conftest import adaptive_states, constant_field, coords, count_transforms, mean
 import pfc.adaptive as adaptive
 import pfc.steppers as steppers
-from pfc.adaptive import (AdaptiveConfig, adaptive_advance, adaptive_run,
-                          tau_ada)
+from pfc.adaptive import adaptive_advance, adaptive_run, tau_ada
 from pfc.experiments import patched_initial
 from pfc.grid import Field, Grid2D
+from pfc.mesh import R_SUP
 from pfc.model import PfcParams
 from pfc.steppers import (FP_TOL, NL_LEVELS, SolverError, StepperState, bdf2_step,
                           run_fixed_mesh)
@@ -26,31 +26,35 @@ def smooth_field(g, amp=0.05):
     return Field(g, 0.1 + amp * np.sin(g.nu * X) * np.cos(g.nu * Y))
 
 
-def accepted_taus(phi0, T, cfg, p, **kwargs):
+def accepted_taus(phi0, T, p):
     """The accepted steps of an adaptive run, in order, as its observer sees them."""
     taus = []
-    adaptive_run(phi0, T, cfg, p, observer=lambda s, _: taus.append(s.tau_prev), **kwargs)
+    adaptive_run(phi0, T, p, observer=lambda s, _: taus.append(s.tau_prev))
     return taus
 
 
 class TestConfig:
     def test_defaults(self):
-        cfg = AdaptiveConfig()
-        assert cfg.rho == 0.9
-        assert cfg.tol == 1e-3
-        assert cfg.tau_max == 0.5
-        assert cfg.tau_min == 1e-4
-        assert cfg.ratio_cap == 3.561
+        """The paper's settings, and the relations the controller relies on:
+        a step range, a damping factor, a positive tolerance and a ratio cap
+        inside S1."""
+        assert adaptive.RHO == 0.9
+        assert adaptive.TOL == 1e-3
+        assert adaptive.TAU_MAX == 0.5
+        assert adaptive.TAU_MIN == 1e-4
+        assert adaptive.RATIO_CAP == 3.561
+        assert 0 < adaptive.TAU_MIN < adaptive.TAU_MAX
+        assert 0 < adaptive.RHO <= 1
+        assert adaptive.TOL > 0
+        assert 0 < adaptive.RATIO_CAP <= R_SUP
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveConfig(tau_min=0.5, tau_max=0.1)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(rho=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(tol=-1.0)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(ratio_cap=4.0)
+    def test_settings_read_at_call_time(self, monkeypatch):
+        """The functions read the constants when called, so a patch reaches them."""
+        monkeypatch.setattr(adaptive, "RATIO_CAP", 2.0)
+        assert tau_ada(0.0, 0.1) == 0.2
+        monkeypatch.setattr(adaptive, "RHO", 0.5)
+        monkeypatch.setattr(adaptive, "TOL", 0.25)
+        assert tau_ada(0.0625, 0.1) == 0.1   # factor 0.5 * sqrt(4), below the cap
 
 
 @pytest.fixture
@@ -62,97 +66,72 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(steppers, "fixed_point_solve", solve)
 
 
-@pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"ratio_cap": math.nan},
-                                    {"ratio_cap": 0.0}, {"ratio_cap": -1.0},
-                                    {"rho": math.nan}, {"tau_min": math.nan},
-                                    {"tau_max": math.nan}])
-def test_config_refuses_nan_and_non_positive(kwargs, setup, no_solve):
-    """A NaN tolerance, cap or step bound, or a cap <= 0, is refused when the
-    config is made; ``tol=nan`` would otherwise reject every trial forever."""
-    g, p = setup
-    with pytest.raises(ValueError):
-        adaptive_run(smooth_field(g), 1.0, AdaptiveConfig(**kwargs), p)
-
-
 @pytest.mark.parametrize("T", [math.nan, 0.0, -1.0, math.inf])
 def test_run_refuses_bad_end_time(T, setup, no_solve):
     """T must be positive and finite: NaN, 0 and -1 used to return phi0 with
     no step and no error, and inf would step forever."""
     g, p = setup
     with pytest.raises(ValueError, match="positive and finite"):
-        adaptive_run(smooth_field(g), T, AdaptiveConfig(), p)
-
-
-@pytest.mark.parametrize("tau_init", [2.0, 5e-5, math.nan, math.inf])
-def test_run_refuses_tau_init_outside_bounds(tau_init, setup, no_solve):
-    """The first trial step keeps the bounds that every later one keeps:
-    with tau_max = 0.5, tau_init = 2.0 used to be accepted as a step of 2.0."""
-    g, p = setup
-    with pytest.raises(ValueError, match=r"tau_init must lie in \[tau_min, tau_max\]"):
-        adaptive_run(smooth_field(g), 1.0, AdaptiveConfig(tau_max=0.5), p, tau_init=tau_init)
+        adaptive_run(smooth_field(g), T, p)
 
 
 @pytest.mark.parametrize("e,tau", [(1e-3, math.nan), (math.nan, 0.1), (-1e-3, 0.1)])
 def test_tau_ada_refuses_nan_and_negative(e, tau, no_solve):
     with pytest.raises(ValueError):
-        tau_ada(e, tau, AdaptiveConfig())
+        tau_ada(e, tau)
 
 
 class TestUpdateFactor:
     def test_cap_for_tiny_error(self):
-        cfg = AdaptiveConfig()
-        assert tau_ada(1e-30, 0.1, cfg) == pytest.approx(cfg.ratio_cap * 0.1)
-        assert tau_ada(0.0, 0.1, cfg) == pytest.approx(cfg.ratio_cap * 0.1)
+        assert tau_ada(1e-30, 0.1) == pytest.approx(adaptive.RATIO_CAP * 0.1)
+        assert tau_ada(0.0, 0.1) == pytest.approx(adaptive.RATIO_CAP * 0.1)
 
     def test_shrink_for_large_error(self):
-        cfg = AdaptiveConfig()
         # e = 100 tol: factor rho / 10
-        assert tau_ada(100 * cfg.tol, 0.2, cfg) == pytest.approx(0.2 * cfg.rho / 10)
+        assert tau_ada(100 * adaptive.TOL, 0.2) == pytest.approx(0.2 * adaptive.RHO / 10)
 
     def test_neutral_point(self):
         # e = rho^2 tol leaves the step unchanged
-        cfg = AdaptiveConfig()
-        assert tau_ada(cfg.rho**2 * cfg.tol, 0.3, cfg) == pytest.approx(0.3)
+        assert tau_ada(adaptive.RHO**2 * adaptive.TOL, 0.3) == pytest.approx(0.3)
 
     def test_monotone_in_error(self):
-        cfg = AdaptiveConfig()
         es = np.logspace(-8, 0, 50)
-        taus = [tau_ada(e, 0.1, cfg) for e in es]
+        taus = [tau_ada(e, 0.1) for e in es]
         assert np.all(np.diff(taus) <= 0)
 
     def test_bad_tau(self):
         with pytest.raises(ValueError):
-            tau_ada(1e-3, 0.0, AdaptiveConfig())
+            tau_ada(1e-3, 0.0)
 
 
 class TestAdvance:
     def test_accepts_tiny_step(self, setup):
         g, p = setup
         state = StepperState(smooth_field(g))
-        step = adaptive_advance(state, 1e-4, AdaptiveConfig(), p)
+        step = adaptive_advance(state, 1e-4, p)
         assert step.rejections == 0
         assert step.tau_accepted == 1e-4
         assert step.e_rel < 1e-3
 
-    def test_rejects_huge_step(self, setup):
+    def test_rejects_huge_step(self, setup, monkeypatch):
         g, p = setup
-        cfg = AdaptiveConfig(tol=1e-8)
+        monkeypatch.setattr(adaptive, "TOL", 1e-8)
         state = StepperState(smooth_field(g))
-        step = adaptive_advance(state, 0.4, cfg, p)
+        step = adaptive_advance(state, 0.4, p)
         assert step.rejections >= 1
         assert step.tau_accepted < 0.4
 
-    def test_forced_accept_at_floor(self, setup):
+    def test_forced_accept_at_floor(self, setup, monkeypatch):
         g, p = setup
         # tolerance so small that even tau_min fails: the controller must
         # still return rather than loop
-        cfg = AdaptiveConfig(tol=1e-14, tau_min=1e-4)
+        monkeypatch.setattr(adaptive, "TOL", 1e-14)
         state = StepperState(smooth_field(g))
-        step = adaptive_advance(state, 1e-4, cfg, p)
+        step = adaptive_advance(state, 1e-4, p)
         assert step.tau_accepted == pytest.approx(1e-4)
-        assert step.e_rel >= cfg.tol
+        assert step.e_rel >= adaptive.TOL
 
-    def test_failed_solve_shrinks_step(self):
+    def test_failed_solve_shrinks_step(self, monkeypatch):
         # at tau = 2 the fixed-point iteration on this patch diverges; the
         # controller must reject the trial step and retry with a smaller one
         g = Grid2D(64, 64.0)
@@ -160,18 +139,21 @@ class TestAdvance:
         state = StepperState(patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)]))
         with pytest.raises(SolverError):
             bdf2_step(state, 2.0, p)
-        step = adaptive_advance(state, 2.0, AdaptiveConfig(tau_max=2.0), p)
+        monkeypatch.setattr(adaptive, "TAU_MAX", 2.0)
+        step = adaptive_advance(state, 2.0, p)
         assert step.tau_accepted < 2.0
         assert step.rejections >= 1
         assert step.stats.final_residual <= FP_TOL
         assert np.all(np.isfinite(step.phi.values))
 
-    def test_failed_solve_at_floor_raises(self):
+    def test_failed_solve_at_floor_raises(self, monkeypatch):
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)
         state = StepperState(patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)]))
+        monkeypatch.setattr(adaptive, "TAU_MIN", 1.9)
+        monkeypatch.setattr(adaptive, "TAU_MAX", 2.0)
         with pytest.raises(SolverError):
-            adaptive_advance(state, 2.0, AdaptiveConfig(tau_min=1.9, tau_max=2.0), p)
+            adaptive_advance(state, 2.0, p)
 
     def test_trials_leave_three_levels_untouched(self, monkeypatch):
         """Diverged and rejected trials from a state with every nonlinearity
@@ -199,7 +181,8 @@ class TestAdvance:
             return res
 
         monkeypatch.setattr(adaptive, "bdf2_step", recorded)
-        out = adaptive_advance(state, 2.0, AdaptiveConfig(tau_max=2.0), p)
+        monkeypatch.setattr(adaptive, "TAU_MAX", 2.0)
+        out = adaptive_advance(state, 2.0, p)
         # trials at 2, 0.5, 0.125 and 1/32 diverge; solved trials are
         # rejected on their increment until tau_min forces acceptance
         assert "diverged" in outcomes
@@ -214,25 +197,23 @@ class TestAdvance:
 
     def test_next_step_within_bounds(self, setup):
         g, p = setup
-        cfg = AdaptiveConfig()
         state = StepperState(smooth_field(g, amp=1e-6))
-        step = adaptive_advance(state, 0.4, cfg, p)
-        assert cfg.tau_min <= step.tau_next <= cfg.tau_max
+        step = adaptive_advance(state, 0.4, p)
+        assert adaptive.TAU_MIN <= step.tau_next <= adaptive.TAU_MAX
 
 
 class TestRun:
     def test_reaches_final_time(self, setup):
         g, p = setup
         seen = []
-        state = adaptive_run(smooth_field(g), 0.5, AdaptiveConfig(), p,
-                             observer=lambda s, _: seen.append(s))
+        state = adaptive_run(smooth_field(g), 0.5, p, observer=lambda s, _: seen.append(s))
         assert state.t == pytest.approx(0.5, rel=1e-10)
         assert seen[-1] is state
         assert math.fsum(s.tau_prev for s in seen) == pytest.approx(0.5, rel=1e-10)
 
     def test_ratio_cap_respected(self, setup):
         g, p = setup
-        taus = np.asarray(accepted_taus(smooth_field(g), 1.0, AdaptiveConfig(), p))
+        taus = np.asarray(accepted_taus(smooth_field(g), 1.0, p))
         ratios = taus[1:] / taus[:-1]
         assert np.all(ratios <= 3.561 * (1 + 1e-10))
         assert np.all(taus >= 1e-4 * (1 - 1e-12))
@@ -240,33 +221,35 @@ class TestRun:
 
     def test_fewer_steps_than_uniform_floor(self, setup):
         g, p = setup
-        taus = accepted_taus(smooth_field(g), 1.0, AdaptiveConfig(), p)
+        taus = accepted_taus(smooth_field(g), 1.0, p)
         assert len(taus) < 1.0 / 1e-4
 
     def test_mass_conserved(self, setup):
         g, p = setup
         phi0 = smooth_field(g)
-        state = adaptive_run(phi0, 0.5, AdaptiveConfig(), p)
+        state = adaptive_run(phi0, 0.5, p)
         assert abs(mean(state.phi_prev) - mean(phi0)) < 1e-13
 
     def test_constant_state_grows_to_tau_max(self, setup):
         g, p = setup
-        taus = accepted_taus(constant_field(g, 0.1), 5.0, AdaptiveConfig(), p)
+        taus = accepted_taus(constant_field(g, 0.1), 5.0, p)
         # zero increments let the step grow geometrically to the ceiling
         assert max(taus) == pytest.approx(0.5)
 
     def test_observer_called_per_step(self, setup):
         g, p = setup
         seen = []
-        adaptive_run(smooth_field(g), 0.2, AdaptiveConfig(), p,
-                     observer=lambda s, step: seen.append(s.t))
+        adaptive_run(smooth_field(g), 0.2, p, observer=lambda s, step: seen.append(s.t))
         assert len(seen) > 0
         assert seen == sorted(seen)
 
-    def test_tau_init_respected(self, setup):
+    def test_states_helper_matches_run(self, setup):
+        """``adaptive_states``, which other tests start from a chosen trial
+        step, is ``adaptive_run``'s loop: from TAU_MIN it takes the same steps."""
         g, p = setup
-        taus = accepted_taus(smooth_field(g), 0.3, AdaptiveConfig(), p, tau_init=5e-3)
-        assert taus[0] <= 5e-3 * (1 + 1e-12)
+        phi0 = smooth_field(g)
+        taus = [s.tau_prev for s in adaptive_states(phi0, 0.3, p, adaptive.TAU_MIN)]
+        assert taus == accepted_taus(phi0, 0.3, p)
 
     def test_transform_budget_with_rejections(self, monkeypatch):
         """Every trial solve, rejected or not, costs one transform pair per
@@ -302,8 +285,9 @@ class TestRun:
 
         monkeypatch.setattr(steppers, "fixed_point_solve", counted_solve)
         monkeypatch.setattr(adaptive, "bdf2_step", checked_step)
+        monkeypatch.setattr(adaptive, "TAU_MAX", 2.0)
         # the first trial at tau = 2 diverges; the retries shrink to tau_min
-        steps = len(accepted_taus(phi0, 2.0, AdaptiveConfig(tau_max=2.0), p, tau_init=2.0))
+        steps = sum(1 for _ in adaptive_states(phi0, 2.0, p, 2.0))
         assert len(trials) > steps
         assert all(trials)
         assert sum(started) > steps // 2

@@ -161,6 +161,30 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "missing.txt" in err[0]
 
+    @pytest.mark.parametrize("spec,form", [
+        ("random:5,1.0", "random:N,T,seed"), ("uniform:5,1.0,7", "uniform:N,T"),
+        ("uniform:", "uniform:N,T"), ("random:5.5,1.0,3", "random:N,T,seed"),
+        ("random:a,b,c", "random:N,T,seed")])
+    def test_kernels_malformed_mesh_spec(self, spec, form, tmp_path, capsys):
+        """A spec with the wrong count or type of values is named with its
+        form, not with Python's unpacking or int() text."""
+        report = tmp_path / "k.csv"
+        rc = main(["kernels", "--mesh", spec, "--report", str(report)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: mesh spec '{spec}' ")
+        assert form in err[0]
+        assert not report.exists()
+
+    @pytest.mark.parametrize("spec", ["uniform:0,1.0", "random:5,-1.0,3"])
+    def test_kernels_mesh_spec_out_of_range(self, spec, tmp_path, capsys):
+        """A well-formed spec with values out of range keeps the message of
+        ``uniform_mesh`` and ``random_mesh``."""
+        rc = main(["kernels", "--mesh", spec, "--report", str(tmp_path / "k.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == "config error: need N >= 1 and T > 0\n"
+
     def test_kernels_unwritable_report(self, tmp_path, capsys):
         # the report's directory would have to be made inside a regular file
         blocker = tmp_path / "blocker"

@@ -409,6 +409,14 @@ class TestEigenBounds:
             for which in ("min", "max"):
                 assert tridiag_extreme_eig(d, e, which) == _numpy_extreme_eig(d, e, which)
 
+    def test_one_level_values(self):
+        # r_1 = 0 makes tb0 = 1 and tb1 = 0: Bt = [2] and B2t^T B2t = [1]
+        eb = eigen_bounds(TimeMesh(np.array([0.3])))
+        assert eb.lam_min == pytest.approx(2.0, abs=1e-9)
+        assert eb.lam_max == pytest.approx(1.0, abs=1e-9)
+        assert eb.quad_const == pytest.approx(0.25, abs=1e-9)
+        assert eb.s1_ok
+
     def test_uniform_mesh_values(self):
         eb = eigen_bounds(uniform_mesh(50, 1.0))
         # interior Gershgorin rows give min_eig_bound(1, 1) = 2 and

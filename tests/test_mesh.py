@@ -34,6 +34,13 @@ class TestTimeMesh:
         assert m.ratios[0] == 0.0
         assert np.allclose(m.ratios[1:], [2.0, 0.25])
 
+    def test_one_step(self):
+        # the empty ratio slice leaves r_1 = 0, the largest ratio
+        m = TimeMesh(np.array([0.3]))
+        assert m.ratios.tolist() == [0.0]
+        assert m.max_ratio == 0.0
+        assert m.satisfies_s1()
+
     def test_ratios_match_steps(self, rng):
         m = TimeMesh(rng.uniform(0.1, 2.0, size=20))
         recomputed = m.steps[1:] / m.steps[:-1]
@@ -193,19 +200,19 @@ class TestRestriction:
 
 class TestAnalyze:
     def test_uniform(self):
-        rep = analyze(uniform_mesh(10, 1.0))
+        rep = analyze(uniform_mesh(10, 1.0), 0.25)
         assert rep.max_ratio == 1.0
         assert rep.s1_violations == []
         assert rep.n0 == 0
 
     def test_s1_violation_index(self):
         m = mesh_from_ratios(0.1, [2.0, 3.8])
-        rep = analyze(m)
+        rep = analyze(m, 0.25)
         assert rep.s1_violations == [3]
 
     def test_n0_count(self):
         m = mesh_from_ratios(0.1, [2.5, 1.0])
-        rep = analyze(m)
+        rep = analyze(m, 0.25)
         assert rep.n0 == 1
 
     def test_s1_violations_match_scalar_loop(self, rng):
@@ -217,7 +224,7 @@ class TestAnalyze:
             rep = analyze(m, 0.25)
             assert rep.s1_violations == _scalar_s1_violations(m)
             assert rep.restriction_violations == _scalar_check_restriction(m, 0.25)
-        assert analyze(meshes[-1]).s1_violations == [2, 3, 5]
+        assert analyze(meshes[-1], 0.25).s1_violations == [2, 3, 5]
 
 
 class TestMeshSpec:

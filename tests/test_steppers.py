@@ -6,8 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import (constant_field, coords, full_k2, full_lin_symbol, manufactured_forcing,
-                      lin_symbol_half, mean, modified_energy, ref_cncs)
+from conftest import (adaptive_states, constant_field, coords, full_k2, full_lin_symbol,
+                      manufactured_forcing, lin_symbol_half, mean, modified_energy, ref_cncs)
 import pfc.steppers as steppers
 from pfc.grid import Field, Grid2D
 from pfc.model import PfcParams, energy, manufactured_forcing_hat
@@ -569,14 +569,11 @@ class TestHeldMultipliers:
         import pfc.adaptive as adaptive
         g, p = setup
         phi0 = random_field(g, rng)
-        cfg = adaptive.AdaptiveConfig(tol=1e-3)
 
         def accepted(step):
+            # a first trial of 0.5 is rejected; a run from TAU_MIN rejects none here
             monkeypatch.setattr(adaptive, "bdf2_step", step)
-            fields = []
-            adaptive.adaptive_run(phi0, 0.5, cfg, p, tau_init=0.5,
-                                  observer=lambda s, _: fields.append(s.phi_prev))
-            return fields
+            return [s.phi_prev for s in adaptive_states(phi0, 0.5, p, 0.5)]
 
         trials = []
 
