@@ -21,7 +21,9 @@ the half plane (``k2_half`` and the H^-1 weight ``inv_k2_folded``), rows in
 numpy ``fftfreq`` order and columns in ``rfftfreq`` order.  The
 second-derivative multiplier keeps the full -nu^2 (M/2)^2 weight on the
 Nyquist mode.  Weights of Parseval sums are stored folded
-(``fold_conjugates``), so that ``sum_of_squares`` is one dot product.
+(``fold_conjugates``), so that ``sum_of_squares`` is one weighted sum.
+Its sums are numpy reductions, not BLAS dot products, so they round the
+same at every BLAS thread count.
 
 The test oracles ``laplacian``, ``inner`` and ``mean`` live in
 ``tests/conftest.py``, and ``norms`` in ``tests/test_grid.py``.
@@ -150,7 +152,8 @@ def sum_of_squares(coeffs: np.ndarray, M: int, folded_weight: np.ndarray) -> flo
     """
     power = np.square(coeffs.real)
     power += np.square(coeffs.imag)
-    return float(np.dot(power.ravel(), folded_weight.ravel())) / (M * M)
+    power *= folded_weight
+    return float(np.sum(power)) / (M * M)
 
 
 def l2_norm(values: np.ndarray, grid: Grid2D) -> float:

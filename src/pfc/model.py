@@ -64,8 +64,7 @@ def energy(phi: Field, p: PfcParams) -> float:
     e_interf = 0.5 * a * sum_of_squares(phi.hat, g.M, p.interface_weight_folded)
     bulk = np.square(phi.values)
     bulk -= p.eps
-    bulk = bulk.ravel()
-    e_bulk = 0.25 * a * float(np.dot(bulk, bulk))
+    e_bulk = 0.25 * a * float(np.sum(np.square(bulk, out=bulk)))
     return e_interf + e_bulk - 0.25 * p.eps**2 * g.volume
 
 

@@ -208,10 +208,10 @@ def test_scheme_comparison():
 # (SHA-256 on DIGEST_BUILD, final E within 1e-8 relative, accepted steps
 # within 1), the tolerances perfbench puts on the adaptive leg.
 POLYCRYSTAL = {
-    "uniform": ("28339130d8696e7d8ad098d968c8b0cdadee505b9afc3800dbb3e537a52a4d93",
-                2103.0221323243295, 1000),
-    "adaptive": ("7ecf2965d9893dbccb5273cdfc398f8a667e5df6c8c05e64efbe0b42715533ce",
-                 2103.0223156720076, 229),
+    "uniform": ("5348884796c58f5ed97b95e149950756c2ed11096085fe54174904b5b577c26b",
+                2103.022132324333, 1000),
+    "adaptive": ("1272011984d19f918ef94f4f1c24d0d8793c836fb7d5f3475a4f45dc2633c75d",
+                 2103.022315672004, 229),
 }
 
 

@@ -9,8 +9,11 @@ starts the reference from their same extrapolation.
 """
 
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -283,6 +286,35 @@ def test_energy_against_physical_space(M, L, rng):
     direct = (0.5 * a * np.sum(opl**2) + 0.25 * a * np.sum((f.values**2 - p.eps) ** 2)
               - 0.25 * p.eps**2 * g.volume)
     assert energy(f, p) == pytest.approx(direct, rel=1e-12)
+
+
+_DIAGNOSTICS = """
+import numpy as np
+from pfc.grid import Field, Grid2D
+from pfc.model import PfcParams, energy, step_distance_sq
+g = Grid2D(256, 256.0)
+p = PfcParams(0.25, g)
+gen = np.random.default_rng(7)
+a = 0.285 + 0.3 * gen.standard_normal((256, 256))
+b = a + 1e-3 * gen.standard_normal((256, 256))
+b += a.mean() - b.mean()
+f, h = Field(g, a), Field(g, b)
+print(energy(f, p).hex(), step_distance_sq(f, h, float(np.max(np.abs(a)))).hex())
+"""
+
+
+def test_diagnostics_independent_of_blas_threads():
+    """Energy and H^-1 distance of a 256^2 field round the same whatever
+    BLAS thread count the process starts with."""
+    src = str(pathlib.Path(pfc.__file__).parent.parent)
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _DIAGNOSTICS], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outs.add(run.stdout)
+    assert len(outs) == 1, outs
 
 
 def test_only_grid_transforms():
