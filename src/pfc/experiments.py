@@ -4,7 +4,8 @@ meshes, scheme comparisons, and polycrystal growth with adaptive stepping.
 All randomness is drawn from the library's splitmix generator in row-major
 grid order, so every run replays bit-identically from its seed.  Results
 are returned as plain records and optionally written as CSV (comma
-separator, header row, 17 significant digits).
+separator, header row, 17 significant digits).  The settings each experiment
+runs at are module constants, read at call time, so a test patches them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ from .rng import SplitMix64
 from .steppers import SCHEMES, SolveStats, StepperState, run_fixed_mesh
 
 FMT = "%.17g"
+PATCHES = (((128.0, 64.0), 10.0, 0.2),     # patched_initial's seed patches: (center, side, amp)
+           ((64.0, 196.0), 10.0, 0.3),
+           ((196.0, 196.0), 10.0, 0.9))
+PROFILE_TAUS = (1e-2, 1e-3, 5e-4, 2.5e-4)  # run_compare's profile step sizes
+LONG_M = 256                                # run_polycrystal_long's grid points per side
+LONG_L = 256.0                              # its domain side
+LONG_T = 1000.0                             # its final time
+SNAPSHOT_TIMES = (1, 100, 150, 400, 800, 1000)  # its snapshot targets
 
 
 def random_initial(mean: float, amp: float, grid: Grid2D, seed: int) -> Field:
@@ -37,25 +46,18 @@ def random_initial(mean: float, amp: float, grid: Grid2D, seed: int) -> Field:
     return Field(grid, mean + amp * vals.reshape(grid.M, grid.M))
 
 
-DEFAULT_PATCHES = (((128.0, 64.0), 10.0, 0.2),
-                   ((64.0, 196.0), 10.0, 0.3),
-                   ((196.0, 196.0), 10.0, 0.9))
-
-
-def patched_initial(grid: Grid2D, patches=DEFAULT_PATCHES, seed: int = 0) -> Field:
-    """The constant background 0.285 with uniform noise inside square seed patches.
+def patched_initial(grid: Grid2D, seed: int = 0) -> Field:
+    """The constant background 0.285 with uniform noise inside the square ``PATCHES``.
 
     Each patch is (center, side, amp); perturbations compose additively if
     patches overlap.
     """
     gen = SplitMix64(seed)
     vals = np.full((grid.M, grid.M), 0.285)
-    for (cx, cy), side, amp in patches:
+    for (cx, cy), side, amp in PATCHES:
         half = side / 2.0
-        in_x = np.abs(grid.x - cx) <= half
-        in_y = np.abs(grid.x - cy) <= half
-        ii = np.nonzero(in_x)[0]
-        jj = np.nonzero(in_y)[0]
+        ii = np.nonzero(np.abs(grid.x - cx) <= half)[0]
+        jj = np.nonzero(np.abs(grid.x - cy) <= half)[0]
         noise = gen.uniform_sym_block(ii.size * jj.size)
         vals[np.ix_(ii, jj)] += amp * noise.reshape(ii.size, jj.size)
     return Field(grid, vals)
@@ -119,10 +121,7 @@ def run_convergence(M: int = 128, L: float = 8.0, eps: float = 0.02,
     p = PfcParams(eps, grid)
     rows: list[ConvergenceRow] = []
     for i, N in enumerate(ladder):
-        if mesh_kind == "random":
-            mesh = random_mesh(N, T, seed + i)
-        else:
-            mesh = uniform_mesh(N, T)
+        mesh = random_mesh(N, T, seed + i) if mesh_kind == "random" else uniform_mesh(N, T)
         err = run_bdf2_forced(mesh, grid, p)
         n1 = int(np.count_nonzero(mesh.ratios >= R_SUP))
         if rows:
@@ -188,10 +187,10 @@ def midline(phi: Field) -> np.ndarray:
     return phi.values[:, phi.grid.M // 2].copy()
 
 
-def run_compare(seed: int = 2023, profile_taus=(1e-2, 1e-3, 5e-4, 2.5e-4),
-                schemes=SCHEMES, with_energy_runs: bool = True) -> CompareResult:
-    """Profiles at t = 0.01 against BDF2 at tau = 1e-4, and energy runs to t = 5 at tau =
-    0.1, 0.01 and 0.001; 128^2 on (0, 64)^2, eps = 0.2, ``random_initial`` 0.1 +- 0.02."""
+def run_compare(seed: int = 2023, schemes=SCHEMES,
+                with_energy_runs: bool = True) -> CompareResult:
+    """Profiles at t = 0.01 at each of ``PROFILE_TAUS`` against BDF2 at tau = 1e-4, and energy
+    runs to t = 5 at tau = 0.1, 0.01, 0.001; 128^2 on (0, 64)^2, eps = 0.2, 0.1 +- 0.02 noise."""
     grid = Grid2D(128, 64.0)
     p = PfcParams(0.2, grid)
     phi0 = random_initial(0.1, 0.02, grid, seed)
@@ -202,7 +201,7 @@ def run_compare(seed: int = 2023, profile_taus=(1e-2, 1e-3, 5e-4, 2.5e-4),
     ref_state = run_fixed_mesh(phi0, [ref_tau] * n_ref, p, "bdf2")
     out.reference = midline(ref_state.phi_prev)
 
-    for tau in profile_taus:
+    for tau in PROFILE_TAUS:
         n = round(profile_T / tau)
         for scheme in schemes:
             state = run_fixed_mesh(phi0, [tau] * n, p, scheme)
@@ -255,17 +254,15 @@ def run_polycrystal(M: int = 256, L: float = 256.0, eps: float = 0.25,
     return PolycrystalResult(uni_recs, ada.records)
 
 
-def run_polycrystal_long(M: int = 256, L: float = 256.0, seed: int = 2023,
-                         T: float = 1000.0, snapshot_times=(1, 100, 150, 400, 800, 1000),
-                         *, out_dir: str):
-    """Long adaptive leg at eps = 0.25: snapshots of the first step reaching each
-    target go to ``out_dir``, made before the first step.
-    Returns the final state and the energy records."""
-    grid = Grid2D(M, L)
+def run_polycrystal_long(seed: int = 2023, *, out_dir: str):
+    """Long adaptive leg at eps = 0.25, LONG_M^2 points on (0, LONG_L)^2 to t = LONG_T: snapshots
+    of the first step reaching each of SNAPSHOT_TIMES go to ``out_dir``, made before the first
+    step.  Returns the final state and the energy records."""
+    grid = Grid2D(LONG_M, LONG_L)
     p = PfcParams(0.25, grid)
     phi0 = patched_initial(grid, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
-    pending = sorted(snapshot_times)
+    pending = sorted(SNAPSHOT_TIMES)
     energy_log = EnergyLog(phi0, p)
 
     def observer(state, stats):
@@ -275,7 +272,7 @@ def run_polycrystal_long(M: int = 256, L: float = 256.0, seed: int = 2023,
             save_snapshot(os.path.join(out_dir, f"snapshot_t{tgt:g}.csv"),
                           state.phi_prev, state.t)
 
-    return adaptive_run(phi0, T, p, observer=observer), energy_log.records
+    return adaptive_run(phi0, LONG_T, p, observer=observer), energy_log.records
 
 
 def kernels_report(mesh: TimeMesh, out_path: str | None = None):

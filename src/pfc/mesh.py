@@ -9,12 +9,12 @@ with the convention r_1 = 0.  The ratio conditions are:
 
 The energy-stability step-size check flags steps with
 tau_n > (2 / (3 eps)) * min{(1 + 2 r_n)/(1 + r_n), R(r_n, r_{n+1})},
-where the undefined final lookahead ratio defaults to 0.
+where the final step's ratio r_{N+1}, which has no successor, is taken as 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,9 @@ class TimeMesh:
 class MeshReport:
     max_step: float
     max_ratio: float
-    s1_violations: list[int] = field(default_factory=list)
-    n0: int = 0
-    restriction_violations: list[int] = field(default_factory=list)
+    s1_violations: list[int]
+    n0: int
+    restriction_violations: list[int]
 
 
 def uniform_mesh(N: int, T: float) -> TimeMesh:
@@ -99,16 +99,15 @@ def stability_bound(z: float | np.ndarray,
     return (2.0 + 4.0 * z - z * z) / (1.0 + z) - s / (1.0 + s)
 
 
-def check_restriction(mesh: TimeMesh, eps: float, lookahead: float = 0.0) -> list[int]:
+def check_restriction(mesh: TimeMesh, eps: float) -> list[int]:
     """Indices n (1-based) violating the energy-stability step-size bound.
 
-    ``lookahead`` supplies r_{N+1} for the final step; it defaults to 0,
-    the most favorable value.
+    The final step has no successor, so its r_{N+1} is 0, the most favorable value.
     """
     if not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     rn = mesh.ratios
-    rnp1 = np.append(rn[1:], lookahead)
+    rnp1 = np.append(rn[1:], 0.0)
     # outside the domain of the bound: flag conservatively
     bad = (rn >= R_SUP) | (rnp1 >= R_SUP)
     ok = ~bad
@@ -122,9 +121,7 @@ def check_restriction(mesh: TimeMesh, eps: float, lookahead: float = 0.0) -> lis
 def analyze(mesh: TimeMesh, eps: float) -> MeshReport:
     """Populate a MeshReport, with the step-size restriction checked at ``eps``."""
     s1 = (np.flatnonzero(mesh.ratios[1:] >= R_SUP) + 2).tolist()
-    n0 = int(
-        np.sum((mesh.ratios >= R_TRANSITION) & (mesh.ratios < R_SUP))
-    )
+    n0 = int(np.sum((mesh.ratios >= R_TRANSITION) & (mesh.ratios < R_SUP)))
     return MeshReport(mesh.max_step, mesh.max_ratio, s1, n0, check_restriction(mesh, eps))
 
 
@@ -146,7 +143,13 @@ def parse_mesh_spec(spec: str) -> TimeMesh:
             return make(*values)
     with open(spec) as fh:
         lines = fh.read().splitlines()
-    if lines and lines[0].strip() == "tau":
-        lines = lines[1:]
-    steps = [float(line) for line in lines if line.strip()]
+    start = int(bool(lines) and lines[0].strip() == "tau")
+    try:
+        steps = [float(line) for line in lines[start:] if line.strip()]
+    except ValueError:   # only now look for the line, 1-based with the header counted
+        for n, line in enumerate(lines[start:], start + 1):
+            try:
+                float(line.strip() or 0)   # a blank line is no step, not an error
+            except ValueError:
+                raise ValueError(f"tau file {spec} line {n}: {line!r} is not a number") from None
     return TimeMesh(np.array(steps))

@@ -8,7 +8,8 @@ norm that check ``model.step_distance_sq``.  Likewise the package computes
 with the DOC kernels through O(N) recurrences only, and the O(N^2)
 triangular kernel table and dense kernel matrices live here, for small
 meshes.  Helpers that only tests use (``constant_field``, ``linf_monitor``,
-``load_snapshot``, ``lin_symbol_half``) live here too, and so does
+``load_snapshot``, ``lin_symbol_half``) live here too, and so do the mesh
+builders ``random_s1_mesh`` and ``alternating_ratio_mesh``,
 ``scalar_random_mesh``, the one-draw-at-a-time form of ``random_mesh``,
 ``adaptive_states``, ``adaptive_run``'s loop from a chosen first trial
 step, and the output-digest helpers ``DIGEST_BUILD``, ``on_digest_build``
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pfc.experiments
 import pfc.grid
 import pfc.model
 import pfc.steppers
@@ -155,6 +157,14 @@ def random_s1_mesh(rng: np.random.Generator, n_max: int = 64,
     return mesh_from_ratios(tau1, ratios)
 
 
+def alternating_ratio_mesh(rng: np.random.Generator, n: int) -> TimeMesh:
+    """n steps from tau_1 ~ U(0.02, 0.4) whose ratios alternate between a draw
+    r ~ U(3.0, 3.55), near the S1 bound, and its inverse 1/r."""
+    up = rng.uniform(3.0, 3.55, size=n // 2)
+    return mesh_from_ratios(float(rng.uniform(0.02, 0.4)),
+                            np.column_stack([up, 1.0 / up]).ravel()[:n - 1])
+
+
 def scalar_random_mesh(N: int, T: float, seed: int) -> TimeMesh:
     """``pfc.mesh.random_mesh`` from N scalar ``uniform`` draws, the oracle for its block draw."""
     gen = SplitMix64(seed)
@@ -245,6 +255,12 @@ def kernel_matrices(mesh: TimeMesh) -> KernelMatrices:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def one_patch(monkeypatch):
+    """``patched_initial`` seeds one strong patch, at the centre of (0, 64)^2."""
+    monkeypatch.setattr(pfc.experiments, "PATCHES", [((32.0, 32.0), 10.0, 0.9)])
 
 
 def coords(grid):

@@ -14,6 +14,7 @@ import pytest
 from conftest import (chemical_potential, cross_form_theta, doc_kernels, doc_kernels_recursive,
                       inner, mesh_from_ratios, on_digest_build, oscillation_indicator,
                       quad_form_b, quad_form_theta, random_s1_mesh, sha256_file)
+import pfc.experiments as ex
 from pfc.experiments import (ENERGY_HEADER, energy_rows, random_initial, run_compare,
                              run_convergence, run_polycrystal, run_with_energy_log, write_csv)
 from pfc.grid import Field, Grid2D
@@ -161,10 +162,11 @@ def test_energy_dissipation():
     assert elapsed < 300.0
 
 
-def test_scheme_comparison():
+def test_scheme_comparison(monkeypatch):
     """Accuracy ordering, CN oscillation, and iteration-count bands."""
     t0 = time.perf_counter()
-    res = run_compare(profile_taus=(1e-2, 1e-3), with_energy_runs=False)
+    monkeypatch.setattr(ex, "PROFILE_TAUS", (1e-2, 1e-3))
+    res = run_compare(with_energy_runs=False)
     ref = res.reference
     dev = {s: float(np.max(np.abs(res.profiles[(s, 1e-2)] - ref)))
            for s in ("bdf2", "cn", "cncs")}

@@ -131,12 +131,12 @@ class TestAdvance:
         assert step.tau_accepted == pytest.approx(1e-4)
         assert step.e_rel >= adaptive.TOL
 
-    def test_failed_solve_shrinks_step(self, monkeypatch):
+    def test_failed_solve_shrinks_step(self, monkeypatch, one_patch):
         # at tau = 2 the fixed-point iteration on this patch diverges; the
         # controller must reject the trial step and retry with a smaller one
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)
-        state = StepperState(patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)]))
+        state = StepperState(patched_initial(g))
         with pytest.raises(SolverError):
             bdf2_step(state, 2.0, p)
         monkeypatch.setattr(adaptive, "TAU_MAX", 2.0)
@@ -146,22 +146,22 @@ class TestAdvance:
         assert step.stats.final_residual <= FP_TOL
         assert np.all(np.isfinite(step.phi.values))
 
-    def test_failed_solve_at_floor_raises(self, monkeypatch):
+    def test_failed_solve_at_floor_raises(self, monkeypatch, one_patch):
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)
-        state = StepperState(patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)]))
+        state = StepperState(patched_initial(g))
         monkeypatch.setattr(adaptive, "TAU_MIN", 1.9)
         monkeypatch.setattr(adaptive, "TAU_MAX", 2.0)
         with pytest.raises(SolverError):
             adaptive_advance(state, 2.0, p)
 
-    def test_trials_leave_three_levels_untouched(self, monkeypatch):
+    def test_trials_leave_three_levels_untouched(self, monkeypatch, one_patch):
         """Diverged and rejected trials from a state with every nonlinearity
         spectrum kept leave both fields, their values and spectra, and every
         kept spectrum and step bit for bit as they were."""
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)
-        phi0 = patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)])
+        phi0 = patched_initial(g)
         state = run_fixed_mesh(phi0, [1e-3] * (NL_LEVELS + 1), p)
         assert len(state.nl_hats) == NL_LEVELS
         levels = [state.phi_prev, state.phi_prev2]
@@ -251,7 +251,7 @@ class TestRun:
         taus = [s.tau_prev for s in adaptive_states(phi0, 0.3, p, adaptive.TAU_MIN)]
         assert taus == accepted_taus(phi0, 0.3, p)
 
-    def test_transform_budget_with_rejections(self, monkeypatch):
+    def test_transform_budget_with_rejections(self, monkeypatch, one_patch):
         """Every trial solve, rejected or not, costs one transform pair per
         iteration, less the forward transform a spectrum-started first
         iteration skips; phi0's spectrum is the run's only other transform.
@@ -259,7 +259,7 @@ class TestRun:
         retry reads the same history."""
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)
-        phi0 = patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)])
+        phi0 = patched_initial(g)
         transforms = count_transforms(monkeypatch)
         solve_iters, started, trials = [], [], []
         solve, step = steppers.fixed_point_solve, adaptive.bdf2_step

@@ -161,6 +161,21 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "missing.txt" in err[0]
 
+    @pytest.mark.parametrize("lines,n", [(["0.5", "abc"], 2), (["0.5,0.2"], 1),
+                                         (["tau", "0.5", "", " x "], 4)],
+                             ids=["word", "two-columns", "after-header-and-blank"])
+    def test_kernels_malformed_tau_file(self, lines, n, tmp_path, capsys):
+        """A line of a tau file that is no number is named with the file and its
+        1-based line, the header and blank lines counted."""
+        taus = tmp_path / "taus.txt"
+        taus.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "k.csv"
+        rc = main(["kernels", "--mesh", str(taus), "--report", str(report)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"config error: tau file {taus} line {n}: {lines[n - 1]!r} is not a number\n")
+        assert not report.exists()
+
     @pytest.mark.parametrize("spec,form", [
         ("random:5,1.0", "random:N,T,seed"), ("uniform:5,1.0,7", "uniform:N,T"),
         ("uniform:", "uniform:N,T"), ("random:5.5,1.0,3", "random:N,T,seed"),
@@ -421,13 +436,16 @@ class TestParserReuse:
 class TestPolycrystalLong:
     M, L, T, SNAPS, SEED = 32, 256.0, 2.0, (1, 2), 5
 
+    @pytest.fixture(autouse=True)
+    def small_long_leg(self, monkeypatch):
+        for name, value in (("LONG_M", self.M), ("LONG_L", self.L), ("LONG_T", self.T),
+                            ("SNAPSHOT_TIMES", self.SNAPS)):
+            monkeypatch.setattr(ex, name, value)
+
     def test_long_leg_outputs(self, tmp_path, monkeypatch, capsys):
-        run, run_long = ex.run_polycrystal, ex.run_polycrystal_long
+        run = ex.run_polycrystal
         small = {"M": self.M, "L": self.L, "T": self.T}
         monkeypatch.setattr(ex, "run_polycrystal", lambda **kw: run(**{**kw, **small}))
-        monkeypatch.setattr(ex, "run_polycrystal_long",
-                            lambda **kw: run_long(**{**kw, **small,
-                                                     "snapshot_times": self.SNAPS}))
         out = tmp_path / "poly"
         rc = main(["polycrystal", "--long", "--seed", str(self.SEED), "--out", str(out)])
         assert rc == 0
@@ -458,6 +476,5 @@ class TestPolycrystalLong:
         """Called from the library, where no ``_echo_config`` has made the
         directory first, the leg still writes its snapshots."""
         out = tmp_path / "new" / "dir"
-        ex.run_polycrystal_long(M=self.M, L=self.L, seed=self.SEED, T=self.T,
-                                snapshot_times=self.SNAPS, out_dir=str(out))
+        ex.run_polycrystal_long(seed=self.SEED, out_dir=str(out))
         assert sorted(os.listdir(out)) == ["snapshot_t1.csv", "snapshot_t2.csv"]

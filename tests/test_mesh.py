@@ -6,12 +6,12 @@ from pfc.mesh import (R_SUP, TimeMesh, analyze, check_restriction, parse_mesh_sp
                       random_mesh, stability_bound, uniform_mesh)
 
 
-def _scalar_check_restriction(mesh, eps, lookahead=0.0):
+def _scalar_check_restriction(mesh, eps):
     """Per-step scalar form of check_restriction, the oracle for its numpy form."""
     bad = []
     for n in range(1, mesh.N + 1):
         rn = mesh.ratios[n - 1]
-        rnp1 = mesh.ratios[n] if n < mesh.N else lookahead
+        rnp1 = mesh.ratios[n] if n < mesh.N else 0.0
         if rn >= R_SUP or rnp1 >= R_SUP:
             bad.append(n)
             continue
@@ -165,37 +165,33 @@ class TestRestriction:
         meshes = [random_mesh(int(rng.integers(1, 300)), float(rng.uniform(0.5, 50.0)),
                               int(rng.integers(0, 2**31))) for _ in range(15)]
         # S1 meshes rescaled so their largest step straddles the bound
-        for _ in range(15):
+        for _ in range(25):
             m = random_s1_mesh(rng, n_max=200)
             meshes.append(TimeMesh(m.steps * (float(rng.uniform(0.3, 40.0)) / m.max_step)))
         # ratios at and beyond r_sup: outside the domain of the bound
         meshes += [mesh_from_ratios(0.5, [2.0, R_SUP, 0.3, 1.0, 50.0, 0.01]),
                    mesh_from_ratios(2.0, rng.uniform(0.01, 8.0, size=60)),
                    uniform_mesh(40, 100.0)]
+        # S1 meshes whose smallest step exceeds every bound, all below 2/(3 eps) * 2 <= 66.7
+        for _ in range(5):
+            m = random_s1_mesh(rng, n_max=50)
+            meshes.append(TimeMesh(m.steps * (float(rng.uniform(70.0, 200.0)) / m.steps.min())))
+        # a final ratio outside the domain is flagged, as is the step before it
+        meshes.append(mesh_from_ratios(0.1, [1.0, 5.0]))
         sizes = []
         for m in meshes:
             for eps in (0.02, 0.25, 0.9):
-                for lookahead in (0.0, 1.7, R_SUP, 10.0):
-                    want = _scalar_check_restriction(m, eps, lookahead)
-                    got = check_restriction(m, eps, lookahead)
-                    assert got == want
-                    assert all(type(n) is int for n in got)
-                    sizes.append((len(want), m.N))
+                want = _scalar_check_restriction(m, eps)
+                got = check_restriction(m, eps)
+                assert got == want
+                assert all(type(n) is int for n in got)
+                sizes.append((len(want), m.N))
         # clean, partly flagged and fully flagged meshes are all covered
         assert sum(k == 0 for k, _ in sizes) >= 10
         assert sum(0 < k < n for k, n in sizes) >= 100
         assert sum(k == n for k, n in sizes) >= 10
-
-    def test_bad_lookahead_raises_like_scalar_loop(self):
-        m = uniform_mesh(5, 1.0)
-        for la in (-0.5, float("nan")):
-            with pytest.raises(ValueError):
-                _scalar_check_restriction(m, 0.1, la)
-            with pytest.raises(ValueError):
-                check_restriction(m, 0.1, la)
-        # a final ratio outside the domain is flagged before the lookahead is read
-        m = mesh_from_ratios(0.1, [1.0, 5.0])
-        assert check_restriction(m, 0.1, -0.5) == _scalar_check_restriction(m, 0.1, -0.5) == [2, 3]
+        last = meshes[-1]
+        assert check_restriction(last, 0.1) == _scalar_check_restriction(last, 0.1) == [2, 3]
 
 
 class TestAnalyze:

@@ -168,13 +168,13 @@ class TestBDF2:
         with pytest.raises(ValueError):
             Field(g, vals)
 
-    def test_divergence_stops_early(self):
+    def test_divergence_stops_early(self, one_patch):
         # a large seeded patch at tau = 2: the iterates overflow, and the
         # solve must stop at the first non-finite residual
         from pfc.experiments import patched_initial
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)
-        phi = patched_initial(g, patches=[((32.0, 32.0), 10.0, 0.9)])
+        phi = patched_initial(g)
         with pytest.raises(SolverError) as exc:
             bdf2_step(StepperState(phi), 2.0, p)
         stats = exc.value.stats
