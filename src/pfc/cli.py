@@ -14,6 +14,7 @@ file.  Exit codes: 0 all runs converged, 2 solver failure, 3 config error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
@@ -182,8 +183,31 @@ def cmd_polycrystal(args) -> int:
         _, recs = ex.run_polycrystal_long(seed=args.seed, out_dir=args.out)
         ex.write_csv(os.path.join(args.out, "energy_long.csv"),
                      ex.ENERGY_HEADER, ex.energy_rows(recs))
+        ex.write_csv(os.path.join(args.out, "long_taus.csv"), ["tau"],
+                     [(r.tau,) for r in recs[1:]])
         print(f"long leg: {len(recs) - 1} adaptive steps")
     return 0
+
+
+@functools.cache
+def _tune_heap() -> bool:
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB, once per
+    process; False where there is no ``mallopt`` (not glibc), which changes nothing.
+
+    A 256^2 solve's arrays, 0.5 MB each, are allocated once per solve.  At glibc's
+    default thresholds they are mapped and returned to the system as they come and
+    go, so every solve faults their pages in afresh; above the thresholds they stay
+    on the heap.  Only ``main`` calls this: ``import pfc`` leaves its host's
+    allocator alone (library users set MALLOC_MMAP_THRESHOLD_ and
+    MALLOC_TRIM_THRESHOLD_).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+    return True
 
 
 @functools.cache
@@ -204,6 +228,7 @@ def _given_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _tune_heap()
     parser = _parser()
     try:
         args = parser.parse_args(argv)

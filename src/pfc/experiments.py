@@ -10,7 +10,7 @@ runs at are module constants, read at call time, so a test patches them.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import operator
 import os
@@ -63,23 +63,19 @@ def patched_initial(grid: Grid2D, seed: int = 0) -> Field:
     return Field(grid, vals)
 
 
-@functools.lru_cache(maxsize=128)
-def _row_format(types: tuple) -> str:
-    """One %-format for a row of these types: FMT for a float (numpy's float64
-    included), %s, which is str(v), for anything else."""
-    return ",".join(FMT if issubclass(t, float) else "%s" for t in types) + "\n"
-
-
 def write_csv(path, header: list[str], rows, footer: str = ""):
-    """Write the header, the rows and ``footer`` (text after the last row) in one write."""
+    """Write the header, the rows and ``footer`` (text after the last row) in one write.
+
+    Every row takes the first row's format: FMT where that row holds a float
+    (numpy's float64 included), %s, which is str(v), elsewhere."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    lines = [",".join(header) + "\n"]
-    for row in rows:
-        row = tuple(row)
-        lines.append(_row_format(tuple(map(type, row))) % row)
-    lines.append(footer)
+    rows = list(rows)
+    body = ""
+    if rows:
+        fmt = ",".join(FMT if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+        body = (fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w") as fh:
-        fh.write("".join(lines))
+        fh.write(",".join(header) + "\n" + body + footer)
 
 
 ENERGY_HEADER = [f.name for f in fields(EnergyRecord)]

@@ -108,7 +108,9 @@ class Field:
         """The half spectrum ``forward(values)``, computed on first use and kept.
 
         A solver that already holds the spectrum of the values it made may set
-        ``hat`` to it; that equals ``forward(values)`` to roundoff.  Neither
+        ``hat`` to it; that equals ``forward(values)`` to roundoff, step after
+        step, because the solve makes the self-conjugate columns (ky = 0 and
+        the Nyquist column) exactly Hermitian, as a real field's are.  Neither
         ``values`` nor ``hat`` may change afterwards.
         """
         return forward(self.values)

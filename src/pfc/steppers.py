@@ -24,7 +24,11 @@ inverse transform gave its values and ``nl_hat`` to the last transformed
 nonlinearity, so an iteration costs one transform pair, one started from a
 spectrum costs one inverse transform, and a step makes no other transform,
 except one for a starting field that has no spectrum yet.  A forcing is
-handed over as its half spectrum.
+handed over as its half spectrum.  Before it hands ``hat`` over, the solve
+replaces the two self-conjugate columns (ky = 0 and the Nyquist column) by
+their Hermitian parts, in O(M) (``_project_self_conjugate``): the right-hand
+sides read ``hat``, and would otherwise carry an anti-Hermitian part that
+the values never show from step to step, growing in the unstable band.
 
 Buffers: a solve allocates its arrays once and an iteration allocates
 nothing.  Two real arrays take turns as N(phi), written by the scheme's
@@ -211,7 +215,8 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
     applications of the map.  No other array handed over is written.
 
     The converged field is returned with ``hat`` set to the spectrum whose
-    ``backward`` gave its values and ``nl_hat`` to the last F[N(phi)], all
+    ``backward`` gave its values, its self-conjugate columns projected onto
+    their Hermitian parts, and ``nl_hat`` to the last F[N(phi)], all
     three arrays the solve's own, which it writes no more.  A non-finite
     increment ends the solve at once with ``SolverError``.
     """
@@ -246,6 +251,7 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
             res = float(np.abs(d, out=d).max())
             if res <= FP_TOL:
                 # a finite increment rules out a non-finite iterate
+                _project_self_conjugate(x, M)
                 out = Field.unchecked(grid, phi_new, nl_hat)
                 out.hat = x
                 return out, SolveStats(it, res)
@@ -256,6 +262,25 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
             spare, other = other, spare
     raise SolverError(f"fixed-point iteration failed to converge (residual {res:.3e})",
                       SolveStats(MAX_ITER, res))
+
+
+def _project_self_conjugate(x: np.ndarray, M: int):
+    """Replace the self-conjugate columns of the half spectrum ``x``, ky = 0 and the
+    Nyquist column, by their Hermitian parts (x[i] + conj(x[-i]))/2, in place.
+
+    ``backward`` drops their anti-Hermitian part, so the values do not move.  But
+    the next right-hand side reads the spectrum, and the part it carries on grows
+    in the unstable band as the linear recurrence does.  The one temporary holds
+    M - 2 entries: rows 1 .. M/2 - 1 of both columns.
+    """
+    cols = x[:, ::M // 2]
+    top, bottom = cols[1:M // 2], cols[:M // 2:-1]   # row i and its partner M - i
+    h = np.conjugate(bottom)
+    h += top
+    h *= 0.5
+    top[...] = h
+    np.conjugate(h, out=bottom)
+    cols.imag[::M // 2] = 0.0   # rows 0 and M/2 are their own partners
 
 
 def _cube(phi, out):

@@ -210,10 +210,10 @@ def test_scheme_comparison(monkeypatch):
 # (SHA-256 on DIGEST_BUILD, final E within 1e-8 relative, accepted steps
 # within 1), the tolerances perfbench puts on the adaptive leg.
 POLYCRYSTAL = {
-    "uniform": ("5348884796c58f5ed97b95e149950756c2ed11096085fe54174904b5b577c26b",
+    "uniform": ("76f3604adde41aaef8b65ddc804ba87a484a5707346e1559b70738a6e5b66dcb",
                 2103.022132324333, 1000),
-    "adaptive": ("1272011984d19f918ef94f4f1c24d0d8793c836fb7d5f3475a4f45dc2633c75d",
-                 2103.022315672004, 229),
+    "adaptive": ("a2455701a2617f7ecf6f3ca9c7bb3a3933e88a4bfd98eb622f0fd70d0727ae4d",
+                 2103.0223156719985, 229),
 }
 
 

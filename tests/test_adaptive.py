@@ -146,6 +146,32 @@ class TestAdvance:
         assert step.stats.final_residual <= FP_TOL
         assert np.all(np.isfinite(step.phi.values))
 
+    def test_unconverged_solve_shrinks_step(self, monkeypatch, one_patch):
+        """A solve that runs out of iterations raises with MAX_ITER iterations and
+        its last, finite increment; the controller then retries at FAIL_SHRINK
+        times the step.  On this patch tau = 0.5 takes 32 iterations and 0.125
+        takes 17."""
+        g = Grid2D(64, 64.0)
+        p = PfcParams(0.25, g)
+        state = StepperState(patched_initial(g))
+        monkeypatch.setattr(steppers, "MAX_ITER", 25)
+        with pytest.raises(SolverError, match="failed to converge") as failure:
+            bdf2_step(state, 0.5, p)
+        assert failure.value.stats.iterations == 25
+        assert FP_TOL < failure.value.stats.final_residual < math.inf
+        trials = []
+        step = adaptive.bdf2_step
+
+        def recorded(st, tau, p):
+            trials.append(tau)
+            return step(st, tau, p)
+
+        monkeypatch.setattr(adaptive, "bdf2_step", recorded)
+        out = adaptive_advance(state, 0.5, p)
+        assert trials[:2] == [0.5, adaptive.FAIL_SHRINK * 0.5]
+        assert out.rejections == len(trials) - 1
+        assert out.stats.iterations <= 25
+
     def test_failed_solve_at_floor_raises(self, monkeypatch, one_patch):
         g = Grid2D(64, 64.0)
         p = PfcParams(0.25, g)

@@ -39,7 +39,7 @@ COMPARE = {
     "profile_cn_tau0.01.csv":
         ("b1c6915794235acb79f359a8db9de60fa45ff083f43c52910361613d2aa31820", 12.911672001132619),
     "profile_cn_tau0.001.csv":
-        ("f7e3f87b10ae1944133076a9a62a79d1dedcd03a11fcbe20753baef14571f3ef", 12.815279542617972),
+        ("5ba6b798f75c4628122337287abc8d9b88be3d37fc51de1642ae31ad4252fbc5", 12.815279542617972),
     "profile_cn_tau0.0005.csv":
         ("1c4913f900cdcfb0b95bd4bb43721ecfdea15c2cfa384463446df6ecd3a5c96f", 12.839617683968067),
     "profile_cn_tau0.00025.csv":
@@ -51,7 +51,7 @@ COMPARE = {
     "profile_cncs_tau0.0005.csv":
         ("b33a410591d51088954cdb6c90c82289d96f4694bae3f743620d4dd0e33b5400", 12.841798188582128),
     "profile_cncs_tau0.00025.csv":
-        ("b59c71fe626770357b8313729e82d52437564fb0ba77a272b380d37a5c0d7658", 12.841818318195983),
+        ("079e1f281f2b614e36fa7e283d56dbb737d91edc7a05b47090815e1353d82ab1", 12.841818318195983),
 }
 
 

@@ -95,11 +95,13 @@ class TestCsv:
         _, recs = run_with_energy_log(random_initial(0.1, 0.02, g, 3), [0.05] * 4,
                                       PfcParams(0.2, g))
         kernel_rows, _ = kernels_report(random_mesh(30, 1.0, 7))
-        mixed = [(1, True, False, 0.1, np.float64(0.1), np.float32(0.1), np.int64(3)),
-                 ["cn", None, float("nan"), -float("inf"), 0.0, -0.0, 5e-324],
-                 np.array([np.pi, 1e300]), (), ("bdf2", 1e-3, 4.25)]
+        # one type per column, as in every file the CLI writes
+        special = [(1, True, "cn", None, np.float64(0.1), np.float32(0.1), np.int64(3),
+                    float("nan"), -float("inf"), 0.0),
+                   (2, False, "bdf2", None, np.float64(np.pi), np.float32(-0.0),
+                    np.int64(-4), float("inf"), -0.0, 5e-324)]
         header = ["a", "b"]
-        for rows in (kernel_rows, energy_rows(recs), mixed):
+        for rows in (kernel_rows, energy_rows(recs), special, [np.array([np.pi, 1e300])], []):
             new, old = tmp_path / "new.csv", tmp_path / "old.csv"
             write_csv(new, header, rows)
             write_csv_per_value(old, header, rows)
