@@ -21,7 +21,7 @@ import numpy as np
 from .adaptive import adaptive_run
 from .grid import Field, Grid2D, l2_norm, save_snapshot
 from .kernels import bdf2_coeffs, doc_apply, eigen_bounds, verify_orthogonality
-from .mesh import R_SUP, TimeMesh, random_mesh, uniform_mesh
+from .mesh import TimeMesh, random_mesh, uniform_mesh
 from .model import (EnergyRecord, PfcParams, energy, exact_solution, history_weight,
                     manufactured_forcing_hat, mass, step_distance_sq)
 from .rng import SplitMix64
@@ -119,7 +119,7 @@ def run_convergence(M: int = 128, L: float = 8.0, eps: float = 0.02,
     for i, N in enumerate(ladder):
         mesh = random_mesh(N, T, seed + i) if mesh_kind == "random" else uniform_mesh(N, T)
         err = run_bdf2_forced(mesh, grid, p)
-        n1 = int(np.count_nonzero(mesh.ratios >= R_SUP))
+        n1 = len(mesh.s1_violations())
         if rows:
             prev = rows[-1]
             order = math.log(prev.error / err) / math.log(prev.tau_max / mesh.max_step)

@@ -2,10 +2,8 @@
 
 A mesh stores the positive step sizes tau_1..tau_N.  Derived quantities are
 the time levels t_k and the adjacent step ratios r_k = tau_k / tau_{k-1}
-with the convention r_1 = 0.  The ratio conditions are:
-
-  S1:  r_k < r_sup = (3 + sqrt(17)) / 2 for k >= 2;
-  S2:  the count N0 of ratios in [1 + sqrt(2), r_sup) is small.
+with the convention r_1 = 0.  The paper's energy law and L2 error estimate
+need one ratio condition, S1: r_k < r_sup = (3 + sqrt(17)) / 2 for k >= 2.
 
 The energy-stability step-size check flags steps with
 tau_n > (2 / (3 eps)) * min{(1 + 2 r_n)/(1 + r_n), R(r_n, r_{n+1})},
@@ -21,7 +19,6 @@ import numpy as np
 from .rng import SplitMix64
 
 R_SUP = (3.0 + np.sqrt(17.0)) / 2.0
-R_TRANSITION = 1.0 + np.sqrt(2.0)
 
 
 @dataclass
@@ -61,16 +58,17 @@ class TimeMesh:
     def max_ratio(self) -> float:
         return float(np.max(self.ratios))
 
+    def s1_violations(self) -> list[int]:
+        """The levels k (1-based) that break S1, r_k >= r_sup; r_1 = 0 never does."""
+        return (np.flatnonzero(self.ratios >= R_SUP) + 1).tolist()
+
     def satisfies_s1(self) -> bool:
-        return bool(np.all(self.ratios < R_SUP))
+        return not self.s1_violations()
 
 
 @dataclass
 class MeshReport:
-    max_step: float
-    max_ratio: float
     s1_violations: list[int]
-    n0: int
     restriction_violations: list[int]
 
 
@@ -120,9 +118,7 @@ def check_restriction(mesh: TimeMesh, eps: float) -> list[int]:
 
 def analyze(mesh: TimeMesh, eps: float) -> MeshReport:
     """Populate a MeshReport, with the step-size restriction checked at ``eps``."""
-    s1 = (np.flatnonzero(mesh.ratios[1:] >= R_SUP) + 2).tolist()
-    n0 = int(np.sum((mesh.ratios >= R_TRANSITION) & (mesh.ratios < R_SUP)))
-    return MeshReport(mesh.max_step, mesh.max_ratio, s1, n0, check_restriction(mesh, eps))
+    return MeshReport(mesh.s1_violations(), check_restriction(mesh, eps))
 
 
 def parse_mesh_spec(spec: str) -> TimeMesh:

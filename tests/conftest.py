@@ -12,7 +12,8 @@ meshes.  Helpers that only tests use (``constant_field``, ``linf_monitor``,
 builders ``random_s1_mesh`` and ``alternating_ratio_mesh``,
 ``scalar_random_mesh``, the one-draw-at-a-time form of ``random_mesh``,
 ``adaptive_states``, ``adaptive_run``'s loop from a chosen first trial
-step, and the output-digest helpers ``DIGEST_BUILD``, ``on_digest_build``
+step, ``period_two_map``, a fixed-point map that can only stagnate, and
+the output-digest helpers ``DIGEST_BUILD``, ``on_digest_build``
 and ``sha256_file``.
 
 Oracles that no run calls came here from the package with their bodies:
@@ -267,6 +268,22 @@ def coords(grid):
     """The M x M sample coordinates X, Y, with X[i, j] = i h and Y[i, j] = j h."""
     x = grid.h * np.arange(grid.M)
     return np.meshgrid(x, x, indexing="ij")
+
+
+def period_two_map(grid):
+    """``fixed_point_solve``'s arguments for a map whose iterates alternate
+    between c + 1e-11 and c - 1e-11, for a smooth field c, from a zero guess:
+    the increment is the same 2e-11 from the second iteration on."""
+    X, Y = coords(grid)
+    c = 0.1 + 0.05 * np.sin(grid.nu * X) * np.cos(grid.nu * Y)
+    sign = [1e-11]
+
+    def nonlinear(phi, out):
+        sign[0] = -sign[0]
+        return np.add(c, sign[0], out=out)
+
+    mult = np.ones(grid.k2_half.shape)
+    return mult, np.zeros(mult.shape, dtype=complex), np.zeros((grid.M, grid.M)), grid, nonlinear
 
 
 def _full_wavenumbers(grid):

@@ -7,6 +7,7 @@ the summary lines as they are produced.
 """
 
 import time
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from conftest import (chemical_potential, cross_form_theta, doc_kernels, doc_ker
                       inner, mesh_from_ratios, on_digest_build, oscillation_indicator,
                       quad_form_b, quad_form_theta, random_s1_mesh, sha256_file)
 import pfc.experiments as ex
-from pfc.experiments import (ENERGY_HEADER, energy_rows, random_initial, run_compare,
-                             run_convergence, run_polycrystal, run_with_energy_log, write_csv)
+from pfc.experiments import (ENERGY_HEADER, ConvergenceRow, energy_rows, random_initial,
+                             run_compare, run_convergence, run_polycrystal, run_with_energy_log,
+                             write_csv)
 from pfc.grid import Field, Grid2D
 from pfc.kernels import bdf2_coeffs, doc_apply, eigen_bounds, verify_orthogonality
 from pfc.mesh import stability_bound
@@ -118,7 +120,12 @@ def test_quadratic_form_inequalities():
     assert elapsed < 60.0
 
 
-def test_convergence_ladder():
+# SHA-256 of the rows of the ladders below, written with write_csv, on DIGEST_BUILD
+LADDER_DIGESTS = {"random": "563ba91b097c5502c4eee4771ce835f566e7590800322a837c06db75678c9a8d",
+                  "uniform": "71070df9ac241677adf83ff8dae1168aeaae49891aa3b3420f782d9b601d8ef3"}
+
+
+def test_convergence_ladder(tmp_path):
     """Manufactured problem, random meshes: second-order accuracy."""
     t0 = time.perf_counter()
     rows = run_convergence(M=64, ladder=(20, 40, 80, 160, 320), seed=2023)
@@ -139,6 +146,11 @@ def test_convergence_ladder():
     assert 1.5 <= last_order <= 3.0
     assert abs(uni_order - 2.0) <= 0.2
     assert elapsed < 300.0
+    if on_digest_build():
+        for kind, ladder in (("random", rows), ("uniform", uni)):
+            path = tmp_path / f"{kind}.csv"
+            write_csv(path, [f.name for f in fields(ConvergenceRow)], map(astuple, ladder))
+            assert sha256_file(path) == LADDER_DIGESTS[kind], kind
 
 
 def test_energy_dissipation():
@@ -162,7 +174,11 @@ def test_energy_dissipation():
     assert elapsed < 300.0
 
 
-def test_scheme_comparison(monkeypatch):
+# SHA-256 of the profiles and iteration means below, written with write_csv, on DIGEST_BUILD
+COMPARISON_DIGEST = "4346ba500bbb0fad9e208c2772cd776d75d74c95107f6c8ab9916cc335941165"
+
+
+def test_scheme_comparison(monkeypatch, tmp_path):
     """Accuracy ordering, CN oscillation, and iteration-count bands."""
     t0 = time.perf_counter()
     monkeypatch.setattr(ex, "PROFILE_TAUS", (1e-2, 1e-3))
@@ -204,6 +220,14 @@ def test_scheme_comparison(monkeypatch):
     assert band_small
     assert band_large
     assert elapsed < 600.0
+    if on_digest_build():
+        rows = [("profile", "reference", 1e-4, v) for v in ref.tolist()]
+        rows += [("profile", s, tau, v) for (s, tau), prof in res.profiles.items()
+                 for v in prof.tolist()]
+        rows += [("mean_iters", s, tau, m) for (s, tau), m in iters.items()]
+        path = tmp_path / "comparison.csv"
+        write_csv(path, ["kind", "scheme", "tau", "value"], rows)
+        assert sha256_file(path) == COMPARISON_DIGEST
 
 
 # The T=50 run's records as ``pfc polycrystal --seed 2023`` writes them:

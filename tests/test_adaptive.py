@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import adaptive_states, constant_field, coords, count_transforms, mean
+from conftest import (adaptive_states, constant_field, coords, count_transforms, mean,
+                      period_two_map)
 import pfc.adaptive as adaptive
 import pfc.steppers as steppers
 from pfc.adaptive import adaptive_advance, adaptive_run, tau_ada
@@ -171,6 +172,37 @@ class TestAdvance:
         assert trials[:2] == [0.5, adaptive.FAIL_SHRINK * 0.5]
         assert out.rejections == len(trials) - 1
         assert out.stats.iterations <= 25
+
+    def test_stagnating_solve_shrinks_step(self, monkeypatch, one_patch):
+        """The first trial's solve runs a map whose iterate flips with period 2;
+        it stagnates, and the controller retries at FAIL_SHRINK times the step."""
+        g = Grid2D(64, 64.0)
+        p = PfcParams(0.25, g)
+        state = StepperState(patched_initial(g))
+        trials, failures = [], []
+        solve, step = steppers.fixed_point_solve, adaptive.bdf2_step
+
+        def stagnating_first(*args, **kwargs):
+            if len(trials) > 1:
+                return solve(*args, **kwargs)
+            try:
+                return solve(*period_two_map(g))
+            except SolverError as exc:
+                failures.append(exc.stats.iterations)
+                raise
+
+        def recorded(st, tau, p):
+            trials.append(tau)
+            return step(st, tau, p)
+
+        monkeypatch.setattr(steppers, "fixed_point_solve", stagnating_first)
+        monkeypatch.setattr(adaptive, "bdf2_step", recorded)
+        out = adaptive_advance(state, 0.5, p)
+        assert len(failures) == 1
+        assert steppers.STALL_ITERS < failures[0] <= steppers.STALL_ITERS + 2
+        assert trials[:2] == [0.5, adaptive.FAIL_SHRINK * 0.5]
+        assert out.rejections == len(trials) - 1
+        assert out.stats.final_residual <= FP_TOL
 
     def test_failed_solve_at_floor_raises(self, monkeypatch, one_patch):
         g = Grid2D(64, 64.0)

@@ -202,6 +202,16 @@ class TestCommands:
         assert rc == 3
         assert capsys.readouterr().err == "config error: need N >= 1 and T > 0\n"
 
+    @pytest.mark.parametrize("text", ["", "tau\n"], ids=["empty", "header-only"])
+    def test_kernels_refuses_file_without_steps(self, text, tmp_path, capsys):
+        taus = tmp_path / "taus.txt"
+        taus.write_text(text)
+        report = tmp_path / "k.csv"
+        rc = main(["kernels", "--mesh", str(taus), "--report", str(report)])
+        assert rc == 3
+        assert capsys.readouterr().err == "config error: mesh needs at least one step\n"
+        assert not report.exists()
+
     def test_kernels_unwritable_report(self, tmp_path, capsys):
         # the report's directory would have to be made inside a regular file
         blocker = tmp_path / "blocker"
@@ -231,6 +241,40 @@ class TestCommands:
         assert rc == 3
         assert capsys.readouterr().err == "config error: all step sizes must be finite\n"
         assert not report.exists()
+
+    def test_compare_energy_runs(self, tmp_path, monkeypatch):
+        """The energy runs go to t = 5 at tau = 0.1, 0.01 and 0.001 for each scheme;
+        each writes its log, and mean_iterations.csv holds the mean of the
+        iterations each log records.  The runs are cut to their first 3 steps
+        and the profiles to tau = 0.01."""
+        calls = []
+        run = ex.run_with_energy_log
+
+        def first_steps(phi0, steps, p, scheme):
+            calls.append((scheme, steps[0], len(steps)))
+            return run(phi0, steps[:3], p, scheme)
+
+        monkeypatch.setattr(ex, "run_with_energy_log", first_steps)
+        monkeypatch.setattr(ex, "PROFILE_TAUS", (1e-2,))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--out", str(out)]) == 0
+        assert calls == [(s, tau, round(5 / tau))
+                         for tau in (0.1, 0.01, 0.001) for s in ("bdf2", "cn", "cncs")]
+        logs = sorted(f for f in os.listdir(out) if f.startswith("energy_"))
+        assert len(logs) == 9
+        with open(out / "mean_iterations.csv") as fh:
+            means = fh.read().splitlines()
+        assert means[0] == "scheme,tau,mean_iters"
+        assert len(means) == 10
+        for row in means[1:]:
+            scheme, tau, mean_iters = row.split(",")
+            with open(out / f"energy_{scheme}_tau{float(tau):g}.csv") as fh:
+                lines = fh.read().splitlines()
+            assert lines[0] == ",".join(ex.ENERGY_HEADER)
+            assert len(lines) == 5   # the t = 0 row and 3 steps
+            col = ex.ENERGY_HEADER.index("iters")
+            iters = [int(ln.split(",")[col]) for ln in lines[2:]]
+            assert float(mean_iters) == np.mean(iters)
 
     @pytest.mark.parametrize("error", [
         SolverError("fixed-point iteration diverged", SolveStats(3, np.inf)),

@@ -409,6 +409,10 @@ class TestEigenBounds:
             for which in ("min", "max"):
                 assert tridiag_extreme_eig(d, e, which) == _numpy_extreme_eig(d, e, which)
 
+    def test_unknown_extreme_refused(self):
+        with pytest.raises(ValueError, match="which must be 'min' or 'max'"):
+            tridiag_extreme_eig(np.array([2.0, 2.0]), np.array([1.0]), "mid")
+
     def test_one_level_values(self):
         # r_1 = 0 makes tb0 = 1 and tb1 = 0: Bt = [2] and B2t^T B2t = [1]
         eb = eigen_bounds(TimeMesh(np.array([0.3])))

@@ -196,20 +196,15 @@ class TestRestriction:
 
 class TestAnalyze:
     def test_uniform(self):
-        rep = analyze(uniform_mesh(10, 1.0), 0.25)
-        assert rep.max_ratio == 1.0
+        m = uniform_mesh(10, 1.0)
+        assert m.max_ratio == 1.0
+        rep = analyze(m, 0.25)
         assert rep.s1_violations == []
-        assert rep.n0 == 0
 
     def test_s1_violation_index(self):
         m = mesh_from_ratios(0.1, [2.0, 3.8])
         rep = analyze(m, 0.25)
         assert rep.s1_violations == [3]
-
-    def test_n0_count(self):
-        m = mesh_from_ratios(0.1, [2.5, 1.0])
-        rep = analyze(m, 0.25)
-        assert rep.n0 == 1
 
     def test_s1_violations_match_scalar_loop(self, rng):
         meshes = [random_mesh(int(rng.integers(1, 300)), 1.0, int(rng.integers(0, 2**31)))

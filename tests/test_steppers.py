@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (adaptive_states, constant_field, coords, full_k2, full_lin_symbol,
-                      manufactured_forcing, lin_symbol_half, mean, modified_energy, ref_cncs)
+                      manufactured_forcing, lin_symbol_half, mean, modified_energy,
+                      period_two_map, ref_cncs)
 import pfc.steppers as steppers
 from pfc.grid import Field, Grid2D
 from pfc.model import PfcParams, energy, manufactured_forcing_hat
@@ -737,6 +738,15 @@ class TestSolveInputs:
         assert exc.value.stats.iterations == 1
         assert not math.isfinite(exc.value.stats.final_residual)
         assert np.array_equal(guess, kept, equal_nan=True)
+
+    def test_stagnating_increment_raises(self, setup):
+        """An iterate that flips by +-1e-11 with period 2 ends the solve with
+        ``SolverError`` within STALL_ITERS + 2 iterations, not at MAX_ITER."""
+        g, _ = setup
+        with pytest.raises(SolverError, match="stagnated") as exc:
+            steppers.fixed_point_solve(*period_two_map(g))
+        assert steppers.STALL_ITERS < exc.value.stats.iterations <= steppers.STALL_ITERS + 2
+        assert exc.value.stats.final_residual == pytest.approx(2e-11, rel=1e-6)
 
     def test_non_finite_increment_in_place_raises(self, setup):
         """A NaN iterate after one the solve made itself, whose increment is
