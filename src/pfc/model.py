@@ -40,10 +40,8 @@ class PfcParams:
         weight = (1.0 - self.grid.k2_half) ** 2
         lin_half = weight - self.eps
         self.interface_weight_folded = fold_conjugates(weight)
-        # k^2 ((1 - k^2)^2 - eps), the stiff part of the BDF2 and CN symbols, and
-        # its minimum, which settles the sign of b0 + k2_lin for any shift b0
+        # k^2 ((1 - k^2)^2 - eps), the stiff part of the BDF2 and CN symbols
         self.k2_lin = self.grid.k2_half * lin_half
-        self.k2_lin_min = float(self.k2_lin.min())
 
 
 @dataclass

@@ -13,10 +13,11 @@ step whose key is the held one forms no array for them, only multiplying
 each ``hat`` by its c_i/S; one with another key refills the held arrays in
 place.  The scheme hands ``fixed_point_solve`` the two multipliers, a start
 and its lagged nonlinearity as a physical-space function (``phi**3`` or CN's
-averaged product); the solver owns no symbol.  The BDF2 and CN symbols are
-a shift plus (a multiple of) ``PfcParams.k2_lin``, so their positivity
-check costs O(1), from that array's stored minimum; it runs when a key is
-new, as a held key's symbol has passed it.
+averaged product); the solver owns no symbol.  Each step names its key,
+its linear part and its nonlinearity, and ``_held_step`` does the rest for
+every scheme.  A new key's symbol, of any scheme, is checked positive at
+every mode where its multipliers are formed, with one minimum; a held
+key's symbol has passed that check.
 The start is either a field's values or a spectrum standing in for the
 first iterate's transformed nonlinearity.
 The solver returns the new field with ``hat`` set to the spectrum whose
@@ -140,22 +141,6 @@ def _check_step(tau: float):
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
-def _check_symbol(shift: float, stiff: np.ndarray, stiff_min: float, tau: float):
-    """Raise ``ConditioningError`` unless the symbol shift + stiff is positive.
-
-    Adding a scalar and rounding keep the order of the entries, so the
-    symbol's minimum is shift + stiff_min bit for bit and the check costs
-    O(1); the full symbol is formed only to name the failing mode.
-    """
-    if shift + stiff_min <= 0.0:
-        symbol = shift + stiff
-        idx = np.unravel_index(np.argmin(symbol), symbol.shape)
-        raise ConditioningError(
-            f"non-positive linear symbol {symbol[idx]:.3e} at mode {idx}; "
-            f"reduce the step size (tau={tau:.3e})"
-        )
-
-
 def _read_only_view(like: np.ndarray, dtype=None) -> np.ndarray:
     """A read-only view of a new zero array shaped like ``like``; the array is its ``base``."""
     view = np.zeros_like(like, dtype=dtype).view()
@@ -163,10 +148,13 @@ def _read_only_view(like: np.ndarray, dtype=None) -> np.ndarray:
     return view
 
 
-def _store_multipliers(held: HeldSolve, key: tuple, shift: float, stiff: np.ndarray,
-                       k2: np.ndarray, coefs: list):
+def _store_multipliers(held: HeldSolve, key: tuple, tau: float, shift: float,
+                       stiff: np.ndarray, k2: np.ndarray, coefs: list):
     """Hold -k^2/S and each c/S in ``held`` as the solve of ``key``, S = shift + stiff.
 
+    S is formed in the contiguous ``held.inv`` and must be positive at every
+    mode: otherwise ``ConditioningError`` names its smallest entry, its mode
+    and the step ``tau``, and ``held`` keeps the key and arrays it had.
     ``coefs`` are the coefficients c_i of the right-hand side sum_i c_i hat_i,
     each a real scalar or half-plane array, in the order the step adds the
     terms; ``held.coefs`` keeps that order.  Both come from one reciprocal
@@ -175,14 +163,19 @@ def _store_multipliers(held: HeldSolve, key: tuple, shift: float, stiff: np.ndar
     the new entry has more terms, and an entry is valid until the next miss.
     -k^2/S is held complex with a zero imaginary part, the value numpy would
     cast it to in each product with a spectrum, so the solve's products need
-    no cast buffer.  The reciprocal is formed in the contiguous ``held.inv``,
-    and only the last pass writes the strided real part of ``mult``.
+    no cast buffer.  Only the last pass writes the strided real part of ``mult``.
     """
-    held.key = None   # no key while the arrays are refilled
     if held.mult is None:
         held.mult = _read_only_view(stiff, complex)
         held.inv = np.empty_like(stiff)
     inv = np.add(stiff, shift, out=held.inv)
+    if inv.min() <= 0.0:
+        idx = np.unravel_index(np.argmin(inv), inv.shape)
+        raise ConditioningError(
+            f"non-positive linear symbol {inv[idx]:.3e} at mode {idx}; "
+            f"reduce the step size (tau={tau:.3e})"
+        )
+    held.key = None   # no key while the arrays are refilled
     np.divide(1.0, inv, out=inv)
     views = held.coefs[:len(coefs)]
     while len(views) < len(coefs):
@@ -350,6 +343,27 @@ def lagrange_weights(tau_n: float, steps) -> list[float]:
     return weights
 
 
+def _held_step(state: StepperState, tau: float, key: tuple, linear, hats: list, nonlinear,
+               nl_start: np.ndarray | None = None) -> tuple[Field, SolveStats]:
+    """Solve the step whose multipliers ``key`` names, from the held ones on a hit.
+
+    On a miss, ``linear()`` returns the symbol's shift and stiff part and the
+    right-hand side's coefficients, which ``_store_multipliers`` checks and
+    holds.  S^{-1} rhs is then sum_i c_i/S hats[i], added in the coefficients'
+    order, and the solve starts from phi^{n-1}'s values or from ``nl_start``.
+    """
+    g = state.phi_prev.grid
+    held = state.held
+    if key != held.key:
+        shift, stiff, coefs = linear()
+        _store_multipliers(held, key, tau, shift, stiff, g.k2_half, coefs)
+    base_hat = hats[0] * held.coefs[0]
+    for hat, c in zip(hats[1:], held.coefs[1:]):
+        base_hat += hat * c
+    return fixed_point_solve(held.mult, base_hat, state.phi_prev.values, g, nonlinear,
+                             nl_start)
+
+
 def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
               forcing_hat: np.ndarray | None = None) -> tuple[Field, SolveStats]:
     """Advance one level with the implicit two-step scheme.
@@ -366,33 +380,25 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
     the non-positive ones.
     """
     _check_step(tau_n)
-    g = state.phi_prev.grid
-    history = state.phi_prev2 is not None and state.tau_prev is not None
-    if history:
+    hats = [state.phi_prev.hat]
+    if state.phi_prev2 is not None and state.tau_prev is not None:
         b0, b1 = _bdf2_kernels(tau_n, tau_n / state.tau_prev)
+        hats.append(state.phi_prev2.hat)
     else:
         b0, b1 = 1.0 / tau_n, None
     forced = forcing_hat is not None
-    key = ("bdf2", b0, b1, forced)
-    held = state.held
-    if key != held.key:
-        _check_symbol(b0, p.k2_lin, p.k2_lin_min, tau_n)
+    if forced:
+        hats.append(forcing_hat)
+
+    def linear():
         # rhs = b0 phi^{n-1} - b1 (phi^{n-1} - phi^{n-2}) + forcing
         coefs = [b0] if b1 is None else [b0 - b1, b1]
         if forced:
             coefs.append(1.0)
-        _store_multipliers(held, key, b0, p.k2_lin, g.k2_half, coefs)
-    prev = state.phi_prev
-    c = held.coefs
-    base_hat = prev.hat * c[0]
-    if history:
-        base_hat += state.phi_prev2.hat * c[1]
-    if forced:
-        base_hat += forcing_hat * c[-1]
-    # the start is built in the call, so no name here keeps it alive after
-    # the solve has turned it into its first iterate
-    return fixed_point_solve(held.mult, base_hat, prev.values, g, _cube,
-                             _extrapolated_nl(state, tau_n))
+        return b0, p.k2_lin, coefs
+
+    return _held_step(state, tau_n, ("bdf2", b0, b1, forced), linear, hats, _cube,
+                      _extrapolated_nl(state, tau_n))
 
 
 def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
@@ -414,18 +420,15 @@ def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
 def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
     """Crank-Nicolson step with the averaged-square nonlinearity."""
     _check_step(tau)
-    g = state.phi_prev.grid
-    key = ("cn", tau)
-    held = state.held
-    if key != held.key:
+
+    def linear():
         shift = 1.0 / tau
         half = 0.5 * p.k2_lin
-        _check_symbol(shift, half, 0.5 * p.k2_lin_min, tau)
-        # rhs = (1/tau - half) phi^{n-1}
-        _store_multipliers(held, key, shift, half, g.k2_half, [shift - half])
+        return shift, half, [shift - half]   # rhs = (1/tau - half) phi^{n-1}
+
     prev = state.phi_prev
-    base_hat = prev.hat * held.coefs[0]
-    return fixed_point_solve(held.mult, base_hat, prev.values, g, _midpoint_cube(prev.values))
+    return _held_step(state, tau, ("cn", tau), linear, [prev.hat],
+                      _midpoint_cube(prev.values))
 
 
 def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -437,30 +440,25 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     and cubic (lagged); explicit the concave gradient term 2 Lap phi^{n-1}.
     """
     _check_step(tau)
-    g = state.phi_prev.grid
-    start = state.phi_prev2 is None
-    key = ("cs1" if start else "cncs", tau)
-    held = state.held
-    if key != held.key:
-        k2 = g.k2_half
+    prev, prev2 = state.phi_prev, state.phi_prev2
+    start = prev2 is None
+
+    def linear():
+        k2 = prev.grid.k2_half
         k4 = k2 * k2
         shift = 1.0 / tau
         stiff = k2 * (k4 + 1.0 - p.eps)
         if start:
-            # rhs = (1/tau + 2 k^4) phi^{n-1}
-            coefs = [shift + 2.0 * k4]
-        else:
-            stiff *= 0.5   # the midpoint puts half the linear term on each level
-            extrap = 0.5 * k4
-            # rhs = (1/tau - stiff) phi^{n-1} + k^4/2 (3 phi^{n-1} - phi^{n-2})
-            coefs = [shift - stiff + 3.0 * extrap, -extrap]
-        _store_multipliers(held, key, shift, stiff, k2, coefs)
-    prev = state.phi_prev
-    base_hat = prev.hat * held.coefs[0]
+            return shift, stiff, [shift + 2.0 * k4]   # rhs = (1/tau + 2 k^4) phi^{n-1}
+        stiff *= 0.5   # the midpoint puts half the linear term on each level
+        extrap = 0.5 * k4
+        # rhs = (1/tau - stiff) phi^{n-1} + k^4/2 (3 phi^{n-1} - phi^{n-2})
+        return shift, stiff, [shift - stiff + 3.0 * extrap, -extrap]
+
     if start:
-        return fixed_point_solve(held.mult, base_hat, prev.values, g, _cube)
-    base_hat += state.phi_prev2.hat * held.coefs[1]
-    return fixed_point_solve(held.mult, base_hat, prev.values, g, _midpoint_cube(prev.values))
+        return _held_step(state, tau, ("cs1", tau), linear, [prev.hat], _cube)
+    return _held_step(state, tau, ("cncs", tau), linear, [prev.hat, prev2.hat],
+                      _midpoint_cube(prev.values))
 
 
 def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",

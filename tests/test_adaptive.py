@@ -12,8 +12,8 @@ from pfc.experiments import patched_initial
 from pfc.grid import Field, Grid2D
 from pfc.mesh import R_SUP
 from pfc.model import PfcParams
-from pfc.steppers import (FP_TOL, NL_LEVELS, SolverError, StepperState, bdf2_step,
-                          run_fixed_mesh)
+from pfc.steppers import (FP_TOL, NL_LEVELS, ConditioningError, SolverError, StepperState,
+                          bdf2_step, run_fixed_mesh)
 
 
 @pytest.fixture
@@ -212,6 +212,35 @@ class TestAdvance:
         monkeypatch.setattr(adaptive, "TAU_MAX", 2.0)
         with pytest.raises(SolverError):
             adaptive_advance(state, 2.0, p)
+
+    def test_ill_conditioned_trial_shrinks_step(self, monkeypatch):
+        """At L = 2 pi and eps = 0.5 the smallest k^2 ((1 - k^2)^2 - eps) is -0.5, so
+        a BDF1 trial at tau = 3 has a non-positive symbol; the controller
+        retries at FAIL_SHRINK times the step, and at TAU_MIN it raises."""
+        g = Grid2D(32, 2 * np.pi)
+        p = PfcParams(0.5, g)
+        state = StepperState(smooth_field(g))
+        trials, refused = [], []
+        step = adaptive.bdf2_step
+
+        def recorded(st, tau, p):
+            trials.append(tau)
+            try:
+                return step(st, tau, p)
+            except ConditioningError:
+                refused.append(tau)
+                raise
+
+        monkeypatch.setattr(adaptive, "bdf2_step", recorded)
+        out = adaptive_advance(state, 3.0, p)
+        assert refused == [3.0]
+        assert trials[:2] == [3.0, adaptive.FAIL_SHRINK * 3.0]
+        assert out.rejections == len(trials) - 1
+        assert out.stats.final_residual <= FP_TOL
+        monkeypatch.setattr(adaptive, "TAU_MIN", 3.0)
+        with pytest.raises(ConditioningError):
+            adaptive_advance(state, 3.0, p)
+        assert refused == [3.0, 3.0]
 
     def test_trials_leave_three_levels_untouched(self, monkeypatch, one_patch):
         """Diverged and rejected trials from a state with every nonlinearity

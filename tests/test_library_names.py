@@ -10,9 +10,13 @@ only tests use lives beside them, in ``conftest.py`` or its one test file.
 Likewise every defaulted parameter of a public function is passed by some
 call in the package or in ``perfbench``: a setting that only tests change is
 a module constant, which the tests patch.
+
+And the public names that perfbench's step clock times as steps are the
+three schemes' steps and the controller's ``adaptive_advance``, no more.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,3 +136,17 @@ def test_every_default_is_passed_by_a_shipped_caller():
     assert sorted(set(unpassed) - set(REACHED_INDIRECTLY)) == []
     # an exemption the scan no longer needs is removed
     assert set(REACHED_INDIRECTLY) <= set(unpassed)
+
+
+def test_step_clock_times_exactly_the_steps():
+    """perfbench's step clock wraps each public ``steppers.*_step`` function and
+    its ``ADVANCE``; a public helper named ``*_step`` would be timed and
+    counted as a step, and the benchmark's step counts would be off."""
+    import pfc.cli   # noqa: F401  imports every pfc module that public_functions scans
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    timed = {name for name, _ in tracer.public_functions()
+             if tracer._is_step(name) or name == tracer.ADVANCE}
+    assert timed == {"steppers.bdf2_step", "steppers.cn_step", "steppers.cncs_step",
+                     "adaptive.adaptive_advance"}

@@ -203,8 +203,8 @@ def stub_solve(monkeypatch) -> list:
 @pytest.mark.parametrize("L,eps", [(2 * np.pi, 0.5), (20.0, 0.25)])
 @pytest.mark.parametrize("scheme", ["bdf1", "bdf2", "cn"])
 def test_conditioning_check_matches_full_symbol(scheme, L, eps, monkeypatch):
-    """The check from the stored minimum of k^2 ((1 - k^2)^2 - eps) raises for
-    exactly the steps whose full symbol has a non-positive entry, with the
+    """The check made where the multipliers are formed raises for exactly the
+    steps whose full symbol has a non-positive entry, with the
     message that names that symbol's minimum and its mode.  The steps tried
     are the two adjacent doubles that straddle the threshold, their outer
     neighbours and steps a factor of two either side."""
@@ -648,6 +648,25 @@ class TestHeldMultipliers:
                 assert np.array_equal(phi.values, wants[i][k].values)
                 states[i] = states[i].advanced(phi, tau)
         assert hits == [[False, False, True, True, True, True]] * 2
+
+    @pytest.mark.parametrize("scheme,refused_tau", [("bdf2", 3.0), ("cn", 10.0)])
+    def test_refused_symbol_keeps_held_solve(self, scheme, refused_tau, rng, monkeypatch):
+        """A step whose symbol is refused leaves the held solve as it was: the
+        step at the good size after it is a hit, with the bits of that step
+        from a fresh state.  At L = 2 pi and eps = 0.5 the smallest
+        k^2 ((1 - k^2)^2 - eps) is -0.5."""
+        g = Grid2D(32, 2 * np.pi)
+        p = PfcParams(0.5, g)
+        step = STEPS[scheme]
+        state = StepperState(random_field(g, rng, amp=0.01))
+        misses = count_misses(monkeypatch)
+        first = step(state, 0.05, p)
+        with pytest.raises(ConditioningError):
+            step(state, refused_tau, p)
+        n = len(misses)
+        assert_same_solve(step(state, 0.05, p), first)
+        assert len(misses) == n
+        assert_same_solve(step(fresh(state), 0.05, p), first)
 
     @pytest.mark.parametrize("scheme", ["bdf2", "cn", "cs1", "cncs"])
     def test_held_arrays_are_read_only(self, scheme, setup, rng):
