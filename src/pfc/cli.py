@@ -72,10 +72,11 @@ def apply_config(parser: argparse.ArgumentParser, given, file_cfg: dict):
     ``given`` is a parse by ``_given_parser``, so it holds the subcommand and
     only the options on the command line: those win over the file, whatever
     their value.  Keys of another subcommand are skipped; a key that names
-    no option at all is an error.
+    no option at all is an error, and so are ``help`` (no value: its default
+    is SUPPRESS), ``config`` and ``command``.
     """
-    parsers = [parser, *parser.subcommands.values()]
-    known = {a.dest for p in parsers for a in p._actions}
+    known = {a.dest for p in parser.subcommands.values() for a in p._actions
+             if a.default is not argparse.SUPPRESS}
     actions = {a.dest: a for a in parser.subcommands[given.command]._actions}
     for key, text in file_cfg.items():
         dest = key.replace("-", "_")

@@ -17,7 +17,8 @@ recurrences, and no kernel table is built.  Certificates work with the
 scaled matrices Bt2 = diag(sqrt(tau)) B2 diag(sqrt(tau)) and
 Bt = Bt2 + Bt2^T, whose extreme eigenvalues admit mesh-independent bounds
 (21/40 below for Bt, 53/5 above for Bt2^T Bt2) whenever all ratios satisfy
-S1.
+S1.  One Sturm-sequence bisection for the largest eigenvalue gives both:
+lam_min(Bt) = -lam_max(-Bt).
 
 The lemmas that no run prints are test oracles: the kernel forms
 (``quad_form_b``, ``quad_form_theta``, ``cross_form_theta``) in
@@ -117,25 +118,16 @@ def scaled_tridiagonals(mesh: TimeMesh) -> tuple[np.ndarray, np.ndarray]:
 
 # Sturm pivots q_1 = d_1 - x, q_i = d_i - x - e_{i-1}^2 / q_{i-1} of the
 # symmetric tridiagonal with leading entry d0 and (d_i, e_{i-1}^2) pairs for
-# the other rows: as many eigenvalues lie below x as pivots are negative.
-# Each predicate stops once its answer is known.
-
-def _has_eig_below(d0: float, pairs: list[tuple[float, float]], x: float) -> bool:
-    """Whether some eigenvalue lies below x: a negative pivot."""
-    q = d0 - x
-    if q < 0:
-        return True
-    for di, e2 in pairs:
-        if q == 0.0:
-            q = 1e-300
-        q = di - x - e2 / q
-        if q < 0:
-            return True
-    return False
-
+# the other rows: as many eigenvalues lie below x as pivots are negative
+# (Barth, Martin & Wilkinson 1967).  One predicate serves both certificates:
+# lam_min(A) = -lam_max(-A), and negating d is exact, so every pivot, the
+# Gershgorin bracket and every midpoint of -A are exactly those of A negated.
 
 def _all_eigs_below(d0: float, pairs: list[tuple[float, float]], x: float) -> bool:
-    """Whether every eigenvalue lies below x: no pivot is non-negative."""
+    """Whether every eigenvalue lies below x: no pivot is non-negative.
+
+    It stops at the first pivot >= 0, so it never divides by a zero pivot.
+    """
     q = d0 - x
     if not q < 0:
         return False
@@ -146,10 +138,11 @@ def _all_eigs_below(d0: float, pairs: list[tuple[float, float]], x: float) -> bo
     return True
 
 
-def tridiag_extreme_eig(d: np.ndarray, e: np.ndarray, which: str) -> float:
-    """Extreme eigenvalue of a symmetric tridiagonal matrix by bisection.
+def tridiag_max_eig(d: np.ndarray, e: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric tridiagonal matrix by bisection.
 
-    Brackets come from Gershgorin disks; ``which`` is 'min' or 'max'.
+    The bracket comes from Gershgorin disks; the smallest eigenvalue is
+    ``-tridiag_max_eig(-d, e)``.
     """
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -161,20 +154,14 @@ def tridiag_extreme_eig(d: np.ndarray, e: np.ndarray, which: str) -> float:
     # Python floats: the Sturm recurrence is scalar, and numpy scalars are slow
     d0 = float(d[0])
     pairs = list(zip(d[1:].tolist(), (e * e).tolist()))
-    if which == "min":
-        pred = lambda x: _has_eig_below(d0, pairs, x)
-    elif which == "max":
-        pred = lambda x: _all_eigs_below(d0, pairs, x)
-    else:
-        raise ValueError("which must be 'min' or 'max'")
-    # invariant: pred(hi + eps) true, pred(lo) false
+    # invariant: every eigenvalue lies below hi, and some not below lo
     lo -= EIG_TOL
     hi += EIG_TOL
     while hi - lo > EIG_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent doubles: EIG_TOL is below the spacing at this magnitude
-        if pred(mid):
+        if _all_eigs_below(d0, pairs, mid):
             hi = mid
         else:
             lo = mid
@@ -194,11 +181,11 @@ def eigen_bounds(mesh: TimeMesh) -> EigenBounds:
     # Bt: diag 2*tb0_k, offdiag tb1_{k+1}
     d_bt = 2.0 * tb0
     e_bt = tb1[1:]
-    lam_min = tridiag_extreme_eig(d_bt, e_bt, "min")
+    lam_min = -tridiag_max_eig(-d_bt, e_bt)
     # B2t^T B2t: diag tb0_k^2 + tb1_{k+1}^2, offdiag tb0_{k+1} * tb1_{k+1}
     d_p = tb0**2
     d_p[:-1] += tb1[1:] ** 2
     e_p = tb0[1:] * tb1[1:]
-    lam_max = tridiag_extreme_eig(d_p, e_p, "max")
+    lam_max = tridiag_max_eig(d_p, e_p)
     quad_const = lam_max / lam_min**2
     return EigenBounds(lam_min, lam_max, quad_const, mesh.satisfies_s1())

@@ -241,10 +241,19 @@ POLYCRYSTAL = {
 }
 
 
-def test_adaptive_efficiency(tmp_path):
-    """Polycrystal growth: adaptive run beats the uniform step count."""
+@pytest.fixture(scope="module")
+def polycrystal_run():
+    """The T=50 polycrystal study, run once for the tests that read it, and its
+    wall time."""
     t0 = time.perf_counter()
     res = run_polycrystal()
+    return res, time.perf_counter() - t0
+
+
+def test_adaptive_efficiency(polycrystal_run, tmp_path):
+    """Polycrystal growth: adaptive run beats the uniform step count."""
+    res, run_s = polycrystal_run
+    t0 = time.perf_counter() - run_s
     n_uniform = len(res.uniform_records) - 1
     e_uni = res.uniform_records[-1].E
     e_ada = res.adaptive_records[-1].E
@@ -274,6 +283,19 @@ def test_adaptive_efficiency(tmp_path):
         write_csv(path, ENERGY_HEADER, energy_rows(recs))
         if on_digest_build():
             assert sha256_file(path) == digest, leg
+
+
+def test_adaptive_energy_curve(polycrystal_run):
+    """Polycrystal growth: the adaptive leg's energy curve is the uniform leg's
+    for t >= 5, the uniform E interpolated linearly to the adaptive times."""
+    res, _ = polycrystal_run
+    t_uni, e_uni = np.array([(r.t, r.E) for r in res.uniform_records]).T
+    t_ada, e_ada = np.array([(r.t, r.E) for r in res.adaptive_records if r.t >= 5.0]).T
+    rel = np.abs(e_ada - np.interp(t_ada, t_uni, e_uni)) / np.abs(e_ada)
+    worst = float(np.max(rel))
+    report("adaptive energy curve", worst <= 1e-6,
+           f"{t_ada.size} adaptive steps with t >= 5, worst relative gap {worst:.2e} <= 1e-6")
+    assert worst <= 1e-6
 
 
 def test_discrete_gradient():

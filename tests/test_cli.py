@@ -397,6 +397,15 @@ class TestConfigValues:
                                      ["polycrystal"])
         assert rc == 3
 
+    @pytest.mark.parametrize("key", ["help", "command", "config"])
+    def test_key_of_no_valued_option_exit_code(self, key, tmp_path, monkeypatch):
+        # the help action and the global parser's config and command name no
+        # option of a subcommand that a config file could set
+        rc, seen = self.run_with_config(tmp_path, monkeypatch, f"{key} = yes\n",
+                                        ["polycrystal"])
+        assert rc == 3
+        assert seen == {}
+
     def test_other_subcommand_key_ignored(self, tmp_path, monkeypatch):
         rc, seen = self.run_with_config(tmp_path, monkeypatch,
                                         "grid-m = 32\nseed = 5\n", ["polycrystal"])
@@ -427,7 +436,7 @@ class TestKernelsReportBytes:
         "uniform:200,1.0":
             "757891136c2b1c225a23b885e7e0091938d34f9c732e656a74844b7e81833900",
         "random:1,1.0,3":
-            "954a8b3502a86cdea4b9850df8da164d1bc951f58b7c9cef4dbe58dec07e03db",
+            "d911c2e55b0edd1afdca41ea901348d87094ab687a161ceaffe58a88cd751024",
         "s1:2023,300":
             "835e93dcaa2f2383cb05c8b4e56f24adea4d33b61c498dabc69971cbb22aa170",
     }

@@ -6,8 +6,8 @@ import pytest
 from conftest import (cross_form_theta, doc_kernels, doc_kernels_recursive, kernel_matrices,
                       mesh_from_ratios, quad_form_b, quad_form_theta, random_s1_mesh,
                       table_orthogonality)
-from pfc.kernels import (_all_eigs_below, _doc_ratios, _has_eig_below, bdf2_coeffs,
-                         doc_apply, eigen_bounds, scaled_tridiagonals, tridiag_extreme_eig,
+from pfc.kernels import (EIG_TOL, _all_eigs_below, _doc_ratios, bdf2_coeffs, doc_apply,
+                         eigen_bounds, scaled_tridiagonals, tridiag_max_eig,
                          verify_orthogonality)
 from pfc.mesh import R_SUP, TimeMesh, random_mesh, stability_bound, uniform_mesh
 
@@ -140,8 +140,10 @@ def _numpy_extreme_eig(d, e, which, tol=1e-10):
 
 
 def _numpy_eigen_extremes(mesh):
+    """The certificate eigenvalues by counts on numpy scalars, lam_min the way
+    the library takes it: -lam_max(-Bt)."""
     tb0, tb1 = scaled_tridiagonals(mesh)
-    lam_min = _numpy_extreme_eig(2.0 * tb0, tb1[1:], "min")
+    lam_min = -_numpy_extreme_eig(-2.0 * tb0, tb1[1:], "max")
     d_p = tb0**2
     d_p[:-1] += tb1[1:] ** 2
     lam_max = _numpy_extreme_eig(d_p, tb0[1:] * tb1[1:], "max")
@@ -356,8 +358,8 @@ class TestEigenBounds:
             e = rng.standard_normal(n - 1)
             dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
             lams = np.linalg.eigvalsh(dense)
-            assert tridiag_extreme_eig(d, e, "min") == pytest.approx(lams[0], abs=1e-9)
-            assert tridiag_extreme_eig(d, e, "max") == pytest.approx(lams[-1], abs=1e-9)
+            assert -tridiag_max_eig(-d, e) == pytest.approx(lams[0], abs=1e-9)
+            assert tridiag_max_eig(d, e) == pytest.approx(lams[-1], abs=1e-9)
 
     def test_certificates_on_s1_meshes(self, rng):
         for _ in range(20):
@@ -393,8 +395,20 @@ class TestEigenBounds:
             eb = eigen_bounds(m)
             assert (eb.lam_min, eb.lam_max) == _numpy_eigen_extremes(m)
 
+    def test_min_by_negation_matches_count_of_one(self):
+        # the reference route for lam_min bisects on "some eigenvalue lies
+        # below x".  Only the one-level Bt = [2] differs: the midpoint 2.0 is
+        # the eigenvalue itself, and the tie breaks the other way
+        for m in _oracle_meshes():
+            tb0, tb1 = scaled_tridiagonals(m)
+            old = _numpy_extreme_eig(2.0 * tb0, tb1[1:], "min")
+            new = eigen_bounds(m).lam_min
+            assert abs(new - old) <= EIG_TOL
+            if m.N >= 2:
+                assert new == old
+
     def test_sturm_count_matches_numpy_scalars(self, rng):
-        # the predicates stop at the first pivot that settles them, and agree
+        # the predicate stops at the first pivot that settles it, and agrees
         # with the full count on Python floats and on numpy scalars
         for _ in range(10):
             n = int(rng.integers(1, 40))
@@ -404,14 +418,16 @@ class TestEigenBounds:
             for x in np.concatenate([rng.uniform(-4, 4, 20), d[:1]]):
                 count = _sturm_count(float(d[0]), pairs, float(x))
                 assert count == _numpy_sturm_count(d, e, x)
-                assert _has_eig_below(float(d[0]), pairs, float(x)) == (count >= 1)
                 assert _all_eigs_below(float(d[0]), pairs, float(x)) == (count == n)
-            for which in ("min", "max"):
-                assert tridiag_extreme_eig(d, e, which) == _numpy_extreme_eig(d, e, which)
+            assert tridiag_max_eig(d, e) == _numpy_extreme_eig(d, e, "max")
 
-    def test_unknown_extreme_refused(self):
-        with pytest.raises(ValueError, match="which must be 'min' or 'max'"):
-            tridiag_extreme_eig(np.array([2.0, 2.0]), np.array([1.0]), "mid")
+    def test_zero_pivot_stops_without_dividing(self):
+        # a pivot that is exactly 0 is not negative, so the predicate returns
+        # False there; on Python floats the next pivot's e2 / 0.0 would raise
+        pairs = [(-1.0, 4.0), (5.0, 1.0)]
+        assert _all_eigs_below(2.0, pairs, 2.0) is False     # q_1 = 2 - 2 = 0
+        # q_1 = 2 - 3 = -1, then q_2 = -1 - 3 - 4 / -1 = 0
+        assert _all_eigs_below(2.0, pairs, 3.0) is False
 
     def test_one_level_values(self):
         # r_1 = 0 makes tb0 = 1 and tb1 = 0: Bt = [2] and B2t^T B2t = [1]
