@@ -35,10 +35,15 @@ Buffers: a solve allocates its arrays once and an iteration allocates
 nothing.  Two real arrays take turns as N(phi), written by the scheme's
 ``nonlinear(phi, out)`` (``_cube``, ``_midpoint_cube``), as the new iterate
 from ``backward`` and as the increment, which overwrites the older iterate
-but never ``guess``.  ``nl_hat`` takes ``forward``'s output and ``x`` the
-update; ``backward`` runs its column pass in one complex work array, which
-is the start spectrum when the solve has one.  The values, ``x`` and
-``nl_hat`` of the converged iterate go to the returned field, and no solve
+but never ``guess``.  Two half spectra trade roles the same way: ``forward``
+writes F[N(phi)] into the one the last inverse transform ran in, which is
+still in cache, and the update goes into the other, where ``backward`` runs
+its column pass in place.  That pass consumes the update, so on convergence
+the solve forms it once more from the last F[N(phi)], by the same two ufunc
+calls and so to the same doubles.  A solve started from a spectrum takes it
+over as its first ``forward`` output and allocates one half spectrum; one
+started from values allocates two.  The values, the update and the last
+F[N(phi)] of the converged iterate go to the returned field, and no solve
 writes them again: the next solve allocates its own.
 
 Schemes:
@@ -199,19 +204,21 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
     N(phi) in physical space for the current iterate, written into the real
     array ``out``.  An iteration costs one transform pair and allocates
     nothing: the solve allocates its arrays once, two real buffers that take
-    turns as N(phi), the new iterate and the increment, and the spectra.
+    turns as N(phi), the new iterate and the increment, and two half spectra
+    that trade roles as F[N(phi)] and the update (``backward`` runs in place).
     The iteration starts from the values ``guess`` or, when ``nl_start`` is
     given, from that spectrum in place of F[N(guess)]: the first iterate
     then costs one inverse transform, ``guess`` is not read, and the solve
-    takes ``nl_start`` over as its complex work array.  That first iterate
+    takes ``nl_start`` over as one of its half spectra.  That first iterate
     has no predecessor to measure its increment against, so it is never
     accepted.  ``SolveStats.iterations`` counts inverse transforms, the
     applications of the map.  No other array handed over is written.
 
     The converged field is returned with ``hat`` set to the spectrum whose
-    ``backward`` gave its values, its self-conjugate columns projected onto
-    their Hermitian parts, and ``nl_hat`` to the last F[N(phi)], all
-    three arrays the solve's own, which it writes no more.  A non-finite
+    ``backward`` gave its values, formed again from the last F[N(phi)] since
+    the column pass consumed it, its self-conjugate columns projected onto
+    their Hermitian parts, and ``nl_hat`` to that last F[N(phi)], all three
+    arrays the solve's own, which it writes no more.  A non-finite
     increment ends the solve at once with ``SolverError``, and so does a
     stagnating one: ``STALL_ITERS`` iterations in a row whose increment is
     not below the smallest so far.  In each of the 25,356 converging solves
@@ -223,7 +230,6 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
     # N(phi) and the new iterate go into ``spare``; the increment into
     # ``other``, which holds phi unless phi is ``guess``
     spare, other = np.empty((M, M)), np.empty((M, M))
-    nl_hat, x = np.empty_like(base_hat), np.empty_like(base_hat)
     phi = guess
     res = best = np.inf
     stalled = 0   # iterations since the increment last fell below ``best``
@@ -232,25 +238,27 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
     # solve below, so the floating-point warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         if nl_start is None:
-            work = np.empty_like(base_hat)
+            nl_hat = np.empty_like(base_hat)
         else:
             nl_start *= mult
             nl_start += base_hat
-            work = nl_start
-            phi = backward(work, M, out=spare, work=work)
+            phi = backward(nl_start, M, out=spare, work=nl_start)
             spare, other = other, spare
+            nl_hat = nl_start
             first = 2
+        x = np.empty_like(base_hat)
         for it in range(first, MAX_ITER + 1):
             forward(nonlinear(phi, spare), out=nl_hat)
-            np.multiply(nl_hat, mult, out=x)
-            x += base_hat
-            phi_new = backward(x, M, out=spare, work=work)
+            np.add(np.multiply(nl_hat, mult, out=x), base_hat, out=x)
+            phi_new = backward(x, M, out=spare, work=x)
             # abs in place: max(d.max(), -d.min()) is the same double, but its
             # two reductions cost more than this pass on a 32^2 grid
             d = np.subtract(phi_new, phi, out=other)
             res = float(np.abs(d, out=d).max())
             if res <= FP_TOL:
-                # a finite increment rules out a non-finite iterate
+                # a finite increment rules out a non-finite iterate; the
+                # column pass consumed x, so the same two ufunc calls form it again
+                np.add(np.multiply(nl_hat, mult, out=x), base_hat, out=x)
                 _project_self_conjugate(x, M)
                 out = Field.unchecked(grid, phi_new, nl_hat)
                 out.hat = x
@@ -268,6 +276,7 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
                                       SolveStats(it, res))
             phi = phi_new
             spare, other = other, spare
+            nl_hat, x = x, nl_hat   # forward writes where backward just ran
     raise SolverError(f"fixed-point iteration failed to converge (residual {res:.3e})",
                       SolveStats(MAX_ITER, res))
 

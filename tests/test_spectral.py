@@ -24,7 +24,8 @@ from conftest import (chemical_potential, count_transforms, full_k2, full_lin_sy
                       ref_solve)
 import pfc
 import pfc.steppers as steppers
-from pfc.experiments import EnergyLog, random_initial
+from pfc.adaptive import adaptive_run
+from pfc.experiments import EnergyLog, random_initial, run_convergence
 from pfc.grid import Field, Grid2D, backward, fold_conjugates, forward, sum_of_squares
 from pfc.model import PfcParams, energy, manufactured_forcing_hat
 from pfc.steppers import (NL_LEVELS, StepperState, bdf2_step, cn_step, cncs_step,
@@ -220,6 +221,15 @@ class TestLayer:
         half spectra."""
         peak, half_spectrum = self.step_peak(0.06)
         assert peak <= 7 * half_spectrum
+
+    @pytest.mark.parametrize("tau", [0.05, 0.06])
+    def test_step_peak_two_solve_spectra(self, tau):
+        """The solve holds two half spectra that trade roles, not three: a
+        256^2 step, at the warm-up's size or another, peaks at five half
+        spectra and a little more (6.006 when the inverse column pass ran in
+        a third array)."""
+        peak, half_spectrum = self.step_peak(tau)
+        assert peak <= 5.1 * half_spectrum
 
     def test_forward_backward(self, rng):
         vals = rng.standard_normal((24, 24))
@@ -542,6 +552,44 @@ def test_solve_matches_allocating_loop(scheme, M, L, eps, tau, monkeypatch):
     assert np.array_equal(got.nl_hat, want.nl_hat)
 
 
+def converged_runs():
+    """Final fields, step counts and ladder errors of small runs of every path
+    the solver takes: the adaptive controller (BDF2 from kept spectra), BDF2,
+    CN and CNCS over a fixed mesh, and the forced BDF2 convergence ladder."""
+    g = Grid2D(64, 32.0)
+    p = PfcParams(0.25, g)
+    phi0 = random_initial(0.2, 0.3, g, 2023)
+    steps = []
+    fields = {"adaptive": adaptive_run(phi0, 1.0, p,
+                                       observer=lambda s, _: steps.append(s.t)).phi_prev}
+    for scheme in steppers.SCHEMES:
+        fields[scheme] = run_fixed_mesh(phi0, [0.01] * 100, p, scheme).phi_prev
+    ladder = run_convergence(M=32, seed=2023)
+    return ({k: f.values for k, f in fields.items()}, len(steps),
+            [(r.N, r.error) for r in ladder])
+
+
+def test_outputs_are_the_tightly_converged_solution(monkeypatch):
+    """The shipped solve stops at the discrete solution.  The runs are made
+    again with ``FP_TOL`` at 1e-14, a hundredth of the shipped value, through
+    the allocating loop, so that a fault in the package's loop does not
+    cancel: they take the same steps, and land on fields within 1e-12 in the
+    max norm and on ladder errors within 1e-6 relative, perfbench's
+    tolerance on them.  374 adaptive steps moved by 1.1e-14 and the ladder
+    errors by 5.0e-8 relative; with ``FP_TOL`` at 1e-10 they move by 1.7e-12
+    and 3.9e-6."""
+    fields, steps, ladder = converged_runs()
+    monkeypatch.setattr(steppers, "FP_TOL", 1e-14)
+    monkeypatch.setattr(steppers, "fixed_point_solve", allocating_solve)
+    tight_fields, tight_steps, tight_ladder = converged_runs()
+    assert steps == tight_steps
+    for name, values in fields.items():
+        assert np.abs(values - tight_fields[name]).max() <= 1e-12, name
+    assert [n for n, _ in ladder] == [n for n, _ in tight_ladder]
+    for (_, err), (_, tight) in zip(ladder, tight_ladder):
+        assert err == pytest.approx(tight, rel=1e-6)
+
+
 def solve_peak(tau: float, monkeypatch) -> tuple[int, int]:
     """Traced peak of the fixed-point solve of a 32^2 BDF1 step of size ``tau``
     from the values of phi^0, after an untraced warm-up, and its iterations."""
@@ -571,14 +619,65 @@ def solve_peak(tau: float, monkeypatch) -> tuple[int, int]:
 def test_solve_peak_does_not_grow_with_iterations(monkeypatch):
     """An iteration allocates nothing: a solve of eight or more iterations
     peaks where one of three does, within 1 KB.  The peak is the solve's own
-    arrays, two fields and three half spectra (42.5 KB at 32^2), and at most
-    4 KB of Python objects, less than any one more array."""
+    arrays, two fields and two half spectra (33.8 KB at 32^2), and at most
+    4 KB of Python objects; this bound, set when the solve held three half
+    spectra, still allows a third (``test_solve_from_values_holds_two_spectra``
+    does not)."""
     short, short_iters = solve_peak(1e-5, monkeypatch)
     long, long_iters = solve_peak(2.0, monkeypatch)
     assert short_iters == 3 and long_iters >= 8
     assert abs(long - short) <= 1024
     own = 2 * 32 * 32 * 8 + 3 * 32 * 17 * 16
     assert long <= own + 4096
+
+
+@pytest.mark.parametrize("tau", [1e-5, 2.0])
+def test_solve_from_values_holds_two_spectra(tau, monkeypatch):
+    """A solve from values allocates two fields and two half spectra, which
+    trade roles as the forward transform's output and the update, plus at
+    most 4 KB of Python objects: a third half spectrum (8.5 KB at 32^2) does
+    not fit."""
+    peak, _ = solve_peak(tau, monkeypatch)
+    assert peak <= 2 * 32 * 32 * 8 + 2 * 32 * 17 * 16 + 4096
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_returned_arrays_do_not_alias(scheme, monkeypatch):
+    """The new field's values, ``hat`` and ``nl_hat`` are three arrays, and
+    none of them is one the step reads or holds: the held multipliers, the
+    history fields and their spectra, the kept nonlinearity spectra, the
+    forcing, ``guess`` and the right-hand side.  Only the start spectrum,
+    which the solve takes over, may come back as one of them.  The solve's
+    two half spectra trade roles every iteration, so the step sizes are
+    chosen to end solves after both odd and even numbers of iterations."""
+    handed = {}
+    held_step, solve = steppers._held_step, steppers.fixed_point_solve
+
+    def recording_held_step(state, tau, key, linear, hats, nonlinear, nl_start=None):
+        handed["hats"] = list(hats)
+        return held_step(state, tau, key, linear, hats, nonlinear, nl_start)
+
+    def recording_solve(mult, base_hat, guess, grid, nonlinear, nl_start=None):
+        handed.update(mult=mult, base_hat=base_hat, guess=guess, nl_start=nl_start)
+        return solve(mult, base_hat, guess, grid, nonlinear, nl_start)
+
+    monkeypatch.setattr(steppers, "_held_step", recording_held_step)
+    monkeypatch.setattr(steppers, "fixed_point_solve", recording_solve)
+    parities = set()
+    for tau in (1e-3, 0.05, 0.5):
+        g, p, phi1, phi2 = two_levels(32, 8.0, 0.2, 16)
+        state, run = one_step(scheme, g, p, phi1, phi2, tau)
+        got, stats = run()
+        parities.add(stats.iterations % 2)
+        new = [got.values, got.hat, got.nl_hat]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(new) for b in new[i + 1:])
+        held = state.held
+        read = [held.mult, held.inv, *held.coefs, *handed["hats"], *state.nl_hats,
+                handed["mult"], handed["base_hat"], handed["guess"]]
+        read += [f.values for f in (state.phi_prev, state.phi_prev2) if f is not None]
+        assert not any(np.shares_memory(a, b) for a in new for b in read), tau
+        assert (handed["nl_start"] is not None) == bool(state.nl_hats)
+    assert parities == {0, 1}
 
 
 def anti_hermitian(hat: np.ndarray) -> float:
