@@ -10,11 +10,10 @@ are stored as M x M real arrays with ``values[i, j]`` the sample at
 Both transforms write into arrays the caller gives, and allocate nothing
 when given them (numpy >= 2.0 takes ``out=`` in ``np.fft``).  ``forward``
 writes the half spectrum into ``out`` and runs its column pass in place
-there.  ``backward`` runs its column pass into the complex ``work``, which
-may be ``coeffs`` itself (that spectrum is then lost), and its row pass
-into the real ``out``.  ``out`` never aliases the input of either.  This is
-how the fixed-point solve of ``steppers`` runs its iterations without
-allocating.
+there.  ``backward`` runs its column pass in place in ``coeffs``, which it
+overwrites, and its row pass into the real ``out``.  ``out`` never aliases
+the input of either.  This is how the fixed-point solve of ``steppers``
+runs its iterations without allocating.
 
 Multipliers live in the one layout that pairs with ``forward``/``backward``:
 the half plane (``k2_half`` and the H^-1 weight ``inv_k2_folded``), rows in
@@ -127,16 +126,14 @@ def forward(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(out, axis=0, out=out)
 
 
-def backward(coeffs: np.ndarray, M: int, out: np.ndarray | None = None,
-             work: np.ndarray | None = None) -> np.ndarray:
+def backward(coeffs: np.ndarray, M: int, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized inverse of ``forward``: real M x M values (``irfft2``, bit for bit).
 
-    The column pass writes into ``work`` and the row pass into ``out``; each
-    is a new array when None.  ``work`` may be ``coeffs`` itself, which then
-    ends overwritten; otherwise ``coeffs`` is not written.
+    The column pass runs in place in ``coeffs``, which ends overwritten, and
+    the row pass writes into ``out`` (a new array when None).
     """
-    work = np.fft.ifft(coeffs, axis=0, out=work)
-    return np.fft.irfft(work, n=M, axis=1, out=out)
+    np.fft.ifft(coeffs, axis=0, out=coeffs)
+    return np.fft.irfft(coeffs, n=M, axis=1, out=out)
 
 
 def fold_conjugates(weight: np.ndarray) -> np.ndarray:

@@ -35,16 +35,17 @@ Buffers: a solve allocates its arrays once and an iteration allocates
 nothing.  Two real arrays take turns as N(phi), written by the scheme's
 ``nonlinear(phi, out)`` (``_cube``, ``_midpoint_cube``), as the new iterate
 from ``backward`` and as the increment, which overwrites the older iterate
-but never ``guess``.  Two half spectra trade roles the same way: ``forward``
-writes F[N(phi)] into the one the last inverse transform ran in, which is
-still in cache, and the update goes into the other, where ``backward`` runs
-its column pass in place.  That pass consumes the update, so on convergence
-the solve forms it once more from the last F[N(phi)], by the same two ufunc
-calls and so to the same doubles.  A solve started from a spectrum takes it
-over as its first ``forward`` output and allocates one half spectrum; one
-started from values allocates two.  The values, the update and the last
-F[N(phi)] of the converged iterate go to the returned field, and no solve
-writes them again: the next solve allocates its own.
+but never ``guess``.  Two half spectra trade roles the same way: the update
+goes into one, where ``backward`` runs its column pass in place, and the
+next pass's ``forward`` writes F[N(phi)] into that one, still in cache.
+The column pass consumes the update, so on convergence the solve forms it
+once more from the last F[N(phi)], by the same two ufunc calls and so to
+the same doubles.  Both starts enter one loop: a start from values
+transforms N(guess) into a new half spectrum, and one from a spectrum
+takes it over in that role; either allocates one more, for the update.
+The values, the update and the last F[N(phi)] of the converged iterate go
+to the returned field, and no solve writes them again: the next solve
+allocates its own.
 
 Schemes:
   * variable-step BDF2, fully implicit (reduces to BDF1 without history).
@@ -206,13 +207,14 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
     nothing: the solve allocates its arrays once, two real buffers that take
     turns as N(phi), the new iterate and the increment, and two half spectra
     that trade roles as F[N(phi)] and the update (``backward`` runs in place).
-    The iteration starts from the values ``guess`` or, when ``nl_start`` is
-    given, from that spectrum in place of F[N(guess)]: the first iterate
-    then costs one inverse transform, ``guess`` is not read, and the solve
-    takes ``nl_start`` over as one of its half spectra.  That first iterate
-    has no predecessor to measure its increment against, so it is never
-    accepted.  ``SolveStats.iterations`` counts inverse transforms, the
-    applications of the map.  No other array handed over is written.
+    The start is the values ``guess``, whose F[N(guess)] the solve forms, or
+    ``nl_start``, a spectrum in place of F[N(guess)] that the solve takes
+    over as one of its half spectra; ``guess`` is then not read.  Both enter
+    one loop, whose passes after the first begin by transforming the last
+    iterate's N(phi); the first iterate of a spectrum start costs one
+    inverse transform and, with no predecessor, is never accepted.
+    ``SolveStats.iterations`` counts inverse transforms, the applications of
+    the map.  No other array handed over is written.
 
     The converged field is returned with ``hat`` set to the spectrum whose
     ``backward`` gave its values, formed again from the last F[N(phi)] since
@@ -230,27 +232,23 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
     # N(phi) and the new iterate go into ``spare``; the increment into
     # ``other``, which holds phi unless phi is ``guess``
     spare, other = np.empty((M, M)), np.empty((M, M))
-    phi = guess
     res = best = np.inf
     stalled = 0   # iterations since the increment last fell below ``best``
-    first = 1
     # a diverging iterate overflows on its way to inf/nan; that ends the
     # solve below, so the floating-point warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
-        if nl_start is None:
-            nl_hat = np.empty_like(base_hat)
-        else:
-            nl_start *= mult
-            nl_start += base_hat
-            phi = backward(nl_start, M, out=spare, work=nl_start)
-            spare, other = other, spare
-            nl_hat = nl_start
-            first = 2
+        phi = guess if nl_start is None else None
+        nl_hat = forward(nonlinear(guess, spare)) if nl_start is None else nl_start
         x = np.empty_like(base_hat)
-        for it in range(first, MAX_ITER + 1):
-            forward(nonlinear(phi, spare), out=nl_hat)
+        for it in range(1, MAX_ITER + 1):
+            if it > 1:   # phi is the last iterate; forward writes where backward ran
+                phi, spare, other = phi_new, other, spare
+                nl_hat, x = x, nl_hat
+                forward(nonlinear(phi, spare), out=nl_hat)
             np.add(np.multiply(nl_hat, mult, out=x), base_hat, out=x)
-            phi_new = backward(x, M, out=spare, work=x)
+            phi_new = backward(x, M, out=spare)
+            if phi is None:   # a spectrum start's first iterate: nothing to measure
+                continue
             # abs in place: max(d.max(), -d.min()) is the same double, but its
             # two reductions cost more than this pass on a 32^2 grid
             d = np.subtract(phi_new, phi, out=other)
@@ -274,9 +272,6 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
                     raise SolverError(f"fixed-point iteration stagnated at iteration {it} "
                                       f"(residual {res:.3e}, smallest {best:.3e})",
                                       SolveStats(it, res))
-            phi = phi_new
-            spare, other = other, spare
-            nl_hat, x = x, nl_hat   # forward writes where backward just ran
     raise SolverError(f"fixed-point iteration failed to converge (residual {res:.3e})",
                       SolveStats(MAX_ITER, res))
 
@@ -476,14 +471,17 @@ def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",
 
     Returns the final state, and calls ``observer(state, stats)`` after
     every step; the observer is the one way to see per-step data.  Every
-    scheme takes its first step from phi^0 alone.  Only BDF2 takes a
-    forcing: ``forcing_fn(t)`` returns its half spectrum at the new level
-    (as ``model.manufactured_forcing_hat`` does).
+    scheme takes its first step from phi^0 alone, which must be on the
+    parameters' grid.  Only BDF2 takes a forcing: ``forcing_fn(t)`` returns
+    its half spectrum at the new level (as ``model.manufactured_forcing_hat``
+    does).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if forcing_fn is not None and scheme != "bdf2":
         raise ValueError(f"scheme {scheme!r} takes no forcing")
+    if phi0.grid != p.grid:
+        raise ValueError(f"phi0 is on {phi0.grid} but the parameters on {p.grid}")
     # looked up at call time, so a wrapper installed on the module is called
     step = globals()[f"{scheme}_step"]
     state = StepperState(phi0)

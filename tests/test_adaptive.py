@@ -76,6 +76,15 @@ def test_run_refuses_bad_end_time(T, setup, no_solve):
         adaptive_run(smooth_field(g), T, p)
 
 
+def test_run_refuses_field_on_another_grid(setup, no_solve):
+    """A field on L = 8 with parameters on L = 16 used to run, taking k^2 from
+    one grid and the linear symbol from the other; it is refused, with both
+    grids named, before the first step."""
+    g, _ = setup
+    with pytest.raises(ValueError, match=r"M=32, L=8\.0.*M=32, L=16\.0"):
+        adaptive_run(smooth_field(g), 0.1, PfcParams(0.2, Grid2D(32, 16.0)))
+
+
 @pytest.mark.parametrize("e,tau", [(1e-3, math.nan), (math.nan, 0.1), (-1e-3, 0.1)])
 def test_tau_ada_refuses_nan_and_negative(e, tau, no_solve):
     with pytest.raises(ValueError):

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from conftest import (chemical_potential, count_transforms, full_k2, full_lin_symbol, inner,
-                      inv_laplacian, laplacian, lin_symbol_half, manufactured_forcing, ref_cncs,
-                      ref_solve)
+                      inv_laplacian, laplacian, lin_symbol_half, manufactured_forcing,
+                      period_two_map, ref_cncs, ref_solve)
 import pfc
 import pfc.steppers as steppers
 from pfc.adaptive import adaptive_run
@@ -242,7 +242,7 @@ class TestLayer:
         vals = rng.standard_normal((M, M))
         coeffs = forward(vals)
         assert np.array_equal(coeffs, np.fft.rfft2(vals))
-        assert np.array_equal(backward(coeffs, M), np.fft.irfft2(coeffs, s=(M, M)))
+        assert np.array_equal(backward(coeffs.copy(), M), np.fft.irfft2(coeffs, s=(M, M)))
 
     def test_operators_match_full_plane(self, rng):
         g = Grid2D(32, 8.0)
@@ -474,6 +474,32 @@ def test_transforms_per_step(step, monkeypatch):
     assert stats.iterations > 1
     assert len(calls) == 2 * stats.iterations - started
     assert calls.count("backward") == stats.iterations
+
+
+@pytest.mark.parametrize("started", [False, True])
+@pytest.mark.parametrize("ending", ["diverged", "stagnated", "failed to converge"])
+def test_transforms_per_failed_solve(ending, started, monkeypatch):
+    """A failed solve, from values or from a spectrum, has made the
+    transforms of a converged one (``test_transforms_per_step``): one inverse
+    transform per iteration and one forward transform per iteration but a
+    spectrum-started first.  With mult = 1 and base_hat = 0 the map is the
+    nonlinearity: 1e200 phi + 1 overflows, ``period_two_map`` stagnates, and
+    phi/2 + 0.1 runs out of MAX_ITER = 25 iterations."""
+    g = Grid2D(32, 8.0)
+    mult, base_hat, guess, _, nonlinear = period_two_map(g)
+    if ending == "diverged":
+        nonlinear = lambda phi, out: np.add(np.multiply(phi, 1e200, out=out), 1.0, out=out)
+    elif ending == "failed to converge":
+        nonlinear = lambda phi, out: np.add(np.multiply(phi, 0.5, out=out), 0.1, out=out)
+        monkeypatch.setattr(steppers, "MAX_ITER", 25)
+    nl_start = np.zeros_like(base_hat) if started else None
+    calls = count_transforms(monkeypatch)
+    with pytest.raises(steppers.SolverError, match=ending) as failure:
+        steppers.fixed_point_solve(mult, base_hat, guess, g, nonlinear, nl_start)
+    iterations = failure.value.stats.iterations
+    assert iterations == 25 if ending == "failed to converge" else iterations > 2
+    assert calls.count("backward") == iterations
+    assert calls.count("forward") == iterations - started
 
 
 @pytest.mark.parametrize("M,L,eps,tau", CASES)
