@@ -88,12 +88,10 @@ def adaptive_run(phi0: Field, T: float, p: PfcParams, observer=None):
     after every accepted step with the solve stats of that step; the state
     carries the accepted step as ``tau_prev`` and its time as ``t``.  T must
     be positive and finite: NaN would return phi0 without a step, and inf
-    would never stop.  phi0 must be on the parameters' grid.
+    would never stop.  The first step refuses a phi0 that is not on ``p.grid``.
     """
     if not (0 < T < np.inf):
         raise ValueError(f"T must be positive and finite, got {T}")
-    if phi0.grid != p.grid:
-        raise ValueError(f"phi0 is on {phi0.grid} but the parameters on {p.grid}")
     state = StepperState(phi0)
     tau_next = TAU_MIN
     while state.t < T * (1.0 - 1e-12):

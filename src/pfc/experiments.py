@@ -95,30 +95,29 @@ class ConvergenceRow:
     n1: int
 
 
-def run_bdf2_forced(mesh: TimeMesh, grid: Grid2D, p: PfcParams) -> float:
-    """Forced-problem run from the exact initial profile; returns the L2 error.
+def run_bdf2_forced(mesh: TimeMesh, p: PfcParams) -> float:
+    """Forced-problem run on ``p.grid`` from the exact initial profile; returns the L2 error.
 
     The forcing's half spectrum comes from ``manufactured_forcing_hat``,
     whose three spectra are formed once per call, so a step makes no
     forcing transform.
     """
-    phi0 = exact_solution(0.0, grid)
-    forcing_hat = manufactured_forcing_hat(grid, p)
+    phi0 = exact_solution(0.0, p.grid)
+    forcing_hat = manufactured_forcing_hat(p)
     state = run_fixed_mesh(phi0, mesh.steps, p, "bdf2", forcing_fn=forcing_hat)
-    ref = exact_solution(mesh.T, grid)
-    return l2_norm(state.phi_prev.values - ref.values, grid)
+    ref = exact_solution(mesh.T, p.grid)
+    return l2_norm(state.phi_prev.values - ref.values, p.grid)
 
 
 def run_convergence(M: int = 128, L: float = 8.0, eps: float = 0.02,
                     T: float = 1.0, ladder=(20, 40, 80, 160, 320),
                     seed: int = 2023, mesh_kind: str = "random") -> list[ConvergenceRow]:
     """Error ladder over refining meshes; order from consecutive rows."""
-    grid = Grid2D(M, L)
-    p = PfcParams(eps, grid)
+    p = PfcParams(eps, Grid2D(M, L))
     rows: list[ConvergenceRow] = []
     for i, N in enumerate(ladder):
         mesh = random_mesh(N, T, seed + i) if mesh_kind == "random" else uniform_mesh(N, T)
-        err = run_bdf2_forced(mesh, grid, p)
+        err = run_bdf2_forced(mesh, p)
         n1 = len(mesh.s1_violations())
         if rows:
             prev = rows[-1]

@@ -126,14 +126,15 @@ def forward(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(out, axis=0, out=out)
 
 
-def backward(coeffs: np.ndarray, M: int, out: np.ndarray | None = None) -> np.ndarray:
+def backward(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized inverse of ``forward``: real M x M values (``irfft2``, bit for bit).
 
     The column pass runs in place in ``coeffs``, which ends overwritten, and
-    the row pass writes into ``out`` (a new array when None).
+    the row pass writes into ``out`` (a new array when None).  M is even, so
+    ``irfft``'s default length 2 (M/2 + 1 - 1) is M.
     """
     np.fft.ifft(coeffs, axis=0, out=coeffs)
-    return np.fft.irfft(coeffs, n=M, axis=1, out=out)
+    return np.fft.irfft(coeffs, axis=1, out=out)
 
 
 def fold_conjugates(weight: np.ndarray) -> np.ndarray:
@@ -143,8 +144,8 @@ def fold_conjugates(weight: np.ndarray) -> np.ndarray:
     return weight
 
 
-def sum_of_squares(coeffs: np.ndarray, M: int, folded_weight: np.ndarray) -> float:
-    """Weighted Parseval sum of the field whose ``forward`` is ``coeffs``.
+def sum_of_squares(coeffs: np.ndarray, folded_weight: np.ndarray) -> float:
+    """Weighted Parseval sum of the M x M field whose ``forward`` is ``coeffs``.
 
     Each mode's power is multiplied by ``folded_weight``, a half-plane weight
     passed through ``fold_conjugates``; a weight of ones gives sum(values**2).
@@ -152,7 +153,7 @@ def sum_of_squares(coeffs: np.ndarray, M: int, folded_weight: np.ndarray) -> flo
     power = np.square(coeffs.real)
     power += np.square(coeffs.imag)
     power *= folded_weight
-    return float(np.sum(power)) / (M * M)
+    return float(np.sum(power)) / coeffs.shape[0] ** 2
 
 
 def l2_norm(values: np.ndarray, grid: Grid2D) -> float:

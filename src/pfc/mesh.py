@@ -140,12 +140,11 @@ def parse_mesh_spec(spec: str) -> TimeMesh:
     with open(spec) as fh:
         lines = fh.read().splitlines()
     start = int(bool(lines) and lines[0].strip() == "tau")
-    try:
-        steps = [float(line) for line in lines[start:] if line.strip()]
-    except ValueError:   # only now look for the line, 1-based with the header counted
-        for n, line in enumerate(lines[start:], start + 1):
-            try:
-                float(line.strip() or 0)   # a blank line is no step, not an error
-            except ValueError:
-                raise ValueError(f"tau file {spec} line {n}: {line!r} is not a number") from None
+    steps = []
+    for n, line in enumerate(lines[start:], start + 1):   # 1-based, the header counted
+        try:
+            if line.strip():   # a blank line is no step, not an error
+                steps.append(float(line))
+        except ValueError:
+            raise ValueError(f"tau file {spec} line {n}: {line!r} is not a number") from None
     return TimeMesh(np.array(steps))

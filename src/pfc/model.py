@@ -59,7 +59,7 @@ def energy(phi: Field, p: PfcParams) -> float:
     """Free energy; the gradient part is summed in spectral space (Parseval)."""
     g = phi.grid
     a = g.cell_area
-    e_interf = 0.5 * a * sum_of_squares(phi.hat, g.M, p.interface_weight_folded)
+    e_interf = 0.5 * a * sum_of_squares(phi.hat, p.interface_weight_folded)
     bulk = np.square(phi.values)
     bulk -= p.eps
     e_bulk = 0.25 * a * float(np.sum(np.square(bulk, out=bulk)))
@@ -77,7 +77,7 @@ def step_distance_sq(phi_k: Field, phi_km1: Field, linf: float) -> float:
     dmean = float(d[0, 0].real) / (g.M * g.M)
     if abs(dmean) > 1e-12 * linf:
         raise MeanZeroError(f"field has mean {dmean:.3e}, expected mean zero")
-    return g.cell_area * sum_of_squares(d, g.M, g.inv_k2_folded)
+    return g.cell_area * sum_of_squares(d, g.inv_k2_folded)
 
 
 def history_weight(tau_k: float, r_kp1: float) -> float:
@@ -109,7 +109,7 @@ def exact_solution(t: float, grid: Grid2D) -> Field:
     return Field(grid, (np.cos(t) * sx) * sy)
 
 
-def manufactured_forcing_hat(grid: Grid2D, p: PfcParams):
+def manufactured_forcing_hat(p: PfcParams):
     """The half spectrum of the source g = d/dt Phi - Lap_h mu(Phi) as a function of t.
 
     Spatial derivatives use the same spectral operators as the stepper, so
@@ -122,17 +122,17 @@ def manufactured_forcing_hat(grid: Grid2D, p: PfcParams):
 
       g^(t) = cos t A + cos^3 t B - sin t S^,  A = k^2 lin S^,  B = k^2 F(S^3).
 
-    The three spectra are formed here, once per grid, so the returned
+    The three spectra are formed here, on ``p.grid``, so the returned
     function ``t -> g^(t)`` makes no transform; each call returns a new
     array.  It equals the forward transform of g formed in grid values (the
     tests' ``manufactured_forcing``) to roundoff amplified by k^2 |lin| on
     each mode.
     """
-    sx, sy = _axis_sines(grid)
+    sx, sy = _axis_sines(p.grid)
     s = sx * sy
     s_hat = forward(s)
     a = p.k2_lin * s_hat
-    b = grid.k2_half * forward(s * s * s)
+    b = p.grid.k2_half * forward(s * s * s)
 
     def forcing_hat(t: float) -> np.ndarray:
         c = math.cos(t)

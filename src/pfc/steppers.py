@@ -8,16 +8,17 @@ differ by at most 1e-12 in the max norm.  A solve has two multipliers:
 = sum_i (c_i/S) hat_i over the history fields' (and a forcing's) spectra.
 Each scheme forms -k^2/S and the c_i/S from one reciprocal 1/S once per step
 size: they are held, read-only, in the trajectory's ``StepperState`` under
-a key of the scheme and its step coefficients (``_store_multipliers``).  A
-step whose key is the held one forms no array for them, only multiplying
-each ``hat`` by its c_i/S; one with another key refills the held arrays in
-place.  The scheme hands ``fixed_point_solve`` the two multipliers, a start
-and its lagged nonlinearity as a physical-space function (``phi**3`` or CN's
-averaged product); the solver owns no symbol.  Each step names its key,
-its linear part and its nonlinearity, and ``_held_step`` does the rest for
-every scheme.  A new key's symbol, of any scheme, is checked positive at
-every mode where its multipliers are formed, with one minimum; a held
-key's symbol has passed that check.
+a key of the ``PfcParams``, the scheme and its step coefficients
+(``_store_multipliers``).  A step whose key is the held one forms no array
+for them, only multiplying each ``hat`` by its c_i/S; one with another key
+refills the held arrays in place.  The scheme hands ``fixed_point_solve``
+the two multipliers, a start and its lagged nonlinearity as a physical-space
+function (``phi**3`` or CN's averaged product); the solver owns no symbol.
+Each step names its key, its linear part and its nonlinearity, and
+``_held_step``, where a state meets its parameters, does the rest for every
+scheme: the grid is ``PfcParams``'s, and a field on another is refused.  A
+new key's symbol, of any scheme, is checked positive, with one minimum, at
+every mode where its multipliers are formed; a held key's symbol has been.
 The start is either a field's values or a spectrum standing in for the
 first iterate's transformed nonlinearity.
 The solver returns the new field with ``hat`` set to the spectrum whose
@@ -228,10 +229,9 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
     increment fell at every iteration, so the rule cuts only a solve that
     would otherwise run to ``MAX_ITER``.
     """
-    M = grid.M
     # N(phi) and the new iterate go into ``spare``; the increment into
     # ``other``, which holds phi unless phi is ``guess``
-    spare, other = np.empty((M, M)), np.empty((M, M))
+    spare, other = np.empty((grid.M, grid.M)), np.empty((grid.M, grid.M))
     res = best = np.inf
     stalled = 0   # iterations since the increment last fell below ``best``
     # a diverging iterate overflows on its way to inf/nan; that ends the
@@ -246,7 +246,7 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
                 nl_hat, x = x, nl_hat
                 forward(nonlinear(phi, spare), out=nl_hat)
             np.add(np.multiply(nl_hat, mult, out=x), base_hat, out=x)
-            phi_new = backward(x, M, out=spare)
+            phi_new = backward(x, out=spare)
             if phi is None:   # a spectrum start's first iterate: nothing to measure
                 continue
             # abs in place: max(d.max(), -d.min()) is the same double, but its
@@ -257,7 +257,7 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
                 # a finite increment rules out a non-finite iterate; the
                 # column pass consumed x, so the same two ufunc calls form it again
                 np.add(np.multiply(nl_hat, mult, out=x), base_hat, out=x)
-                _project_self_conjugate(x, M)
+                _project_self_conjugate(x)
                 out = Field.unchecked(grid, phi_new, nl_hat)
                 out.hat = x
                 return out, SolveStats(it, res)
@@ -276,15 +276,16 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
                       SolveStats(MAX_ITER, res))
 
 
-def _project_self_conjugate(x: np.ndarray, M: int):
-    """Replace the self-conjugate columns of the half spectrum ``x``, ky = 0 and the
-    Nyquist column, by their Hermitian parts (x[i] + conj(x[-i]))/2, in place.
+def _project_self_conjugate(x: np.ndarray):
+    """Replace the self-conjugate columns of the M-row half spectrum ``x``, ky = 0 and
+    the Nyquist column, by their Hermitian parts (x[i] + conj(x[-i]))/2, in place.
 
     ``backward`` drops their anti-Hermitian part, so the values do not move.  But
     the next right-hand side reads the spectrum, and the part it carries on grows
     in the unstable band as the linear recurrence does.  The one temporary holds
     M - 2 entries: rows 1 .. M/2 - 1 of both columns.
     """
+    M = x.shape[0]
     cols = x[:, ::M // 2]
     top, bottom = cols[1:M // 2], cols[:M // 2:-1]   # row i and its partner M - i
     h = np.conjugate(bottom)
@@ -347,24 +348,28 @@ def lagrange_weights(tau_n: float, steps) -> list[float]:
     return weights
 
 
-def _held_step(state: StepperState, tau: float, key: tuple, linear, hats: list, nonlinear,
-               nl_start: np.ndarray | None = None) -> tuple[Field, SolveStats]:
-    """Solve the step whose multipliers ``key`` names, from the held ones on a hit.
+def _held_step(state: StepperState, tau: float, p: PfcParams, key: tuple, linear, hats: list,
+               nonlinear, nl_start: np.ndarray | None = None) -> tuple[Field, SolveStats]:
+    """Solve the step whose multipliers ``(p, *key)`` names, from the held ones on a hit.
 
+    A state whose field is not on ``p.grid`` is refused with a plain
+    ``ValueError``, which the controller does not take for a failed solve.
     On a miss, ``linear()`` returns the symbol's shift and stiff part and the
     right-hand side's coefficients, which ``_store_multipliers`` checks and
     holds.  S^{-1} rhs is then sum_i c_i/S hats[i], added in the coefficients'
     order, and the solve starts from phi^{n-1}'s values or from ``nl_start``.
     """
-    g = state.phi_prev.grid
+    if state.phi_prev.grid != p.grid:
+        raise ValueError(f"the field is on {state.phi_prev.grid} but the parameters on {p.grid}")
     held = state.held
+    key = (p, *key)
     if key != held.key:
         shift, stiff, coefs = linear()
-        _store_multipliers(held, key, tau, shift, stiff, g.k2_half, coefs)
+        _store_multipliers(held, key, tau, shift, stiff, p.grid.k2_half, coefs)
     base_hat = hats[0] * held.coefs[0]
     for hat, c in zip(hats[1:], held.coefs[1:]):
         base_hat += hat * c
-    return fixed_point_solve(held.mult, base_hat, state.phi_prev.values, g, nonlinear,
+    return fixed_point_solve(held.mult, base_hat, state.phi_prev.values, p.grid, nonlinear,
                              nl_start)
 
 
@@ -401,7 +406,7 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
             coefs.append(1.0)
         return b0, p.k2_lin, coefs
 
-    return _held_step(state, tau_n, ("bdf2", b0, b1, forced), linear, hats, _cube,
+    return _held_step(state, tau_n, p, ("bdf2", b0, b1, forced), linear, hats, _cube,
                       _extrapolated_nl(state, tau_n))
 
 
@@ -431,7 +436,7 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
         return shift, half, [shift - half]   # rhs = (1/tau - half) phi^{n-1}
 
     prev = state.phi_prev
-    return _held_step(state, tau, ("cn", tau), linear, [prev.hat],
+    return _held_step(state, tau, p, ("cn", tau), linear, [prev.hat],
                       _midpoint_cube(prev.values))
 
 
@@ -448,7 +453,7 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     start = prev2 is None
 
     def linear():
-        k2 = prev.grid.k2_half
+        k2 = p.grid.k2_half
         k4 = k2 * k2
         shift = 1.0 / tau
         stiff = k2 * (k4 + 1.0 - p.eps)
@@ -460,8 +465,8 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
         return shift, stiff, [shift - stiff + 3.0 * extrap, -extrap]
 
     if start:
-        return _held_step(state, tau, ("cs1", tau), linear, [prev.hat], _cube)
-    return _held_step(state, tau, ("cncs", tau), linear, [prev.hat, prev2.hat],
+        return _held_step(state, tau, p, ("cs1", tau), linear, [prev.hat], _cube)
+    return _held_step(state, tau, p, ("cncs", tau), linear, [prev.hat, prev2.hat],
                       _midpoint_cube(prev.values))
 
 
@@ -471,17 +476,15 @@ def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",
 
     Returns the final state, and calls ``observer(state, stats)`` after
     every step; the observer is the one way to see per-step data.  Every
-    scheme takes its first step from phi^0 alone, which must be on the
-    parameters' grid.  Only BDF2 takes a forcing: ``forcing_fn(t)`` returns
-    its half spectrum at the new level (as ``model.manufactured_forcing_hat``
-    does).
+    scheme takes its first step from phi^0 alone; the first step refuses a
+    phi^0 that is not on ``p.grid``.  Only BDF2 takes a forcing:
+    ``forcing_fn(t)`` returns its half spectrum at the new level (as
+    ``model.manufactured_forcing_hat`` does).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if forcing_fn is not None and scheme != "bdf2":
         raise ValueError(f"scheme {scheme!r} takes no forcing")
-    if phi0.grid != p.grid:
-        raise ValueError(f"phi0 is on {phi0.grid} but the parameters on {p.grid}")
     # looked up at call time, so a wrapper installed on the module is called
     step = globals()[f"{scheme}_step"]
     state = StepperState(phi0)

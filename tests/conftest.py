@@ -81,12 +81,12 @@ def mean(f: Field) -> float:
 
 def laplacian(f: Field) -> Field:
     g = f.grid
-    return Field(g, backward(-g.k2_half * forward(f.values), g.M))
+    return Field(g, backward(-g.k2_half * forward(f.values)))
 
 
 def chemical_potential(phi: Field, p: PfcParams) -> Field:
     v = phi.values
-    lin = backward(lin_symbol_half(p) * forward(v), phi.grid.M)
+    lin = backward(lin_symbol_half(p) * forward(v))
     return Field(phi.grid, lin + v * v * v)
 
 
@@ -339,7 +339,7 @@ def inv_laplacian(f: Field, gamma: int = 1) -> Field:
     linf = float(np.max(np.abs(f.values)))
     if abs(m) > 1e-12 * max(linf, 1e-300):
         raise MeanZeroError(f"field has mean {m:.3e}, expected mean zero")
-    return Field(f.grid, backward(inv_k2_half(f.grid)**gamma * forward(f.values), f.grid.M))
+    return Field(f.grid, backward(inv_k2_half(f.grid)**gamma * forward(f.values)))
 
 
 def hminus1_norm(f: Field) -> float:

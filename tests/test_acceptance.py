@@ -298,6 +298,29 @@ def test_adaptive_energy_curve(polycrystal_run):
     assert worst <= 1e-6
 
 
+# Fixed-point iterations of the T=50 run's legs on DIGEST_BUILD: (total, most
+# in one step).  ROADMAP Direction 5 changes the start against this budget.
+POLYCRYSTAL_ITERS = {"uniform": (2453, 13), "adaptive": (1490, 12)}
+
+
+def test_iteration_budget(polycrystal_run):
+    """Polycrystal growth: 3,943 fixed-point iterations over both legs, pinned
+    with each leg's most in one step on DIGEST_BUILD, as the digests are;
+    elsewhere each leg's total may exceed its pin by 2 %."""
+    res, _ = polycrystal_run
+    got = {leg: (sum(r.iters for r in recs[1:]), max(r.iters for r in recs[1:]))
+           for leg, recs in (("uniform", res.uniform_records),
+                             ("adaptive", res.adaptive_records))}
+    ok = all(got[leg][0] <= 1.02 * total for leg, (total, _) in POLYCRYSTAL_ITERS.items())
+    report("iteration budget", ok,
+           ", ".join(f"{leg} {n} iterations, at most {most} per step"
+                     for leg, (n, most) in got.items()))
+    if on_digest_build():
+        assert got == POLYCRYSTAL_ITERS
+    for leg, (total, _) in POLYCRYSTAL_ITERS.items():
+        assert got[leg][0] <= 1.02 * total, leg
+
+
 def test_discrete_gradient():
     """Chemical potential is the discrete variational derivative of E."""
     t0 = time.perf_counter()

@@ -78,8 +78,8 @@ def test_run_refuses_bad_end_time(T, setup, no_solve):
 
 def test_run_refuses_field_on_another_grid(setup, no_solve):
     """A field on L = 8 with parameters on L = 16 used to run, taking k^2 from
-    one grid and the linear symbol from the other; it is refused, with both
-    grids named, before the first step."""
+    one grid and the linear symbol from the other; the first step refuses it,
+    with both grids named, before any solve."""
     g, _ = setup
     with pytest.raises(ValueError, match=r"M=32, L=8\.0.*M=32, L=16\.0"):
         adaptive_run(smooth_field(g), 0.1, PfcParams(0.2, Grid2D(32, 16.0)))

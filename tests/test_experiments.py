@@ -167,8 +167,8 @@ class TestConvergence:
         roundoff on temporal errors of about 1e-5 to 1e-7."""
         got = [r.error for r in run_convergence(M=32, seed=seed)]
 
-        def transformed(grid, p):
-            return lambda t: forward(manufactured_forcing(t, grid, p).values)
+        def transformed(p):
+            return lambda t: forward(manufactured_forcing(t, p.grid, p).values)
 
         monkeypatch.setattr(ex, "manufactured_forcing_hat", transformed)
         want = [r.error for r in run_convergence(M=32, seed=seed)]
@@ -214,14 +214,14 @@ class TestConvergence:
                 mesh = s1_ladder_mesh(N, 1.0, base + i)
                 assert mesh.max_ratio < 3.34 < R_SUP
                 x.append(np.log(mesh.max_step))
-                y.append(np.log(run_bdf2_forced(mesh, g, p)))
+                y.append(np.log(run_bdf2_forced(mesh, p)))
         order = np.polyfit(x, y, 1)[0]
         assert 1.7 <= order <= 2.2
 
     def test_forced_error_scale(self):
         g = Grid2D(32, 8.0)
         p = PfcParams(0.02, g)
-        err = run_bdf2_forced(uniform_mesh(40, 1.0), g, p)
+        err = run_bdf2_forced(uniform_mesh(40, 1.0), p)
         assert 0 < err < 1e-2
 
 

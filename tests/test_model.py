@@ -242,7 +242,7 @@ class TestManufacturedForcingHat:
         over.  The zero mode holds only the roundoff of sum(S)."""
         g = Grid2D(M, 8.0)
         p = PfcParams(0.2, g)
-        forcing_hat = manufactured_forcing_hat(g, p)
+        forcing_hat = manufactured_forcing_hat(p)
         amplification = 1.0 + g.k2_half * np.abs(lin_symbol_half(p))
         for t in (0.0, 0.37, np.pi / 2, 1.7, 12.5):
             got = forcing_hat(t)
@@ -253,7 +253,7 @@ class TestManufacturedForcingHat:
 
     def test_returns_a_new_array(self, setup):
         g, p = setup
-        forcing_hat = manufactured_forcing_hat(g, p)
+        forcing_hat = manufactured_forcing_hat(p)
         a = forcing_hat(0.3)
         a_copy = a.copy()
         b = forcing_hat(0.3)

@@ -10,6 +10,7 @@ from conftest import (adaptive_states, constant_field, coords, full_k2, full_lin
                       manufactured_forcing, lin_symbol_half, mean, modified_energy,
                       period_two_map, ref_cncs)
 import pfc.steppers as steppers
+from pfc.adaptive import adaptive_advance
 from pfc.experiments import random_initial
 from pfc.grid import Field, Grid2D
 from pfc.model import PfcParams, energy, manufactured_forcing_hat
@@ -423,12 +424,13 @@ class TestRunFixedMesh:
 
     def test_field_on_another_grid_refused(self, setup, rng, monkeypatch):
         """A field on L = 8 with parameters on L = 16 used to run, taking k^2
-        from one grid and the linear symbol from the other; it is refused,
-        with both grids named, before the first step."""
+        from one grid and the linear symbol from the other; the first step
+        refuses it, with both grids named, before any solve."""
         g, _ = setup
-        monkeypatch.setattr(steppers, "bdf2_step", None)   # no step may run
+        calls = stub_solve(monkeypatch)
         with pytest.raises(ValueError, match=r"M=32, L=8\.0.*M=32, L=16\.0"):
             run_fixed_mesh(random_field(g, rng), [0.01] * 5, PfcParams(0.2, Grid2D(32, 16.0)))
+        assert calls == []
 
     @pytest.mark.parametrize("scheme", ["cn", "cncs"])
     def test_forcing_refused_without_bdf2(self, setup, rng, scheme):
@@ -493,7 +495,7 @@ class TestRunFixedMesh:
         steps = [tau] * 50
 
         state = run_fixed_mesh(exact_solution(0.0, g), steps, p,
-                               forcing_fn=manufactured_forcing_hat(g, p))
+                               forcing_fn=manufactured_forcing_hat(p))
         err = np.max(np.abs(state.phi_prev.values
                             - exact_solution(state.t, g).values))
         assert err < 1e-5
@@ -524,6 +526,21 @@ def test_nan_and_non_positive_steps_refused(step, bad, setup, rng, monkeypatch):
 
 
 STEPS = {"bdf2": bdf2_step, "cn": cn_step, "cs1": cs1_step, "cncs": cncs_step}
+
+
+@pytest.mark.parametrize("step", [*STEPS.values(), adaptive_advance], ids=[*STEPS, "adaptive"])
+def test_step_refuses_params_on_another_grid(step, setup, rng, monkeypatch):
+    """A field on L = 8 with parameters on L = 16 used to take k^2 from one
+    grid and the linear symbol from the other.  Each step refuses it before
+    any solve, with a plain ValueError naming both grids: a ConditioningError
+    would make the controller shrink the step and try again."""
+    g, _ = setup
+    state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
+    calls = stub_solve(monkeypatch)
+    with pytest.raises(ValueError, match=r"M=32, L=8\.0.*M=32, L=16\.0") as exc:
+        step(state, 0.05, PfcParams(0.2, Grid2D(32, 16.0)))
+    assert type(exc.value) is ValueError
+    assert calls == []
 
 
 def assert_same_solve(got, want):
@@ -561,7 +578,7 @@ class TestHeldMultipliers:
     def test_steps_match_fresh_params(self, setup, rng, monkeypatch):
         g, p = setup
         a, b = 0.05, 0.03
-        f_hat = manufactured_forcing_hat(g, p)(0.4)
+        f_hat = manufactured_forcing_hat(p)(0.4)
         # BDF2 at a, a, a, b, a, a, a; CN at a right after BDF2 at a; then an
         # unforced and a forced BDF2 step of the same size
         plan = [(bdf2_step, tau, None) for tau in (a, a, a, b, a, a, a)]
@@ -615,6 +632,18 @@ class TestHeldMultipliers:
         assert len(got) == len(want)
         for phi, phi_w in zip(got, want):
             assert np.array_equal(phi.values, phi_w.values)
+
+    @pytest.mark.parametrize("scheme", STEPS)
+    def test_new_params_form_new_multipliers(self, scheme, setup, rng):
+        """A step on new parameters, after one on others at the same step
+        size, forms the multipliers of its own eps: it gives the bits of that
+        step from a fresh held solve."""
+        g, p = setup
+        step = STEPS[scheme]
+        state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
+        step(state, 0.05, p)
+        hot = PfcParams(0.5, g)
+        assert_same_solve(step(state, 0.05, hot), step(fresh(state), 0.05, hot))
 
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                        lambda p: pickle.loads(pickle.dumps(p))])
@@ -700,7 +729,7 @@ class TestHeldMultipliers:
         g, p = setup
         state = StepperState(random_field(g, rng), random_field(g, rng), 0.05)
         step = STEPS[scheme]
-        args = (manufactured_forcing_hat(g, p)(0.1),) if scheme == "bdf2" else ()
+        args = (manufactured_forcing_hat(p)(0.1),) if scheme == "bdf2" else ()
         step(state, 0.05, p, *args)
         held = (state.held.mult,) + state.held.coefs
         assert len(held) == {"bdf2": 4, "cn": 2, "cs1": 2, "cncs": 3}[scheme]
