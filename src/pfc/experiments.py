@@ -14,12 +14,13 @@ import itertools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .adaptive import adaptive_run
-from .grid import Field, Grid2D, l2_norm, save_snapshot
+from .grid import Field, Grid2D, l2_norm
 from .kernels import bdf2_coeffs, doc_apply, eigen_bounds, verify_orthogonality
 from .mesh import TimeMesh, random_mesh, uniform_mesh
 from .model import (EnergyRecord, PfcParams, energy, exact_solution, history_weight,
@@ -36,6 +37,7 @@ LONG_M = 256                                # run_polycrystal_long's grid points
 LONG_L = 256.0                              # its domain side
 LONG_T = 1000.0                             # its final time
 SNAPSHOT_TIMES = (1, 100, 150, 400, 800, 1000)  # its snapshot targets
+LOG_THREAD_MIN_M = 256   # EnergyLog measures on a worker thread from this grid size
 
 
 def random_initial(mean: float, amp: float, grid: Grid2D, seed: int) -> Field:
@@ -64,10 +66,12 @@ def patched_initial(grid: Grid2D, seed: int = 0) -> Field:
 
 
 def write_csv(path, header: list[str], rows, footer: str = ""):
-    """Write the header, the rows and ``footer`` (text after the last row) in one write.
+    """Write the header, the rows and ``footer`` (text after the last row).
 
     Every row takes the first row's format: FMT where that row holds a float
-    (numpy's float64 included), %s, which is str(v), elsewhere."""
+    (numpy's float64 included), %s, which is str(v), elsewhere.  The rows are
+    formatted by one ``%`` operation and written as it made them, not joined
+    to the header: a 256^2 snapshot's text is 1.3 MB."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     rows = list(rows)
     body = ""
@@ -75,7 +79,14 @@ def write_csv(path, header: list[str], rows, footer: str = ""):
         fmt = ",".join(FMT if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
         body = (fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n" + body + footer)
+        fh.write(",".join(header) + "\n")
+        fh.write(body)
+        fh.write(footer)
+
+
+def save_snapshot(path, f: Field, t: float):
+    """Write `M L t` then M comma-separated rows (row i = y index i)."""
+    write_csv(path, [f"{f.grid.M} {f.grid.L:.17g} {t:.17g}"], f.values.T.tolist())
 
 
 ENERGY_HEADER = [f.name for f in fields(EnergyRecord)]
@@ -128,6 +139,54 @@ def run_convergence(M: int = 128, L: float = 8.0, eps: float = 0.02,
     return rows
 
 
+def _measure(phi: Field, prev: Field | None, t: float, tau: float, iters: int,
+             p: PfcParams) -> tuple[EnergyRecord, float]:
+    """The record of ``phi`` (E_mod = E) and ||phi - prev||_{-1}^2, 0 without ``prev``."""
+    e = energy(phi, p)
+    v = phi.values
+    # the max norm without an abs pass: the same double as abs(v).max()
+    rec = EnergyRecord(t, tau, e, e, mass(phi), float(max(v.max(), -v.min())), iters)
+    return rec, 0.0 if prev is None else step_distance_sq(phi, prev, rec.linf)
+
+
+def _serve(jobs):
+    """Run each ``(args, done)`` of ``jobs`` through ``_measure``; put its result or error on
+    ``done``."""
+    while True:
+        args, done = jobs.get()
+        try:
+            out = _measure(*args)
+        except BaseException as exc:   # raised again by the log that waits on ``done``
+            out = exc
+        done.put(out)
+
+
+_log_worker = (None, None)   # (pid, job queue) of the daemon thread that measures records
+
+
+def _log_channel():
+    """(jobs, done): the job queue of this process's measuring thread, which starts on
+    first use, and a new queue on which the thread puts one log's measurements.
+
+    A forked child inherits the job queue but not the thread, so it starts its own.
+    """
+    global _log_worker
+    import queue   # here, so that importing the package and logging inline skip it
+    if _log_worker[0] != os.getpid():
+        jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(jobs,), name="pfc-energy-log",
+                         daemon=True).start()
+        _log_worker = (os.getpid(), jobs)
+    return _log_worker[1], queue.SimpleQueue()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class EnergyLog:
     """``observer`` for ``run_fixed_mesh`` and ``adaptive_run``: a record at t = 0 and per step.
 
@@ -141,27 +200,59 @@ class EnergyLog:
     only phi0's spectrum is computed here.  The log keeps phi_{k-1}'s spectrum
     because the next BDF2 right-hand side reads it, so two spectra live
     through each solve.
+
+    On a grid of at least ``LOG_THREAD_MIN_M`` points a side, in a process
+    that may run on two or more CPUs, step k's measurement (E, mass, max
+    norm and distance) runs on one daemon thread shared by every log, while
+    the caller takes step k+1; the t = 0 record is measured here.  Call k+1
+    waits for measurement k, if it is still running, before it completes
+    E_mod and hands over its own, and ``records`` waits for the last one, so
+    the records have the bits of an inline log.  An error of a measurement
+    (``MeanZeroError``) is raised from the next call or from ``records``, at
+    most one step late.  Elsewhere the log measures each step inline.
     """
 
     def __init__(self, phi0: Field, p: PfcParams):
         self.p = p
-        self.records = [self._record(phi0, 0.0, 0.0, 0)]
+        self._records = [_measure(phi0, None, 0.0, 0.0, 0, p)[0]]
         self._dist_sq = 0.0   # ||phi_k - phi_{k-1}||_{-1}^2 of the newest record
+        # the worker's job queue and the queue it answers this log on; None inline
+        self._channel = None
+        if p.grid.M >= LOG_THREAD_MIN_M and _usable_cpus() > 1:
+            self._channel = _log_channel()
+        self._pending = False
 
-    def _record(self, phi: Field, t: float, tau: float, iters: int) -> EnergyRecord:
-        e = energy(phi, self.p)
-        v = phi.values
-        # the max norm without an abs pass: the same double as abs(v).max()
-        return EnergyRecord(t, tau, e, e, mass(phi), float(max(v.max(), -v.min())), iters)
+    @property
+    def records(self) -> list[EnergyRecord]:
+        self._collect()
+        return self._records
+
+    def _collect(self):
+        """Append the record of the measurement the worker holds, if any, waiting for it."""
+        if self._pending:
+            self._pending = False
+            out = self._channel[1].get()
+            if isinstance(out, BaseException):
+                raise out
+            self._append(out)
+
+    def _append(self, measured: tuple[EnergyRecord, float]):
+        rec, self._dist_sq = measured
+        self._records.append(rec)
 
     def __call__(self, state: StepperState, stats: SolveStats):
-        last = self.records[-1]
-        phi, prev, tau = state.phi_prev, state.phi_prev2, state.tau_prev
+        self._collect()
+        last = self._records[-1]
+        tau = state.tau_prev
         if last.tau > 0.0:
             last.E_mod = last.E + history_weight(last.tau, tau / last.tau) * self._dist_sq
-        rec = self._record(phi, state.t, tau, stats.iterations)
-        self.records.append(rec)
-        self._dist_sq = step_distance_sq(phi, prev, rec.linf)
+        args = (state.phi_prev, state.phi_prev2, state.t, tau, stats.iterations, self.p)
+        if self._channel is None:
+            self._append(_measure(*args))
+        else:
+            jobs, done = self._channel
+            jobs.put((args, done))
+            self._pending = True
 
 
 def run_with_energy_log(phi0: Field, steps, p: PfcParams, scheme: str = "bdf2"):

@@ -40,9 +40,12 @@ class MeanZeroError(ValueError):
     """Operation requires a mean-zero field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid2D:
-    """Uniform periodic square grid: M points per direction on (0, L)^2."""
+    """Uniform periodic square grid: M points per direction on (0, L)^2.
+
+    A grid is a value: it is frozen, and its derived arrays are read-only.
+    """
 
     M: int
     L: float
@@ -52,17 +55,21 @@ class Grid2D:
             raise ValueError(f"M must be even and >= 4, got {self.M}")
         if not (0 < self.L < np.inf):   # NaN fails both comparisons
             raise ValueError(f"L must be positive and finite, got {self.L}")
-        self.h = self.L / self.M
-        self.nu = 2.0 * np.pi / self.L
+        h, nu = self.L / self.M, 2.0 * np.pi / self.L
         # integer wavenumbers: rows 0..M/2-1, -M/2..-1; columns 0..M/2
         lx = np.fft.fftfreq(self.M, d=1.0 / self.M)[:, None]
         ly = np.fft.rfftfreq(self.M, d=1.0 / self.M)
-        self.k2_half = self.nu**2 * (lx**2 + ly**2)
+        k2_half = nu**2 * (lx**2 + ly**2)
         # 1/k^2, 0 on the zero mode, folded for sum_of_squares
-        self.inv_k2_folded = np.zeros_like(self.k2_half)
-        np.divide(1.0, self.k2_half, out=self.inv_k2_folded, where=self.k2_half > 0)
-        fold_conjugates(self.inv_k2_folded)
-        self.x = self.h * np.arange(self.M)   # sample coordinates along either axis
+        inv_k2_folded = np.zeros_like(k2_half)
+        np.divide(1.0, k2_half, out=inv_k2_folded, where=k2_half > 0)
+        fold_conjugates(inv_k2_folded)
+        x = h * np.arange(self.M)   # sample coordinates along either axis
+        for name, val in (("h", h), ("nu", nu), ("k2_half", k2_half),
+                          ("inv_k2_folded", inv_k2_folded), ("x", x)):
+            if isinstance(val, np.ndarray):
+                val.flags.writeable = False
+            object.__setattr__(self, name, val)
 
     @property
     def cell_area(self) -> float:
@@ -160,10 +167,3 @@ def l2_norm(values: np.ndarray, grid: Grid2D) -> float:
     """The discrete L2 norm sqrt(h^2 * sum(values**2)) of values on ``grid``."""
     return float(np.sqrt(grid.cell_area * np.sum(values * values)))
 
-
-def save_snapshot(path, f: Field, t: float):
-    """Write `M L t` then M comma-separated rows (row i = y index i)."""
-    with open(path, "w") as fh:
-        fh.write(f"{f.grid.M} {f.grid.L:.17g} {t:.17g}\n")
-        for j in range(f.grid.M):
-            fh.write(",".join(f"{v:.17g}" for v in f.values[:, j]) + "\n")

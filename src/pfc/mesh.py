@@ -21,26 +21,32 @@ from .rng import SplitMix64
 R_SUP = (3.0 + np.sqrt(17.0)) / 2.0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TimeMesh:
-    """Ordered positive, finite time steps with derived levels and ratios."""
+    """Ordered positive, finite time steps with derived levels and ratios.
+
+    A mesh is frozen, and its steps (a copy of those it is given), levels and
+    ratios are read-only arrays.
+    """
 
     steps: np.ndarray
 
     def __post_init__(self):
-        self.steps = np.asarray(self.steps, dtype=np.float64)
-        if self.steps.ndim != 1 or self.steps.size == 0:
+        steps = np.array(self.steps, dtype=np.float64)
+        if steps.ndim != 1 or steps.size == 0:
             raise ValueError("mesh needs at least one step")
-        if not np.all(self.steps > 0):   # a NaN step fails this too
+        if not np.all(steps > 0):   # a NaN step fails this too
             raise ValueError("all step sizes must be positive")
-        if not np.all(np.isfinite(self.steps)):
+        if not np.all(np.isfinite(steps)):
             raise ValueError("all step sizes must be finite")
-        self.times = np.cumsum(self.steps)
-        self.ratios = np.zeros_like(self.steps)
+        ratios = np.zeros_like(steps)
         # a ratio past the largest double is inf: every ratio test flags it
         # (S1, the step-size restriction, kernels_report's finiteness check)
         with np.errstate(over="ignore"):
-            self.ratios[1:] = self.steps[1:] / self.steps[:-1]
+            ratios[1:] = steps[1:] / steps[:-1]
+        for name, val in (("steps", steps), ("times", np.cumsum(steps)), ("ratios", ratios)):
+            val.flags.writeable = False
+            object.__setattr__(self, name, val)
 
     @property
     def N(self) -> int:

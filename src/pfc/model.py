@@ -22,11 +22,12 @@ import numpy as np
 from .grid import Field, Grid2D, MeanZeroError, forward, fold_conjugates, sum_of_squares
 
 
-@dataclass
+@dataclass(frozen=True)
 class PfcParams:
     """Temperature-like parameter, the grid it acts on and their fixed symbols.
 
-    It holds no solver state, so any number of trajectories may share it.
+    It is a frozen value whose symbols are read-only and hold no solver
+    state, so any number of trajectories, and threads, may share it.
     """
 
     eps: float
@@ -39,9 +40,11 @@ class PfcParams:
         # (1 + Lap)^2, the energy's interface weight, folded for sum_of_squares
         weight = (1.0 - self.grid.k2_half) ** 2
         lin_half = weight - self.eps
-        self.interface_weight_folded = fold_conjugates(weight)
         # k^2 ((1 - k^2)^2 - eps), the stiff part of the BDF2 and CN symbols
-        self.k2_lin = self.grid.k2_half * lin_half
+        for name, val in (("interface_weight_folded", fold_conjugates(weight)),
+                          ("k2_lin", self.grid.k2_half * lin_half)):
+            val.flags.writeable = False
+            object.__setattr__(self, name, val)
 
 
 @dataclass

@@ -364,7 +364,7 @@ def linf_monitor(phi: Field, E0: float, p) -> tuple[float, float]:
 
 
 def load_snapshot(path) -> tuple[Field, float]:
-    """Read a file written by ``pfc.grid.save_snapshot``."""
+    """Read a file written by ``pfc.experiments.save_snapshot``."""
     with open(path) as fh:
         head = fh.readline().split()
         M, L, t = int(head[0]), float(head[1]), float(head[2])

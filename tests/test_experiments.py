@@ -1,4 +1,6 @@
 import os
+import queue
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,10 +18,11 @@ from pfc.experiments import (PATCHES, EnergyLog, kernels_report, midline,
                              patched_initial,
                              random_initial, run_bdf2_forced, run_convergence,
                              energy_rows, run_with_energy_log, write_csv)
-from pfc.grid import Field, Grid2D, forward
+from pfc.grid import Field, Grid2D, MeanZeroError, forward
 from pfc.mesh import R_SUP, TimeMesh, check_restriction, random_mesh, uniform_mesh
 from pfc.model import PfcParams
 from pfc.rng import SplitMix64
+from pfc.steppers import StepperState
 
 STEP_FUNCTIONS = ("bdf2_step", "cn_step", "cncs_step", "adaptive_advance")
 
@@ -367,6 +370,121 @@ class TestRunLoops:
         assert log.records[-1].t == state.t
         assert {name for name, _ in calls} == {"adaptive_advance"}
         assert [it for _, it in calls] == [r.iters for r in log.records[1:]]
+
+
+def log_on_worker(monkeypatch) -> list:
+    """Put EnergyLog on its worker thread at any grid size; returns the list to which
+    each call of ``energy`` appends the thread that made it."""
+    monkeypatch.setattr(ex, "LOG_THREAD_MIN_M", 32)
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+    threads, energy = [], ex.energy
+    monkeypatch.setattr(ex, "energy",
+                        lambda phi, p: threads.append(threading.current_thread())
+                        or energy(phi, p))
+    return threads
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    return log_on_worker(monkeypatch)
+
+
+def small_run():
+    g = Grid2D(32, 8.0)
+    return PfcParams(0.2, g), random_initial(0.1, 0.02, g, 11)
+
+
+def adaptive_records(p: PfcParams, phi0: Field):
+    log = EnergyLog(phi0, p)
+    adaptive_run(phi0, 0.5, p, observer=log)
+    return log.records
+
+
+class TestThreadedLog:
+    """The worker-thread path of EnergyLog against the inline one."""
+
+    STEPS = [0.01, 0.02, 0.01, 0.03, 0.02, 0.01]
+
+    @pytest.mark.parametrize("scheme", ["bdf2", "cn", "cncs", "adaptive"])
+    def test_records_equal_inline(self, scheme, monkeypatch):
+        p, phi0 = small_run()
+
+        def records():
+            if scheme == "adaptive":
+                return adaptive_records(p, phi0)
+            return run_with_energy_log(phi0, self.STEPS, p, scheme)[1]
+
+        inline = records()
+        threads = log_on_worker(monkeypatch)
+        recs = records()
+        assert recs == inline
+        assert len(recs) > 5 and any(r.E_mod != r.E for r in recs)
+        # the t = 0 record is measured here, every later one on the worker
+        main = threading.current_thread()
+        assert threads[0] is main
+        assert len(threads) == len(recs) and main not in threads[1:]
+
+    @pytest.mark.parametrize("n_steps", [3, 8])
+    def test_error_raised_at_most_one_step_late(self, threaded, monkeypatch, n_steps):
+        # step 3's distance fails on the worker; the next call raises it, or
+        # ``records`` does when step 3 is the last
+        p, phi0 = small_run()
+        distances, steps, dist = [], [], ex.step_distance_sq
+
+        def failing(phi, prev, linf):
+            distances.append(1)
+            if len(distances) == 3:
+                raise MeanZeroError("field has mean 1e-3, expected mean zero")
+            return dist(phi, prev, linf)
+
+        def counted(*args):
+            steps.append(1)
+            return step(*args)
+
+        step = steppers.bdf2_step
+        monkeypatch.setattr(ex, "step_distance_sq", failing)
+        monkeypatch.setattr(steppers, "bdf2_step", counted)
+        with pytest.raises(MeanZeroError, match="expected mean zero"):
+            run_with_energy_log(phi0, [0.01] * n_steps, p)
+        assert 3 <= len(steps) <= 4
+        # the worker outlives the error and serves the next log
+        monkeypatch.setattr(ex, "step_distance_sq", dist)
+        assert len(run_with_energy_log(phi0, [0.01] * 3, p)[1]) == 4
+
+    def test_records_complete_inside_observer(self, threaded):
+        p, phi0 = small_run()
+        log, seen = EnergyLog(phi0, p), []
+
+        def observer(state, stats):
+            log(state, stats)
+            recs = log.records
+            seen.append((len(recs), recs[-1].t == state.t, recs[-1].iters == stats.iterations))
+
+        steppers.run_fixed_mesh(phi0, self.STEPS, p, "bdf2", observer=observer)
+        assert seen == [(k + 2, True, True) for k in range(len(self.STEPS))]
+
+    def test_logs_share_one_daemon_thread(self, threaded):
+        p, phi0 = small_run()
+        first, second = EnergyLog(phi0, p), EnergyLog(phi0, p)
+        state = StepperState(phi0)
+        for tau in (0.01, 0.02):
+            phi, stats = steppers.bdf2_step(state, tau, p)
+            state = state.advanced(phi, tau)
+            first(state, stats)
+            second(state, stats)
+        assert first.records == second.records
+        workers = set(threaded) - {threading.current_thread()}
+        assert len(threaded) == 6 and len(workers) == 1
+        assert workers.pop().daemon
+
+    def test_forked_child_starts_its_own_thread(self, threaded, monkeypatch):
+        # a child made by fork inherits the parent's job queue, which no
+        # thread of the child serves
+        p, phi0 = small_run()
+        inherited = queue.SimpleQueue()
+        monkeypatch.setattr(ex, "_log_worker", (-1, inherited))
+        assert EnergyLog(phi0, p)._channel[0] is not inherited
+        assert ex._log_worker[0] == os.getpid()
 
 
 class TestAdaptiveEnergyLaw:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -6,7 +7,8 @@ import pytest
 
 from conftest import (GridMismatchError, constant_field, coords, full_grad, hminus1_norm,
                       inner, inv_laplacian, laplacian, load_snapshot, mean)
-from pfc.grid import Field, Grid2D, MeanZeroError, l2_norm, save_snapshot
+from pfc.experiments import save_snapshot
+from pfc.grid import Field, Grid2D, MeanZeroError, l2_norm
 
 
 def norms(f: Field) -> tuple[float, float, float]:
@@ -49,6 +51,19 @@ class TestGridConstruction:
         # NaN used to build NaN wavenumbers and inf all-zero ones
         with pytest.raises(ValueError, match="positive and finite"):
             Grid2D(8, L)
+
+    def test_frozen_with_read_only_arrays(self):
+        # k^2 and the H^-1 weight are formed once, from M and L: neither may
+        # change afterwards, or a step would run with a stale symbol
+        g = make_grid()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.L = 32.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.M = 64
+        for arr in (g.k2_half, g.inv_k2_folded, g.x):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, ...] = 1.0
+        assert g == make_grid() and hash(g) == hash(make_grid())
 
     def test_field_shape_checked(self):
         g = make_grid(8)
@@ -238,3 +253,18 @@ class TestSnapshot:
         assert t == 1.25
         assert f2.grid == g
         assert np.array_equal(f2.values, f.values)
+
+    def test_bytes_are_the_per_value_format(self, tmp_path, rng):
+        # the header line, then one %.17g per value, row j holding y index j
+        g = make_grid(16)
+        vals = rng.standard_normal((16, 16))
+        vals[0, 0], vals[1, 0], vals[0, 1] = -0.0, 1e-300, 0.1
+        f = Field(g, vals)
+        path = os.path.join(tmp_path, "snap.csv")
+        save_snapshot(path, f, 1.25)
+        want = f"{g.M} {g.L:.17g} {1.25:.17g}\n" + "".join(
+            ",".join(f"{v:.17g}" for v in f.values[:, j]) + "\n" for j in range(g.M))
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode()
+        rows = want.splitlines()
+        assert rows[1].startswith("-0,1e-300,") and rows[2].startswith("0.10000000000000001,")

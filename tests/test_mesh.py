@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ class TestTimeMesh:
         assert np.allclose(m.times, [0.5, 1.5, 1.75])
         assert m.ratios[0] == 0.0
         assert np.allclose(m.ratios[1:], [2.0, 0.25])
+
+    def test_frozen_with_read_only_arrays(self):
+        # times and ratios are formed from the steps once; a written step
+        # would leave them stale
+        given = np.array([0.5, 1.0, 0.25])
+        m = TimeMesh(given)
+        for arr in (m.steps, m.times, m.ratios):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.steps = np.ones(3)
+        given[1] = 2.0   # the mesh holds a copy
+        assert m.steps.tolist() == [0.5, 1.0, 0.25]
+        assert given.flags.writeable
 
     def test_one_step(self):
         # the empty ratio slice leaves r_1 = 0, the largest ratio

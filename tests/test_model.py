@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,20 @@ class TestParams:
     def test_eps_range(self, eps):
         with pytest.raises(ValueError):
             PfcParams(eps, Grid2D(8, 8.0))
+
+    def test_frozen_with_read_only_symbols(self):
+        # the symbols are formed from eps once: a changed eps would leave
+        # k2_lin stale while cncs_step and energy read the new one
+        p = PfcParams(0.2, Grid2D(32, 16.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.eps = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.grid = Grid2D(32, 32.0)
+        for arr in (p.k2_lin, p.interface_weight_folded):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+        assert p == PfcParams(0.2, Grid2D(32, 16.0))
+        assert hash(p) == hash(PfcParams(0.2, Grid2D(32, 16.0)))
 
 
 class TestChemicalPotential:
