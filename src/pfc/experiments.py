@@ -10,11 +10,11 @@ runs at are module constants, read at call time, so a test patches them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -70,23 +70,26 @@ def write_csv(path, header: list[str], rows, footer: str = ""):
 
     Every row takes the first row's format: FMT where that row holds a float
     (numpy's float64 included), %s, which is str(v), elsewhere.  The rows are
-    formatted by one ``%`` operation and written as it made them, not joined
-    to the header: a 256^2 snapshot's text is 1.3 MB."""
+    formatted and written in blocks of at most 64, each by one ``%``
+    operation, so an iterator of rows is never held whole: a 256^2
+    snapshot's text is 1.3 MB."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    rows = list(rows)
-    body = ""
-    if rows:
-        fmt = ",".join(FMT if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
-        body = (fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(body)
+        block = list(itertools.islice(rows, 64))
+        if block:
+            fmt = ",".join(FMT if isinstance(v, float) else "%s" for v in block[0]) + "\n"
+        while block:
+            fh.write((fmt * len(block)) % tuple(itertools.chain.from_iterable(block)))
+            block = list(itertools.islice(rows, 64))
         fh.write(footer)
 
 
 def save_snapshot(path, f: Field, t: float):
     """Write `M L t` then M comma-separated rows (row i = y index i)."""
-    write_csv(path, [f"{f.grid.M} {f.grid.L:.17g} {t:.17g}"], f.values.T.tolist())
+    write_csv(path, [f"{f.grid.M} {f.grid.L:.17g} {t:.17g}"],
+              (row.tolist() for row in f.values.T))
 
 
 ENERGY_HEADER = [f.name for f in fields(EnergyRecord)]
@@ -149,35 +152,20 @@ def _measure(phi: Field, prev: Field | None, t: float, tau: float, iters: int,
     return rec, 0.0 if prev is None else step_distance_sq(phi, prev, rec.linf)
 
 
-def _serve(jobs):
-    """Run each ``(args, done)`` of ``jobs`` through ``_measure``; put its result or error on
-    ``done``."""
-    while True:
-        args, done = jobs.get()
-        try:
-            out = _measure(*args)
-        except BaseException as exc:   # raised again by the log that waits on ``done``
-            out = exc
-        done.put(out)
+_log_worker = (None, None)   # (pid, executor) of the one thread that measures records
 
 
-_log_worker = (None, None)   # (pid, job queue) of the daemon thread that measures records
+def _log_executor():
+    """This process's one-thread executor for the logs' measurements, made on first use.
 
-
-def _log_channel():
-    """(jobs, done): the job queue of this process's measuring thread, which starts on
-    first use, and a new queue on which the thread puts one log's measurements.
-
-    A forked child inherits the job queue but not the thread, so it starts its own.
+    A forked child inherits the executor but not its thread, so it makes its own.
     """
     global _log_worker
-    import queue   # here, so that importing the package and logging inline skip it
     if _log_worker[0] != os.getpid():
-        jobs = queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(jobs,), name="pfc-energy-log",
-                         daemon=True).start()
-        _log_worker = (os.getpid(), jobs)
-    return _log_worker[1], queue.SimpleQueue()
+        # here, so that importing the package and logging inline skip it
+        from concurrent.futures import ThreadPoolExecutor
+        _log_worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="pfc-energy-log"))
+    return _log_worker[1]
 
 
 def _usable_cpus() -> int:
@@ -201,26 +189,25 @@ class EnergyLog:
     because the next BDF2 right-hand side reads it, so two spectra live
     through each solve.
 
+    Step k's measurement (E, mass, max norm and distance) is held as one
+    callable, which the next call or ``records`` runs or waits for before
+    it completes E_mod, so the records have the same bits on both paths.
     On a grid of at least ``LOG_THREAD_MIN_M`` points a side, in a process
-    that may run on two or more CPUs, step k's measurement (E, mass, max
-    norm and distance) runs on one daemon thread shared by every log, while
-    the caller takes step k+1; the t = 0 record is measured here.  Call k+1
-    waits for measurement k, if it is still running, before it completes
-    E_mod and hands over its own, and ``records`` waits for the last one, so
-    the records have the bits of an inline log.  An error of a measurement
-    (``MeanZeroError``) is raised from the next call or from ``records``, at
-    most one step late.  Elsewhere the log measures each step inline.
+    that may run on two or more CPUs, the measurement runs on one executor
+    thread shared by every log, while the caller takes step k+1; elsewhere
+    it runs when it is collected.  The t = 0 record is measured here.  An
+    error of a measurement (``MeanZeroError``) is raised from the next call
+    or from ``records``, at most one step late.
     """
 
     def __init__(self, phi0: Field, p: PfcParams):
         self.p = p
         self._records = [_measure(phi0, None, 0.0, 0.0, 0, p)[0]]
         self._dist_sq = 0.0   # ||phi_k - phi_{k-1}||_{-1}^2 of the newest record
-        # the worker's job queue and the queue it answers this log on; None inline
-        self._channel = None
+        self._executor = None
         if p.grid.M >= LOG_THREAD_MIN_M and _usable_cpus() > 1:
-            self._channel = _log_channel()
-        self._pending = False
+            self._executor = _log_executor()
+        self._pending = None   # the newest step's measurement, not yet collected
 
     @property
     def records(self) -> list[EnergyRecord]:
@@ -228,17 +215,11 @@ class EnergyLog:
         return self._records
 
     def _collect(self):
-        """Append the record of the measurement the worker holds, if any, waiting for it."""
-        if self._pending:
-            self._pending = False
-            out = self._channel[1].get()
-            if isinstance(out, BaseException):
-                raise out
-            self._append(out)
-
-    def _append(self, measured: tuple[EnergyRecord, float]):
-        rec, self._dist_sq = measured
-        self._records.append(rec)
+        """Append the record of the pending measurement, if any, running or waiting for it."""
+        if self._pending is not None:
+            measured, self._pending = self._pending, None
+            rec, self._dist_sq = measured()
+            self._records.append(rec)
 
     def __call__(self, state: StepperState, stats: SolveStats):
         self._collect()
@@ -246,13 +227,9 @@ class EnergyLog:
         tau = state.tau_prev
         if last.tau > 0.0:
             last.E_mod = last.E + history_weight(last.tau, tau / last.tau) * self._dist_sq
-        args = (state.phi_prev, state.phi_prev2, state.t, tau, stats.iterations, self.p)
-        if self._channel is None:
-            self._append(_measure(*args))
-        else:
-            jobs, done = self._channel
-            jobs.put((args, done))
-            self._pending = True
+        job = functools.partial(_measure, state.phi_prev, state.phi_prev2, state.t, tau,
+                                stats.iterations, self.p)
+        self._pending = job if self._executor is None else self._executor.submit(job).result
 
 
 def run_with_energy_log(phi0: Field, steps, p: PfcParams, scheme: str = "bdf2"):

@@ -1,5 +1,6 @@
 import os
-import queue
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -24,6 +25,7 @@ from pfc.model import PfcParams
 from pfc.rng import SplitMix64
 from pfc.steppers import StepperState
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ex.__file__)))
 STEP_FUNCTIONS = ("bdf2_step", "cn_step", "cncs_step", "adaptive_advance")
 
 
@@ -384,6 +386,12 @@ def log_on_worker(monkeypatch) -> list:
     return threads
 
 
+def run_script(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this package, for at most 60 s."""
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+
+
 @pytest.fixture
 def threaded(monkeypatch):
     return log_on_worker(monkeypatch)
@@ -424,10 +432,13 @@ class TestThreadedLog:
         assert threads[0] is main
         assert len(threads) == len(recs) and main not in threads[1:]
 
-    @pytest.mark.parametrize("n_steps", [3, 8])
-    def test_error_raised_at_most_one_step_late(self, threaded, monkeypatch, n_steps):
-        # step 3's distance fails on the worker; the next call raises it, or
-        # ``records`` does when step 3 is the last
+    @pytest.mark.parametrize("n_steps, on_worker", [(3, True), (8, True), (3, False), (8, False)],
+                             ids=["3", "8", "inline-3", "inline-8"])
+    def test_error_raised_at_most_one_step_late(self, monkeypatch, n_steps, on_worker):
+        # step 3's distance fails, on the worker or when the next call collects
+        # it inline; that call raises it, or ``records`` does when step 3 is the last
+        if on_worker:
+            log_on_worker(monkeypatch)
         p, phi0 = small_run()
         distances, steps, dist = [], [], ex.step_distance_sq
 
@@ -463,7 +474,7 @@ class TestThreadedLog:
         steppers.run_fixed_mesh(phi0, self.STEPS, p, "bdf2", observer=observer)
         assert seen == [(k + 2, True, True) for k in range(len(self.STEPS))]
 
-    def test_logs_share_one_daemon_thread(self, threaded):
+    def test_logs_share_one_worker_thread(self, threaded):
         p, phi0 = small_run()
         first, second = EnergyLog(phi0, p), EnergyLog(phi0, p)
         state = StepperState(phi0)
@@ -475,16 +486,45 @@ class TestThreadedLog:
         assert first.records == second.records
         workers = set(threaded) - {threading.current_thread()}
         assert len(threaded) == 6 and len(workers) == 1
-        assert workers.pop().daemon
+
+    def test_worker_lets_the_process_exit(self):
+        # the executor's thread is no daemon: the interpreter joins it at exit,
+        # which returns once the thread is idle
+        script = """
+import pfc.experiments as ex
+from pfc.grid import Grid2D
+from pfc.model import PfcParams
+ex.LOG_THREAD_MIN_M = 32
+ex._usable_cpus = lambda: 2
+p = PfcParams(0.2, Grid2D(32, 8.0))
+phi0 = ex.random_initial(0.1, 0.02, p.grid, 11)
+log = ex.EnergyLog(phi0, p)
+ex.run_fixed_mesh(phi0, [0.01] * 3, p, observer=log)
+assert len(log.records) == 4 and log._executor is ex._log_worker[1]
+"""
+        run = run_script(script)
+        assert run.returncode == 0, run.stderr
 
     def test_forked_child_starts_its_own_thread(self, threaded, monkeypatch):
-        # a child made by fork inherits the parent's job queue, which no
-        # thread of the child serves
+        # a child made by fork inherits the parent's executor, whose thread
+        # the child does not have
         p, phi0 = small_run()
-        inherited = queue.SimpleQueue()
+        inherited = object()
         monkeypatch.setattr(ex, "_log_worker", (-1, inherited))
-        assert EnergyLog(phi0, p)._channel[0] is not inherited
-        assert ex._log_worker[0] == os.getpid()
+        log = EnergyLog(phi0, p)
+        own = ex._log_worker[1]
+        try:
+            assert ex._log_worker[0] == os.getpid()
+            assert own is not inherited and log._executor is own
+            assert len(run_with_energy_log(phi0, [0.01] * 3, p)[1]) == 4
+        finally:
+            own.shutdown()
+
+    def test_import_skips_concurrent_futures(self):
+        # the executor's module is imported when a log first needs the worker
+        script = "import sys, pfc; assert 'concurrent.futures' not in sys.modules"
+        run = run_script(script)
+        assert run.returncode == 0, run.stderr
 
 
 class TestAdaptiveEnergyLaw:

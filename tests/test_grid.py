@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,16 +256,30 @@ class TestSnapshot:
         assert np.array_equal(f2.values, f.values)
 
     def test_bytes_are_the_per_value_format(self, tmp_path, rng):
-        # the header line, then one %.17g per value, row j holding y index j
-        g = make_grid(16)
-        vals = rng.standard_normal((16, 16))
-        vals[0, 0], vals[1, 0], vals[0, 1] = -0.0, 1e-300, 0.1
-        f = Field(g, vals)
-        path = os.path.join(tmp_path, "snap.csv")
-        save_snapshot(path, f, 1.25)
-        want = f"{g.M} {g.L:.17g} {1.25:.17g}\n" + "".join(
-            ",".join(f"{v:.17g}" for v in f.values[:, j]) + "\n" for j in range(g.M))
-        with open(path, "rb") as fh:
-            assert fh.read() == want.encode()
-        rows = want.splitlines()
-        assert rows[1].startswith("-0,1e-300,") and rows[2].startswith("0.10000000000000001,")
+        # the header line, then one %.17g per value, row j holding y index j;
+        # 128 rows are more than one of write_csv's blocks
+        for M in (16, 128):
+            g = make_grid(M)
+            vals = rng.standard_normal((M, M))
+            vals[0, 0], vals[1, 0], vals[0, 1] = -0.0, 1e-300, 0.1
+            f = Field(g, vals)
+            path = os.path.join(tmp_path, "snap.csv")
+            save_snapshot(path, f, 1.25)
+            want = f"{g.M} {g.L:.17g} {1.25:.17g}\n" + "".join(
+                ",".join(f"{v:.17g}" for v in f.values[:, j]) + "\n" for j in range(g.M))
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode()
+            rows = want.splitlines()
+            assert rows[1].startswith("-0,1e-300,") and rows[2].startswith("0.10000000000000001,")
+
+    def test_memory_is_bounded(self, tmp_path, rng):
+        # rows are formatted 64 at a time: a 256^2 snapshot's 1.3 MB of text
+        # and its 65,536 Python floats are never held at once
+        f = Field(make_grid(256, 256.0), rng.standard_normal((256, 256)))
+        tracemalloc.start()
+        try:
+            save_snapshot(os.path.join(tmp_path, "snap.csv"), f, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
