@@ -22,40 +22,24 @@ every mode where its multipliers are formed; a held key's symbol has been.
 The start is either a field's values or a spectrum standing in for the
 first iterate's transformed nonlinearity.
 The solver returns the new field with ``hat`` set to the spectrum whose
-inverse transform gave its values and ``nl_hat`` to the last transformed
-nonlinearity, so an iteration costs one transform pair, one started from a
-spectrum costs one inverse transform, and a step makes no other transform,
-except one for a starting field that has no spectrum yet.  A forcing is
-handed over as its half spectrum.  Before it hands ``hat`` over, the solve
-replaces the two self-conjugate columns (ky = 0 and the Nyquist column) by
-their Hermitian parts, in O(M) (``_project_self_conjugate``): the right-hand
-sides read ``hat``, and would otherwise carry an anti-Hermitian part that
-the values never show from step to step, growing in the unstable band.
-
-Buffers: a solve allocates its arrays once and an iteration allocates
-nothing.  Two real arrays take turns as N(phi), written by the scheme's
-``nonlinear(phi, out)`` (``_cube``, ``_midpoint_cube``), as the new iterate
-from ``backward`` and as the increment, which overwrites the older iterate
-but never ``guess``.  Two half spectra trade roles the same way: the update
-goes into one, where ``backward`` runs its column pass in place, and the
-next pass's ``forward`` writes F[N(phi)] into that one, still in cache.
-The column pass consumes the update, so on convergence the solve forms it
-once more from the last F[N(phi)], by the same two ufunc calls and so to
-the same doubles.  Both starts enter one loop: a start from values
-transforms N(guess) into a new half spectrum, and one from a spectrum
-takes it over in that role; either allocates one more, for the update.
-The values, the update and the last F[N(phi)] of the converged iterate go
-to the returned field, and no solve writes them again: the next solve
-allocates its own.
+inverse transform gave its values (its self-conjugate columns made
+Hermitian, ``_project_self_conjugate``) and ``nl_hat`` to the last
+transformed nonlinearity, so an iteration costs one transform pair, one
+started from a spectrum costs one inverse transform, and a step makes no
+other transform, except one for a starting field that has no spectrum yet.
+A forcing is handed over as its half spectrum.  ``fixed_point_solve``
+says how a solve reuses its buffers.
 
 Schemes:
   * variable-step BDF2, fully implicit (reduces to BDF1 without history).
     The first step starts from phi^0's values.  Every later solve starts
     from the Lagrange extrapolation to t_n of the nonlinearity spectra,
     F(phi^3), of the newest ``NL_LEVELS`` levels it has
-    (``lagrange_weights``): its first iterate costs one inverse transform,
-    since each kept spectrum is the forward transform the solve of that
-    level already made;
+    (``lagrange_weights``; the extrapolated nonlinearity of IMEX BDF2,
+    Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995, here only the
+    first iterate, so the fixed point does not change): its first iterate
+    costs one inverse transform, since each kept spectrum is the forward
+    transform the solve of that level already made;
   * Crank-Nicolson (CN) with the product-form midpoint nonlinearity;
   * Crank-Nicolson convex splitting (CNCS) with an explicit extrapolated
     gradient term; from a single level, first-order convex splitting.
@@ -218,16 +202,15 @@ def fixed_point_solve(mult: np.ndarray, base_hat: np.ndarray, guess: np.ndarray,
     the map.  No other array handed over is written.
 
     The converged field is returned with ``hat`` set to the spectrum whose
-    ``backward`` gave its values, formed again from the last F[N(phi)] since
-    the column pass consumed it, its self-conjugate columns projected onto
-    their Hermitian parts, and ``nl_hat`` to that last F[N(phi)], all three
-    arrays the solve's own, which it writes no more.  A non-finite
-    increment ends the solve at once with ``SolverError``, and so does a
-    stagnating one: ``STALL_ITERS`` iterations in a row whose increment is
-    not below the smallest so far.  In each of the 25,356 converging solves
-    of the test suite and the paper's polycrystal runs (T = 50 and 1000) the
-    increment fell at every iteration, so the rule cuts only a solve that
-    would otherwise run to ``MAX_ITER``.
+    ``backward`` gave its values, formed again from the last F[N(phi)] by the
+    same two ufunc calls (so to the same doubles) since the column pass
+    consumed it, its self-conjugate columns projected onto their Hermitian
+    parts, and ``nl_hat`` to that last F[N(phi)], all three arrays the
+    solve's own, which it writes no more.  A non-finite increment ends the
+    solve at once with ``SolverError``, and so does a stagnating one:
+    ``STALL_ITERS`` iterations in a row whose increment is not below the
+    smallest so far.  A converging solve's increment keeps setting new lows,
+    so the rule cuts only a solve that would otherwise run to ``MAX_ITER``.
     """
     # N(phi) and the new iterate go into ``spare``; the increment into
     # ``other``, which holds phi unless phi is ``guess``

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -90,7 +91,7 @@ class TestCsv:
         path = os.path.join(tmp_path, "out", "x.csv")
         rows = [(1, 0.1 + 0.2), (2, np.pi)]
         write_csv(path, ["n", "v"], rows)
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         assert lines[0] == "n,v"
         assert float(lines[1].split(",")[1]) == 0.1 + 0.2
         assert float(lines[2].split(",")[1]) == np.pi
@@ -617,7 +618,7 @@ class TestKernelsReport:
         assert all(row[5] <= 1e-12 for row in rows)
         assert eb.lam_min >= 21.0 / 40.0 - 1e-9
         assert eb.lam_max <= 53.0 / 5.0 + 1e-9
-        text = open(path).read()
+        text = pathlib.Path(path).read_text()
         assert text.startswith("n,tau,r,b0,b1")
         assert "lam_min=" in text
 
@@ -660,7 +661,7 @@ class TestKernelsReport:
         path = str(tmp_path / "k.csv")
         assert main(["kernels", "--mesh", spec, "--report", path]) == 0
         assert "300 levels" in capsys.readouterr().out
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         assert lines[0].startswith("n,tau,r,b0,b1")
         assert len([ln for ln in lines[1:] if not ln.startswith("#")]) == 300
         footer = dict(kv.split("=") for kv in lines[-1].lstrip("# ").split(","))
