@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -153,19 +154,23 @@ def _measure(phi: Field, prev: Field | None, t: float, tau: float, iters: int,
 
 
 _log_worker = (None, None)   # (pid, executor) of the one thread that measures records
+_log_worker_lock = threading.Lock()
 
 
 def _log_executor():
     """This process's one-thread executor for the logs' measurements, made on first use.
 
-    A forked child inherits the executor but not its thread, so it makes its own.
+    A forked child inherits the executor but not its thread, so it makes its
+    own.  The lock makes two threads that log first at once get one executor.
     """
     global _log_worker
-    if _log_worker[0] != os.getpid():
-        # here, so that importing the package and logging inline skip it
-        from concurrent.futures import ThreadPoolExecutor
-        _log_worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="pfc-energy-log"))
-    return _log_worker[1]
+    with _log_worker_lock:
+        if _log_worker[0] != os.getpid():
+            # here, so that importing the package and logging inline skip it
+            from concurrent.futures import ThreadPoolExecutor
+            _log_worker = (os.getpid(),
+                           ThreadPoolExecutor(1, thread_name_prefix="pfc-energy-log"))
+        return _log_worker[1]
 
 
 def _usable_cpus() -> int:

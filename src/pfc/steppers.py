@@ -30,20 +30,21 @@ other transform, except one for a starting field that has no spectrum yet.
 A forcing is handed over as its half spectrum.  ``fixed_point_solve``
 says how a solve reuses its buffers.
 
+A state that keeps no nonlinearity spectra (phi^0's) starts the solve from
+phi^{n-1}'s values, and so does CNCS's first-order step.  Every other solve
+starts from the Lagrange extrapolation to t_n of the spectra F(N) that the
+solves of the newest ``NL_LEVELS`` levels left (``lagrange_weights``; the
+extrapolated nonlinearity of IMEX BDF2, Ascher, Ruuth & Wetton, SIAM J.
+Numer. Anal. 32, 1995, here only the first iterate, so the fixed point does
+not change): its first iterate costs one inverse transform, since each kept
+spectrum is the forward transform the solve of that level already made.  A
+level's N is the one its step lagged, phi^3 or CN's averaged product.
+
 Schemes:
-  * variable-step BDF2, fully implicit (reduces to BDF1 without history).
-    The first step starts from phi^0's values.  Every later solve starts
-    from the Lagrange extrapolation to t_n of the nonlinearity spectra,
-    F(phi^3), of the newest ``NL_LEVELS`` levels it has
-    (``lagrange_weights``; the extrapolated nonlinearity of IMEX BDF2,
-    Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995, here only the
-    first iterate, so the fixed point does not change): its first iterate
-    costs one inverse transform, since each kept spectrum is the forward
-    transform the solve of that level already made;
+  * variable-step BDF2, fully implicit (reduces to BDF1 without history);
   * Crank-Nicolson (CN) with the product-form midpoint nonlinearity;
   * Crank-Nicolson convex splitting (CNCS) with an explicit extrapolated
     gradient term; from a single level, first-order convex splitting.
-    These start from phi^{n-1}'s values; no step reads their ``nl_hat``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .model import PfcParams
 MAX_ITER = 500
 STALL_ITERS = 10   # iterations without a new smallest increment that end a solve
 FP_TOL = 1e-12
-NL_LEVELS = 5   # nonlinearity spectra kept for the BDF2 start
+NL_LEVELS = 5   # nonlinearity spectra kept for the solves' start
 SCHEMES = ("bdf2", "cn", "cncs")   # run_fixed_mesh calls <scheme>_step
 
 
@@ -104,9 +105,10 @@ class StepperState:
     right-hand sides read both fields' ``hat``.  ``nl_hats`` holds the
     spectra F(N) that the solves of the newest ``NL_LEVELS`` levels left on
     their fields (``Field.nl_hat``), newest first, and ``nl_steps`` the
-    steps between those levels, also newest first.  Only the BDF2 start
-    reads them, and no values of older levels are kept.  A level with no
-    such spectrum (phi^0, or a field no solve made) starts the list afresh.
+    steps between those levels, also newest first.  Every scheme's solve
+    but CNCS's first-order one starts from them, and no values of older
+    levels are kept.  A level with no such spectrum (phi^0, or a field no
+    solve made) starts the list afresh.
     ``held`` is the trajectory's one held solve, which ``advanced`` passes on.
     """
 
@@ -410,7 +412,12 @@ def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
 
 
 def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
-    """Crank-Nicolson step with the averaged-square nonlinearity."""
+    """Crank-Nicolson step with the averaged-square nonlinearity.
+
+    A state that keeps nonlinearity spectra starts the solve from their
+    extrapolation to t_n, as ``bdf2_step`` does; any other starts from
+    phi^{n-1}'s values.
+    """
     _check_step(tau)
 
     def linear():
@@ -420,7 +427,7 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
 
     prev = state.phi_prev
     return _held_step(state, tau, p, ("cn", tau), linear, [prev.hat],
-                      _midpoint_cube(prev.values))
+                      _midpoint_cube(prev.values), _extrapolated_nl(state, tau))
 
 
 def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -430,6 +437,8 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     midpoint value (3 phi^{n-1} - phi^{n-2}) / 2.  From phi^{n-1} alone the
     step is first-order convex splitting: implicit biharmonic, (1 - eps) phi
     and cubic (lagged); explicit the concave gradient term 2 Lap phi^{n-1}.
+    That step starts from phi^{n-1}'s values; the two-level step starts as
+    ``cn_step`` does, so after a first-order start from that level's F(phi^3).
     """
     _check_step(tau)
     prev, prev2 = state.phi_prev, state.phi_prev2
@@ -450,7 +459,7 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     if start:
         return _held_step(state, tau, p, ("cs1", tau), linear, [prev.hat], _cube)
     return _held_step(state, tau, p, ("cncs", tau), linear, [prev.hat, prev2.hat],
-                      _midpoint_cube(prev.values))
+                      _midpoint_cube(prev.values), _extrapolated_nl(state, tau))
 
 
 def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",

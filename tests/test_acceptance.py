@@ -175,7 +175,7 @@ def test_energy_dissipation():
 
 
 # SHA-256 of the profiles and iteration means below, written with write_csv, on DIGEST_BUILD
-COMPARISON_DIGEST = "4346ba500bbb0fad9e208c2772cd776d75d74c95107f6c8ab9916cc335941165"
+COMPARISON_DIGEST = "79082f0595a20b6542af35fc7c90d50fabd8c7eb6fb836724ef598d8cef9a0f0"
 
 
 def test_scheme_comparison(monkeypatch, tmp_path):

@@ -39,19 +39,19 @@ COMPARE = {
     "profile_cn_tau0.01.csv":
         ("b1c6915794235acb79f359a8db9de60fa45ff083f43c52910361613d2aa31820", 12.911672001132619),
     "profile_cn_tau0.001.csv":
-        ("5ba6b798f75c4628122337287abc8d9b88be3d37fc51de1642ae31ad4252fbc5", 12.815279542617972),
+        ("4dbbc89bdf82b1987e3dfe65987cbd922badf5b3045d3ccbd312c9249d405efc", 12.815279542617972),
     "profile_cn_tau0.0005.csv":
-        ("1c4913f900cdcfb0b95bd4bb43721ecfdea15c2cfa384463446df6ecd3a5c96f", 12.839617683968067),
+        ("341891e3ff4472f4514e5c7da86a3d90e443ce3f41940e0a4b9d3ba0a0593e22", 12.839617683968067),
     "profile_cn_tau0.00025.csv":
-        ("274a6850f0a21d2517c5eb67736cdfed7b1c74adad4ddf91ec6797c0d50b8e2e", 12.840540215370432),
+        ("a4fdc76b9d991964538c2c27d41c67fa68429927261b379aad0fc16d3cf7bb02", 12.84054021537043),
     "profile_cncs_tau0.01.csv":
         ("f353b903f524da526b82eca0289dc266e9310745de650dbad23fab1477ed0fcc", 12.836423918825021),
     "profile_cncs_tau0.001.csv":
-        ("101cdb27ee560ef15e1023bf4130645382738536f581ae4b186e3a66580641e9", 12.842743502407073),
+        ("8279b82e9d081cfe438eeb55fd9ab8b2526c1539db162e6430a4087faa4eb957", 12.842743502407073),
     "profile_cncs_tau0.0005.csv":
-        ("b33a410591d51088954cdb6c90c82289d96f4694bae3f743620d4dd0e33b5400", 12.841798188582128),
+        ("84c4ed596e6b91f0f4553a833b87e1eb8b98781fa8eebbd1da9fb0fb008535d2", 12.841798188582128),
     "profile_cncs_tau0.00025.csv":
-        ("079e1f281f2b614e36fa7e283d56dbb737d91edc7a05b47090815e1353d82ab1", 12.841818318195983),
+        ("253390b4d5d41545cda4dd2689b88030aacae7879fe56d0fde6e614f9a71f90e", 12.841818318195982),
 }
 
 

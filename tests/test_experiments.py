@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -199,6 +200,26 @@ class TestConvergence:
         assert len(iterations) == 50
         assert len(calls) == 2 * sum(iterations) - 49 + 1
         assert len(calls) <= 280
+
+    @pytest.mark.parametrize("scheme,bound", [("cn", 655), ("cncs", 585)])
+    def test_cn_cncs_transform_budget(self, scheme, bound, monkeypatch):
+        """CN and CNCS at 128^2, tau = 1e-3, 100 steps from the seed-2023
+        random state (``test_scheme_comparison``'s set-up): with the start
+        from the nonlinearity spectra CN makes 596 transforms (347
+        iterations) and CNCS 532 (315), as 99 first iterates cost one inverse
+        transform; from phi^{n-1}'s values they made 747 (373) and 635 (317).
+        The bounds leave 10 % for roundoff in the iteration counts across
+        platforms; the value start fails them."""
+        g = Grid2D(128, 64.0)
+        p = PfcParams(0.2, g)
+        phi0 = random_initial(0.1, 0.02, g, 2023)
+        calls = count_transforms(monkeypatch)
+        iterations = []
+        steppers.run_fixed_mesh(phi0, [1e-3] * 100, p, scheme,
+                                observer=lambda _, stats: iterations.append(stats.iterations))
+        assert len(iterations) == 100
+        assert len(calls) == 2 * sum(iterations) - 99 + 1
+        assert len(calls) <= bound
 
     def test_second_order_on_s1_ladders(self):
         """The paper's error estimate holds on meshes with every ratio in S1:
@@ -520,6 +541,40 @@ assert len(log.records) == 4 and log._executor is ex._log_worker[1]
             assert len(run_with_energy_log(phi0, [0.01] * 3, p)[1]) == 4
         finally:
             own.shutdown()
+
+    def test_threads_logging_first_at_once_share_one_executor(self, threaded, monkeypatch):
+        # both threads see another pid's executor; a slowed constructor holds
+        # open the window in which each would make its own
+        import concurrent.futures
+        made, make = [], concurrent.futures.ThreadPoolExecutor
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            made.append(make(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", slow)
+        monkeypatch.setattr(ex, "_log_worker", (-1, None))
+        n = 4   # more threads than the host's two cores
+        ready, logs = threading.Barrier(n), []
+
+        def first_log():
+            p, phi0 = small_run()
+            ready.wait()
+            logs.append(EnergyLog(phi0, p))
+
+        workers = [threading.Thread(target=first_log) for _ in range(n)]
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+            assert len(logs) == n and len(made) == 1
+            assert all(log._executor is made[0] for log in logs)
+        finally:
+            for executor in made:
+                executor.shutdown()
 
     def test_import_skips_concurrent_futures(self):
         # the executor's module is imported when a log first needs the worker

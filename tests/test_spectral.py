@@ -357,7 +357,7 @@ def test_predictor_lands_on_plain_guess_fixed_point(M, L, eps, tau, ratio):
 
 
 def spy_starts(monkeypatch) -> list:
-    """Record (guess values, start spectrum or None) of every BDF2 solve, copied
+    """Record (guess values, start spectrum or None) of every solve, copied
     before the solve takes the spectrum over as a work array."""
     starts = []
     solve = steppers.fixed_point_solve
@@ -412,16 +412,19 @@ def test_lagrange_weights(rng):
         assert abs(math.fsum(terms) - poly(tau)) <= 1e-12 * sum(map(abs, terms))
 
 
-def test_run_starts_from_available_levels(monkeypatch):
+@pytest.mark.parametrize("scheme", steppers.SCHEMES)
+def test_run_starts_from_available_levels(scheme, monkeypatch):
     """Step 1 starts from phi0's values.  Every later step starts from the
     extrapolation of the nonlinearity spectra that the solves of the newest
-    NL_LEVELS levels left on their fields, over the steps between them."""
+    NL_LEVELS levels left on their fields, over the steps between them.
+    CNCS's step 2 reads the first-order start's F[phi^3]."""
     starts = spy_starts(monkeypatch)
     g, p, phi0, _ = two_levels(32, 8.0, 0.2, 12)
     taus = [0.03, 0.05, 0.02, 0.04, 0.01, 0.03, 0.06, 0.02]
-    nl_hats = []   # of levels 1, 2, ...
-    run_fixed_mesh(phi0, taus, p,
-                   observer=lambda state, _: nl_hats.append(state.phi_prev.nl_hat))
+    levels = []   # fields of levels 1, 2, ...
+    run_fixed_mesh(phi0, taus, p, scheme,
+                   observer=lambda state, _: levels.append(state.phi_prev))
+    nl_hats = [f.nl_hat for f in levels]
     assert len(starts) == len(taus)
     assert np.array_equal(starts[0][0], phi0.values)
     assert starts[0][1] is None
@@ -436,27 +439,32 @@ def test_run_starts_from_available_levels(monkeypatch):
         for wi, h in zip(w[1:], hats[1:]):
             want += wi * h
         assert np.array_equal(starts[k][1], want)
+    if scheme == "cncs":
+        cube = forward(levels[0].values ** 3)
+        assert np.max(np.abs(starts[1][1] - cube)) <= 1e-10 * np.max(np.abs(cube))
 
 
-SCHEMES = ["bdf1", "bdf2", "bdf2_nl", "bdf2_forced", "cn", "cs1", "cncs"]
+SCHEMES = ["bdf1", "bdf2", "bdf2_nl", "bdf2_forced", "cn", "cn_nl", "cs1", "cncs",
+           "cncs_nl"]
 
 
 def one_step(scheme, g, p, phi1, phi2, tau):
     """The state and step function of one step of ``scheme``.
 
-    ``bdf2_nl`` and ``bdf2_forced`` keep the two levels' nonlinearity spectra;
-    ``bdf2_forced``'s forcing spectrum is formed before the step runs.
+    ``bdf2_nl``, ``bdf2_forced``, ``cn_nl`` and ``cncs_nl`` keep the two
+    levels' nonlinearity spectra; ``bdf2_forced``'s forcing spectrum is
+    formed before the step runs.
     """
     one_level = scheme in ("bdf1", "cn", "cs1")
     state = StepperState(phi1) if one_level else StepperState(phi1, phi2, 0.7 * tau)
-    if scheme in ("bdf2_nl", "bdf2_forced"):
+    if scheme.endswith(("_nl", "_forced")):
         state.nl_hats = kept_spectra([phi1.values, phi2.values])
         state.nl_steps = (0.7 * tau,)
     forcing_hat = (manufactured_forcing_hat(p)(tau) if scheme == "bdf2_forced"
                    else None)
     if scheme.startswith("bdf"):
         return state, lambda: bdf2_step(state, tau, p, forcing_hat)
-    step = cn_step if scheme == "cn" else cncs_step   # cs1: CNCS from one level
+    step = cn_step if scheme in ("cn", "cn_nl") else cncs_step   # cs1: CNCS from one level
     return state, lambda: step(state, tau, p)
 
 
@@ -518,7 +526,7 @@ def test_carried_spectrum(scheme, M, L, eps, tau):
     assert "hat" in vars(got)   # set by the solver, not computed on first use
     assert np.max(np.abs(got.hat - forward(got.values))) <= 1e-14 * np.max(np.abs(got.hat))
     assert all(np.array_equal(h, b) for h, b in zip(kept, before))
-    nonlinear = (steppers._midpoint_cube(phi1.values) if scheme in ("cn", "cncs")
+    nonlinear = (steppers._midpoint_cube(phi1.values) if scheme.startswith("cn")
                  else lambda phi, out: phi**3)
     nl_hat = forward(nonlinear(got.values, np.empty_like(got.values)))
     assert np.max(np.abs(got.nl_hat - nl_hat)) <= 1e-10 * np.max(np.abs(nl_hat))
