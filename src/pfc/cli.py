@@ -2,13 +2,15 @@
 
 Subcommands mirror the experiment harnesses:
 
-  pfc kernels      --mesh SPEC --report out.csv
+  pfc kernels      --mesh SPEC [--report out.csv]
   pfc convergence  [--grid-m M] [--seed S] [--out DIR]
   pfc compare      [--seed S] [--out DIR] [--scheme NAME]
   pfc polycrystal  [--seed S] [--out DIR] [--long]
 
-Config files are flat `key = value` text; command-line flags win over the
-file.  Exit codes: 0 all runs converged, 2 solver failure, 3 config error.
+Each option is declared once, in ``COMMANDS``.  Config files are flat
+`key = value` text and may give any option, `mesh` included; command-line
+flags win over the file.  Exit codes: 0 all runs converged, 2 solver
+failure, 3 config error, a command line that does not parse included.
 """
 
 from __future__ import annotations
@@ -25,6 +27,34 @@ import numpy as np
 from . import experiments as ex
 from .mesh import parse_mesh_spec
 from .steppers import SCHEMES, ConditioningError, SolverError
+
+# subcommand -> (its help, {option name: add_argument keywords, default included})
+COMMANDS = {
+    "kernels": ("kernel identities and certificates", {
+        "mesh": dict(default=None, help="uniform:N,T | random:N,T,seed | path to tau file; "
+                                        "required, on the command line or in the config file"),
+        "report": dict(default="kernels.csv"),
+    }),
+    "convergence": ("random-mesh accuracy ladder", {
+        "grid-m": dict(type=int, default=128),
+        "seed": dict(type=int, default=2023),
+        "out": dict(default="out_convergence"),
+        "mesh-kind": dict(choices=["random", "uniform"], default="random"),
+    }),
+    "compare": ("BDF2 / CN / CNCS comparison", {
+        "seed": dict(type=int, default=2023),
+        "out": dict(default="out_compare"),
+        "scheme": dict(choices=SCHEMES, action="append", default=None,
+                       help="restrict to given scheme(s)"),
+        "skip-energy-runs": dict(action="store_true", default=False),
+    }),
+    "polycrystal": ("polycrystal growth", {
+        "seed": dict(type=int, default=2023),
+        "out": dict(default="out_polycrystal"),
+        "long": dict(action="store_true", default=False,
+                     help="also run the long adaptive leg with snapshots"),
+    }),
+}
 
 
 def load_config(path: str) -> dict:
@@ -45,79 +75,55 @@ BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
             "false": False, "no": False, "off": False, "0": False}
 
 
-def config_value(action: argparse.Action, key: str, text: str):
-    """Parse a config-file value the way the matching flag would.
-
-    On/off flags take true/false, yes/no, on/off or 1/0; repeatable options
-    take a comma-separated list; everything else goes through the option's
-    type, and choices are enforced.
-    """
-    if action.nargs == 0:
+def config_value(option: dict, key: str, text: str):
+    """Parse a config-file value as the flag that ``option`` declares would: on/off flags
+    take true/false, yes/no, on/off or 1/0, repeatable options a comma-separated list,
+    and the rest go through the option's type; choices are enforced."""
+    action = option.get("action")
+    if action == "store_true":
         try:
             return BOOLEANS[text.lower()]
         except KeyError:
             raise ValueError(f"{key}: expected true or false, got {text!r}") from None
-    repeatable = isinstance(action, argparse._AppendAction)
-    convert = action.type or str
+    repeatable = action == "append"
+    convert, choices = option.get("type", str), option.get("choices")
     values = [convert(item.strip()) for item in (text.split(",") if repeatable else [text])]
     for v in values:
-        if action.choices is not None and v not in action.choices:
-            raise ValueError(f"{key}: {v!r} is not one of {', '.join(action.choices)}")
+        if choices is not None and v not in choices:
+            raise ValueError(f"{key}: {v!r} is not one of {', '.join(choices)}")
     return values if repeatable else values[0]
 
 
-def apply_config(parser: argparse.ArgumentParser, given, file_cfg: dict):
-    """Fill the options missing from ``given`` from the config file.
-
-    ``given`` is a parse by ``_given_parser``, so it holds the subcommand and
-    only the options on the command line: those win over the file, whatever
-    their value.  Keys of another subcommand are skipped; a key that names
-    no option at all is an error, and so are ``help`` (no value: its default
-    is SUPPRESS), ``config`` and ``command``.
-    """
-    known = {a.dest for p in parser.subcommands.values() for a in p._actions
-             if a.default is not argparse.SUPPRESS}
-    actions = {a.dest: a for a in parser.subcommands[given.command]._actions}
+def config_settings(command: str, file_cfg: dict) -> dict:
+    """The values that ``file_cfg`` gives ``command``'s options, by dest.  Keys of another
+    subcommand are skipped; one that names no option of any subcommand is an error, and
+    so are ``help``, ``config`` and ``command``, which name none."""
+    found = {}
     for key, text in file_cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        name = key.replace("_", "-")
+        if not any(name in options for _, options in COMMANDS.values()):
             raise ValueError(f"unknown config key {key!r}")
-        action = actions.get(dest)
-        if action is not None and not hasattr(given, dest):
-            setattr(given, dest, config_value(action, key, text))
+        option = COMMANDS[command][1].get(name)
+        if option is not None:
+            found[name.replace("-", "_")] = config_value(option, key, text)
+    return found
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a usage error is a config error; -h still exits 0
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pfc",
-                                     description="Variable-step PFC solver")
+    """The parser of ``COMMANDS``, whose subcommand options default to SUPPRESS: a parse
+    holds the subcommand, ``config`` and only the options on the command line."""
+    parser = _Parser(prog="pfc", description="Variable-step PFC solver")
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    k = sub.add_parser("kernels", help="kernel identities and certificates")
-    k.add_argument("--mesh", required=True,
-                   help="uniform:N,T | random:N,T,seed | path to tau file")
-    k.add_argument("--report", default="kernels.csv")
-
-    c = sub.add_parser("convergence", help="random-mesh accuracy ladder")
-    c.add_argument("--grid-m", type=int, default=128)
-    c.add_argument("--seed", type=int, default=2023)
-    c.add_argument("--out", default="out_convergence")
-    c.add_argument("--mesh-kind", choices=["random", "uniform"], default="random")
-
-    m = sub.add_parser("compare", help="BDF2 / CN / CNCS comparison")
-    m.add_argument("--seed", type=int, default=2023)
-    m.add_argument("--out", default="out_compare")
-    m.add_argument("--scheme", choices=SCHEMES, action="append",
-                   help="restrict to given scheme(s)")
-    m.add_argument("--skip-energy-runs", action="store_true")
-
-    g = sub.add_parser("polycrystal", help="polycrystal growth")
-    g.add_argument("--seed", type=int, default=2023)
-    g.add_argument("--out", default="out_polycrystal")
-    g.add_argument("--long", action="store_true",
-                   help="also run the long adaptive leg with snapshots")
-    parser.subcommands = {"kernels": k, "convergence": c, "compare": m,
-                          "polycrystal": g}
+    for command, (text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, option in options.items():
+            p.add_argument(f"--{name}", **{**option, "default": argparse.SUPPRESS})
     return parser
 
 
@@ -129,6 +135,8 @@ def _echo_config(out_dir: str, args):
 
 
 def cmd_kernels(args) -> int:
+    if args.mesh is None:
+        raise ValueError("kernels needs a mesh: --mesh or a mesh key in the config file")
     mesh = parse_mesh_spec(args.mesh)
     ex.kernels_report(mesh, args.report)
     print(f"wrote {args.report} ({mesh.N} levels)")
@@ -217,33 +225,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.cache
-def _given_parser() -> argparse.ArgumentParser:
-    """A second parser whose options have no defaults: its parse holds only the
-    options on the command line."""
-    parser = build_parser()
-    for p in (parser, *parser.subcommands.values()):
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return parser
+def settings(argv=None) -> argparse.Namespace:
+    """The subcommand, ``config`` and each of the subcommand's options: from the command
+    line whatever its value, else the config file, else its default in ``COMMANDS``."""
+    args = _parser().parse_args(argv)
+    from_file = config_settings(args.command, load_config(args.config)) if args.config else {}
+    for name, option in COMMANDS[args.command][1].items():
+        dest = name.replace("-", "_")
+        vars(args).setdefault(dest, from_file.get(dest, option["default"]))
+    return args
 
 
 def main(argv=None) -> int:
     _tune_heap()
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            given = _given_parser().parse_args(argv)
-            apply_config(parser, given, load_config(args.config))
-            vars(args).update(vars(given))
-        if args.command == "kernels":
-            return cmd_kernels(args)
-        if args.command == "convergence":
-            return cmd_convergence(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        return cmd_polycrystal(args)
+        args = settings(argv)
+        run = {"kernels": cmd_kernels, "convergence": cmd_convergence,
+               "compare": cmd_compare, "polycrystal": cmd_polycrystal}[args.command]
+        return run(args)
     except (SolverError, ConditioningError) as exc:   # before ValueError, its base
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,10 @@ the two multipliers, a start and its lagged nonlinearity as a physical-space
 function (``phi**3`` or CN's averaged product); the solver owns no symbol.
 Each step names its key, its linear part and its nonlinearity, and
 ``_held_step``, where a state meets its parameters, does the rest for every
-scheme: the grid is ``PfcParams``'s, and a field on another is refused.  A
-new key's symbol, of any scheme, is checked positive, with one minimum, at
-every mode where its multipliers are formed; a held key's symbol has been.
+scheme: the step must be positive and finite, the grid is ``PfcParams``'s,
+and a field on another is refused.  A new key's symbol, of any scheme, is
+checked positive, with one minimum, at every mode where its multipliers are
+formed; a held key's symbol has been.
 The start is either a field's values or a spectrum standing in for the
 first iterate's transformed nonlinearity.
 The solver returns the new field with ``hat`` set to the spectrum whose
@@ -30,15 +31,17 @@ other transform, except one for a starting field that has no spectrum yet.
 A forcing is handed over as its half spectrum.  ``fixed_point_solve``
 says how a solve reuses its buffers.
 
-A state that keeps no nonlinearity spectra (phi^0's) starts the solve from
-phi^{n-1}'s values, and so does CNCS's first-order step.  Every other solve
-starts from the Lagrange extrapolation to t_n of the spectra F(N) that the
-solves of the newest ``NL_LEVELS`` levels left (``lagrange_weights``; the
-extrapolated nonlinearity of IMEX BDF2, Ascher, Ruuth & Wetton, SIAM J.
-Numer. Anal. 32, 1995, here only the first iterate, so the fixed point does
-not change): its first iterate costs one inverse transform, since each kept
-spectrum is the forward transform the solve of that level already made.  A
-level's N is the one its step lagged, phi^3 or CN's averaged product.
+``_held_step`` checks the step and starts the solve for every scheme.  A
+state that keeps no nonlinearity spectra, as phi^0's, starts the solve from
+phi^{n-1}'s values; so each scheme's first step, CNCS's first-order one
+included, does.  Every other solve starts from the Lagrange extrapolation to
+t_n of the spectra F(N) that the solves of the newest ``NL_LEVELS`` levels
+left (``lagrange_weights``; the extrapolated nonlinearity of IMEX BDF2,
+Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995, here only the first
+iterate, so the fixed point does not change): its first iterate costs one
+inverse transform, since each kept spectrum is the forward transform the
+solve of that level already made.  A level's N is the one its step lagged,
+phi^3 or CN's averaged product.
 
 Schemes:
   * variable-step BDF2, fully implicit (reduces to BDF1 without history);
@@ -101,14 +104,14 @@ class HeldSolve:
 class StepperState:
     """Solution history: the two newest levels, and the nonlinearity spectra of up to five.
 
-    ``tau_prev`` is the step from ``phi_prev2`` to ``phi_prev``; the
-    right-hand sides read both fields' ``hat``.  ``nl_hats`` holds the
-    spectra F(N) that the solves of the newest ``NL_LEVELS`` levels left on
-    their fields (``Field.nl_hat``), newest first, and ``nl_steps`` the
-    steps between those levels, also newest first.  Every scheme's solve
-    but CNCS's first-order one starts from them, and no values of older
-    levels are kept.  A level with no such spectrum (phi^0, or a field no
-    solve made) starts the list afresh.
+    ``tau_prev`` is the step from ``phi_prev2`` to ``phi_prev``, and a state
+    has both or neither: with neither it has one level.  The right-hand
+    sides read both fields' ``hat``.  ``nl_hats`` holds the spectra F(N)
+    that the solves of the newest ``NL_LEVELS`` levels left on their fields
+    (``Field.nl_hat``), newest first, and ``nl_steps`` the steps between
+    those levels, also newest first.  A state's solve starts from them when
+    it keeps any, and no values of older levels are kept.  A level with no
+    such spectrum (phi^0, or a field no solve made) starts the list afresh.
     ``held`` is the trajectory's one held solve, which ``advanced`` passes on.
     """
 
@@ -119,6 +122,10 @@ class StepperState:
     nl_hats: tuple = ()
     nl_steps: tuple = ()
     held: HeldSolve = field(default_factory=HeldSolve, compare=False, repr=False)
+
+    def __post_init__(self):
+        if (self.phi_prev2 is None) != (self.tau_prev is None):
+            raise ValueError("phi_prev2 and tau_prev are given together or not at all")
 
     def advanced(self, phi_new: Field, tau: float) -> "StepperState":
         nl_hats, nl_steps = (), ()
@@ -334,16 +341,19 @@ def lagrange_weights(tau_n: float, steps) -> list[float]:
 
 
 def _held_step(state: StepperState, tau: float, p: PfcParams, key: tuple, linear, hats: list,
-               nonlinear, nl_start: np.ndarray | None = None) -> tuple[Field, SolveStats]:
+               nonlinear) -> tuple[Field, SolveStats]:
     """Solve the step whose multipliers ``(p, *key)`` names, from the held ones on a hit.
 
-    A state whose field is not on ``p.grid`` is refused with a plain
-    ``ValueError``, which the controller does not take for a failed solve.
-    On a miss, ``linear()`` returns the symbol's shift and stiff part and the
-    right-hand side's coefficients, which ``_store_multipliers`` checks and
-    holds.  S^{-1} rhs is then sum_i c_i/S hats[i], added in the coefficients'
-    order, and the solve starts from phi^{n-1}'s values or from ``nl_start``.
+    A step ``tau`` that is not positive and finite, and a state whose field
+    is not on ``p.grid``, are refused with a plain ``ValueError``, which the
+    controller does not take for a failed solve.  On a miss, ``linear()``
+    returns the symbol's shift and stiff part and the right-hand side's
+    coefficients, which ``_store_multipliers`` checks and holds.  S^{-1} rhs
+    is then sum_i c_i/S hats[i], added in the coefficients' order, and the
+    solve starts from the extrapolation of the state's kept nonlinearity
+    spectra (``_extrapolated_nl``), or from phi^{n-1}'s values if it keeps none.
     """
+    _check_step(tau)
     if state.phi_prev.grid != p.grid:
         raise ValueError(f"the field is on {state.phi_prev.grid} but the parameters on {p.grid}")
     held = state.held
@@ -355,7 +365,7 @@ def _held_step(state: StepperState, tau: float, p: PfcParams, key: tuple, linear
     for hat, c in zip(hats[1:], held.coefs[1:]):
         base_hat += hat * c
     return fixed_point_solve(held.mult, base_hat, state.phi_prev.values, p.grid, nonlinear,
-                             nl_start)
+                             _extrapolated_nl(state, tau))
 
 
 def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
@@ -373,26 +383,27 @@ def bdf2_step(state: StepperState, tau_n: float, p: PfcParams,
     forcing is absent or mean-free.  A NaN or infinite step is refused with
     the non-positive ones.
     """
-    _check_step(tau_n)
+    tau_prev = state.tau_prev
     hats = [state.phi_prev.hat]
-    if state.phi_prev2 is not None and state.tau_prev is not None:
-        b0, b1 = _bdf2_kernels(tau_n, tau_n / state.tau_prev)
+    if tau_prev is not None:
         hats.append(state.phi_prev2.hat)
-    else:
-        b0, b1 = 1.0 / tau_n, None
     forced = forcing_hat is not None
     if forced:
         hats.append(forcing_hat)
 
     def linear():
         # rhs = b0 phi^{n-1} - b1 (phi^{n-1} - phi^{n-2}) + forcing
-        coefs = [b0] if b1 is None else [b0 - b1, b1]
+        if tau_prev is None:
+            b0 = 1.0 / tau_n
+            coefs = [b0]
+        else:
+            b0, b1 = _bdf2_kernels(tau_n, tau_n / tau_prev)
+            coefs = [b0 - b1, b1]
         if forced:
             coefs.append(1.0)
         return b0, p.k2_lin, coefs
 
-    return _held_step(state, tau_n, p, ("bdf2", b0, b1, forced), linear, hats, _cube,
-                      _extrapolated_nl(state, tau_n))
+    return _held_step(state, tau_n, p, ("bdf2", tau_n, tau_prev, forced), linear, hats, _cube)
 
 
 def _extrapolated_nl(state: StepperState, tau_n: float) -> np.ndarray | None:
@@ -418,8 +429,6 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
     extrapolation to t_n, as ``bdf2_step`` does; any other starts from
     phi^{n-1}'s values.
     """
-    _check_step(tau)
-
     def linear():
         shift = 1.0 / tau
         half = 0.5 * p.k2_lin
@@ -427,7 +436,7 @@ def cn_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Solve
 
     prev = state.phi_prev
     return _held_step(state, tau, p, ("cn", tau), linear, [prev.hat],
-                      _midpoint_cube(prev.values), _extrapolated_nl(state, tau))
+                      _midpoint_cube(prev.values))
 
 
 def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, SolveStats]:
@@ -440,7 +449,6 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     That step starts from phi^{n-1}'s values; the two-level step starts as
     ``cn_step`` does, so after a first-order start from that level's F(phi^3).
     """
-    _check_step(tau)
     prev, prev2 = state.phi_prev, state.phi_prev2
     start = prev2 is None
 
@@ -459,7 +467,7 @@ def cncs_step(state: StepperState, tau: float, p: PfcParams) -> tuple[Field, Sol
     if start:
         return _held_step(state, tau, p, ("cs1", tau), linear, [prev.hat], _cube)
     return _held_step(state, tau, p, ("cncs", tau), linear, [prev.hat, prev2.hat],
-                      _midpoint_cube(prev.values), _extrapolated_nl(state, tau))
+                      _midpoint_cube(prev.values))
 
 
 def run_fixed_mesh(phi0: Field, mesh_steps, p: PfcParams, scheme: str = "bdf2",

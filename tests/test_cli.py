@@ -86,12 +86,49 @@ class TestConfig:
 
 class TestParser:
     def test_subcommand_required(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="required: command"):
             build_parser().parse_args([])
 
-    def test_kernels_needs_mesh(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["kernels"])
+    def test_kernels_needs_mesh(self, tmp_path, capsys):
+        # the parse takes a kernels run without --mesh, which a config file may
+        # give; with a mesh from neither, the run is refused and writes no report
+        report = tmp_path / "k.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"report = {report}\nseed = 5\n")
+        assert main(["--config", str(cfg), "kernels"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: kernels needs a mesh")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["convergence", "--grid-m", "abc"], "argument --grid-m: invalid int value: 'abc'"),
+        (["compare", "--scheme", "rk4"], "argument --scheme: invalid choice: 'rk4'"),
+        (["kernels", "--mesh", "uniform:4,1.0", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command")],
+        ids=["bad-int", "bad-choice", "unknown-flag", "no-subcommand"])
+    def test_usage_error_is_config_error(self, argv, message, capsys):
+        """A command line that does not parse exits 3 with one ``config error:``
+        line, not argparse's usage block and exit code 2, a solver failure's."""
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert "kernels" in capsys.readouterr().out
+
+    def test_config_file_gives_mesh(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mesh = random:10,1.0,3\n")
+        report = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "kernels", "--report", str(report)]) == 0
+        assert "10 levels" in capsys.readouterr().out
+        rows = [ln for ln in report.read_text().splitlines()[1:] if not ln.startswith("#")]
+        assert len(rows) == 10
 
 
 class TestCommands:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from pfc.cli import _given_parser, apply_config, build_parser, load_config
+from pfc.cli import build_parser, config_settings, load_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -99,10 +99,7 @@ def test_config_example_gives_documented_values(tmp_path):
     cfg = load_config(str(path))
     assert cfg == {"grid-m": "64", "scheme": "bdf2, cn", "skip-energy-runs": "false"}
     parser = build_parser()
-    convergence = _given_parser().parse_args(["convergence"])
-    apply_config(parser, convergence, cfg)
-    assert vars(convergence) == {"command": "convergence", "grid_m": 64}
-    compare = _given_parser().parse_args(["compare"])
-    apply_config(parser, compare, cfg)
-    assert vars(compare) == {"command": "compare", "scheme": ["bdf2", "cn"],
-                             "skip_energy_runs": False}
+    assert vars(parser.parse_args(["convergence"])) == {"command": "convergence", "config": None}
+    assert config_settings("convergence", cfg) == {"grid_m": 64}
+    assert config_settings("compare", cfg) == {"scheme": ["bdf2", "cn"],
+                                               "skip_energy_runs": False}

@@ -687,9 +687,9 @@ def test_returned_arrays_do_not_alias(scheme, monkeypatch):
     handed = {}
     held_step, solve = steppers._held_step, steppers.fixed_point_solve
 
-    def recording_held_step(state, tau, p, key, linear, hats, nonlinear, nl_start=None):
+    def recording_held_step(state, tau, p, key, linear, hats, nonlinear):
         handed["hats"] = list(hats)
-        return held_step(state, tau, p, key, linear, hats, nonlinear, nl_start)
+        return held_step(state, tau, p, key, linear, hats, nonlinear)
 
     def recording_solve(mult, base_hat, guess, grid, nonlinear, nl_start=None):
         handed.update(mult=mult, base_hat=base_hat, guess=guess, nl_start=nl_start)

@@ -543,6 +543,16 @@ def test_step_refuses_params_on_another_grid(step, setup, rng, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("given", ["phi_prev2", "tau_prev"])
+def test_state_takes_second_level_whole(given, setup, rng):
+    """``phi_prev2`` and ``tau_prev`` make the second level together, so one
+    rule says whether a state has one level or two: either alone is refused."""
+    g, _ = setup
+    older = {"phi_prev2": random_field(g, rng)} if given == "phi_prev2" else {"tau_prev": 0.05}
+    with pytest.raises(ValueError, match="phi_prev2 and tau_prev"):
+        StepperState(random_field(g, rng), **older)
+
+
 def assert_same_solve(got, want):
     """Two solves' fields, spectra and stats agree bit for bit."""
     (phi, stats), (phi_w, stats_w) = got, want
