@@ -10,12 +10,10 @@ runs at are module constants, read at call time, so a test patches them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,7 +36,6 @@ LONG_M = 256                                # run_polycrystal_long's grid points
 LONG_L = 256.0                              # its domain side
 LONG_T = 1000.0                             # its final time
 SNAPSHOT_TIMES = (1, 100, 150, 400, 800, 1000)  # its snapshot targets
-LOG_THREAD_MIN_M = 256   # EnergyLog measures on a worker thread from this grid size
 
 
 def random_initial(mean: float, amp: float, grid: Grid2D, seed: int) -> Field:
@@ -153,33 +150,6 @@ def _measure(phi: Field, prev: Field | None, t: float, tau: float, iters: int,
     return rec, 0.0 if prev is None else step_distance_sq(phi, prev, rec.linf)
 
 
-_log_worker = (None, None)   # (pid, executor) of the one thread that measures records
-_log_worker_lock = threading.Lock()
-
-
-def _log_executor():
-    """This process's one-thread executor for the logs' measurements, made on first use.
-
-    A forked child inherits the executor but not its thread, so it makes its
-    own.  The lock makes two threads that log first at once get one executor.
-    """
-    global _log_worker
-    with _log_worker_lock:
-        if _log_worker[0] != os.getpid():
-            # here, so that importing the package and logging inline skip it
-            from concurrent.futures import ThreadPoolExecutor
-            _log_worker = (os.getpid(),
-                           ThreadPoolExecutor(1, thread_name_prefix="pfc-energy-log"))
-        return _log_worker[1]
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class EnergyLog:
     """``observer`` for ``run_fixed_mesh`` and ``adaptive_run``: a record at t = 0 and per step.
 
@@ -194,47 +164,26 @@ class EnergyLog:
     because the next BDF2 right-hand side reads it, so two spectra live
     through each solve.
 
-    Step k's measurement (E, mass, max norm and distance) is held as one
-    callable, which the next call or ``records`` runs or waits for before
-    it completes E_mod, so the records have the same bits on both paths.
-    On a grid of at least ``LOG_THREAD_MIN_M`` points a side, in a process
-    that may run on two or more CPUs, the measurement runs on one executor
-    thread shared by every log, while the caller takes step k+1; elsewhere
-    it runs when it is collected.  The t = 0 record is measured here.  An
-    error of a measurement (``MeanZeroError``) is raised from the next call
-    or from ``records``, at most one step late.
+    Each call completes the previous record's E_mod, then measures step k
+    (E, mass, max norm and distance) on the calling thread and appends its
+    record, so ``records`` is complete inside the observer.  An error of a
+    measurement (``MeanZeroError``) is raised from its own step's call, with
+    the earlier records intact.
     """
 
     def __init__(self, phi0: Field, p: PfcParams):
         self.p = p
-        self._records = [_measure(phi0, None, 0.0, 0.0, 0, p)[0]]
+        self.records = [_measure(phi0, None, 0.0, 0.0, 0, p)[0]]
         self._dist_sq = 0.0   # ||phi_k - phi_{k-1}||_{-1}^2 of the newest record
-        self._executor = None
-        if p.grid.M >= LOG_THREAD_MIN_M and _usable_cpus() > 1:
-            self._executor = _log_executor()
-        self._pending = None   # the newest step's measurement, not yet collected
-
-    @property
-    def records(self) -> list[EnergyRecord]:
-        self._collect()
-        return self._records
-
-    def _collect(self):
-        """Append the record of the pending measurement, if any, running or waiting for it."""
-        if self._pending is not None:
-            measured, self._pending = self._pending, None
-            rec, self._dist_sq = measured()
-            self._records.append(rec)
 
     def __call__(self, state: StepperState, stats: SolveStats):
-        self._collect()
-        last = self._records[-1]
+        last = self.records[-1]
         tau = state.tau_prev
         if last.tau > 0.0:
             last.E_mod = last.E + history_weight(last.tau, tau / last.tau) * self._dist_sq
-        job = functools.partial(_measure, state.phi_prev, state.phi_prev2, state.t, tau,
-                                stats.iterations, self.p)
-        self._pending = job if self._executor is None else self._executor.submit(job).result
+        rec, self._dist_sq = _measure(state.phi_prev, state.phi_prev2, state.t, tau,
+                                      stats.iterations, self.p)
+        self.records.append(rec)
 
 
 def run_with_energy_log(phi0: Field, steps, p: PfcParams, scheme: str = "bdf2"):

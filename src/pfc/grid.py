@@ -84,7 +84,9 @@ class Grid2D:
 class Field:
     """Real periodic grid function.
 
-    A field made by a solve of any scheme also carries ``nl_hat``, the half
+    ``values`` is a read-only view, so ``hat`` stays the spectrum of the
+    values; the array it was made from stays writeable by its owner.  A
+    field made by a solve of any scheme also carries ``nl_hat``, the half
     spectrum of the solve's last lagged nonlinearity; it is None otherwise.
     """
 
@@ -93,7 +95,7 @@ class Field:
     nl_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = _read_only(np.asarray(self.values, dtype=np.float64))
         if self.values.shape != (self.grid.M, self.grid.M):
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid M={self.grid.M}"
@@ -106,7 +108,7 @@ class Field:
         """A field from ``float64`` values of the grid's shape that are known to be
         finite, made without the checks of the constructor."""
         f = cls.__new__(cls)
-        f.grid, f.values, f.nl_hat = grid, values, nl_hat
+        f.grid, f.values, f.nl_hat = grid, _read_only(values), nl_hat
         return f
 
     @functools.cached_property
@@ -120,6 +122,13 @@ class Field:
         ``values`` nor ``hat`` may change afterwards.
         """
         return forward(self.values)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A read-only view of ``values``, which stay as writeable as they were."""
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 def forward(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -3,7 +3,6 @@ import pathlib
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -23,9 +22,8 @@ from pfc.experiments import (PATCHES, EnergyLog, kernels_report, midline,
                              energy_rows, run_with_energy_log, write_csv)
 from pfc.grid import Field, Grid2D, MeanZeroError, forward
 from pfc.mesh import R_SUP, TimeMesh, check_restriction, random_mesh, uniform_mesh
-from pfc.model import PfcParams
+from pfc.model import EnergyRecord, PfcParams, energy, mass
 from pfc.rng import SplitMix64
-from pfc.steppers import StepperState
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ex.__file__)))
 STEP_FUNCTIONS = ("bdf2_step", "cn_step", "cncs_step", "adaptive_advance")
@@ -396,27 +394,10 @@ class TestRunLoops:
         assert [it for _, it in calls] == [r.iters for r in log.records[1:]]
 
 
-def log_on_worker(monkeypatch) -> list:
-    """Put EnergyLog on its worker thread at any grid size; returns the list to which
-    each call of ``energy`` appends the thread that made it."""
-    monkeypatch.setattr(ex, "LOG_THREAD_MIN_M", 32)
-    monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
-    threads, energy = [], ex.energy
-    monkeypatch.setattr(ex, "energy",
-                        lambda phi, p: threads.append(threading.current_thread())
-                        or energy(phi, p))
-    return threads
-
-
 def run_script(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter that imports this package, for at most 60 s."""
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
-
-
-@pytest.fixture
-def threaded(monkeypatch):
-    return log_on_worker(monkeypatch)
 
 
 def small_run():
@@ -424,45 +405,54 @@ def small_run():
     return PfcParams(0.2, g), random_initial(0.1, 0.02, g, 11)
 
 
-def adaptive_records(p: PfcParams, phi0: Field):
-    log = EnergyLog(phi0, p)
-    adaptive_run(phi0, 0.5, p, observer=log)
-    return log.records
-
-
 class TestThreadedLog:
-    """The worker-thread path of EnergyLog against the inline one."""
+    """EnergyLog and threads: each step is measured on the caller's thread, inside
+    its own observer call, and the log starts no thread."""
 
     STEPS = [0.01, 0.02, 0.01, 0.03, 0.02, 0.01]
 
     @pytest.mark.parametrize("scheme", ["bdf2", "cn", "cncs", "adaptive"])
-    def test_records_equal_inline(self, scheme, monkeypatch):
+    def test_records_equal_inline(self, scheme):
+        # each record equals the one measured here from its step's state, with
+        # E_mod completed by the next step's ratio, bit for bit
+        p, phi0 = small_run()
+        log, steps = EnergyLog(phi0, p), []
+
+        def observer(state, stats):
+            log(state, stats)
+            steps.append((state.phi_prev, state.t, state.tau_prev, stats.iterations))
+
+        if scheme == "adaptive":
+            adaptive_run(phi0, 0.5, p, observer=observer)
+        else:
+            steppers.run_fixed_mesh(phi0, self.STEPS, p, scheme, observer=observer)
+        fields, ts, taus, iters = zip((phi0, 0.0, 0.0, 0), *steps)
+        ratios = [b / a for a, b in zip(taus[1:], taus[2:])] + [0.0]
+        want = [EnergyRecord(ts[k], taus[k], energy(fields[k], p),
+                             modified_energy(fields[k], fields[k - 1], taus[k], ratios[k - 1], p)
+                             if k else energy(fields[0], p),
+                             mass(fields[k]), float(np.max(np.abs(fields[k].values))), iters[k])
+                for k in range(len(fields))]
+        assert len(want) > 5 and any(r.E_mod != r.E for r in want)
+        assert log.records == want
+
+    @pytest.mark.parametrize("run", ["fixed-3", "fixed-8", "adaptive"])
+    def test_error_raised_at_its_own_step(self, monkeypatch, run):
+        # step 3's distance fails: its observer call raises before step 4 is
+        # taken, and the log keeps the records before it, record 2's E_mod
+        # completed by step 3's ratio
         p, phi0 = small_run()
 
-        def records():
-            if scheme == "adaptive":
-                return adaptive_records(p, phi0)
-            return run_with_energy_log(phi0, self.STEPS, p, scheme)[1]
+        def logged_run(log):
+            if run == "adaptive":
+                adaptive_run(phi0, 0.5, p, observer=log)
+            else:
+                taus = [0.01, 0.02, 0.03, 0.01, 0.02, 0.01, 0.03, 0.01]
+                steppers.run_fixed_mesh(phi0, taus[:int(run[6:])], p, "bdf2", observer=log)
 
-        inline = records()
-        threads = log_on_worker(monkeypatch)
-        recs = records()
-        assert recs == inline
-        assert len(recs) > 5 and any(r.E_mod != r.E for r in recs)
-        # the t = 0 record is measured here, every later one on the worker
-        main = threading.current_thread()
-        assert threads[0] is main
-        assert len(threads) == len(recs) and main not in threads[1:]
-
-    @pytest.mark.parametrize("n_steps, on_worker", [(3, True), (8, True), (3, False), (8, False)],
-                             ids=["3", "8", "inline-3", "inline-8"])
-    def test_error_raised_at_most_one_step_late(self, monkeypatch, n_steps, on_worker):
-        # step 3's distance fails, on the worker or when the next call collects
-        # it inline; that call raises it, or ``records`` does when step 3 is the last
-        if on_worker:
-            log_on_worker(monkeypatch)
-        p, phi0 = small_run()
-        distances, steps, dist = [], [], ex.step_distance_sq
+        clean = EnergyLog(phi0, p)
+        logged_run(clean)
+        distances, dist = [], ex.step_distance_sq
 
         def failing(phi, prev, linf):
             distances.append(1)
@@ -470,21 +460,15 @@ class TestThreadedLog:
                 raise MeanZeroError("field has mean 1e-3, expected mean zero")
             return dist(phi, prev, linf)
 
-        def counted(*args):
-            steps.append(1)
-            return step(*args)
-
-        step = steppers.bdf2_step
         monkeypatch.setattr(ex, "step_distance_sq", failing)
-        monkeypatch.setattr(steppers, "bdf2_step", counted)
+        steps = count_outermost_steps(monkeypatch)
+        log = EnergyLog(phi0, p)
         with pytest.raises(MeanZeroError, match="expected mean zero"):
-            run_with_energy_log(phi0, [0.01] * n_steps, p)
-        assert 3 <= len(steps) <= 4
-        # the worker outlives the error and serves the next log
-        monkeypatch.setattr(ex, "step_distance_sq", dist)
-        assert len(run_with_energy_log(phi0, [0.01] * 3, p)[1]) == 4
+            logged_run(log)
+        assert len(steps) == 3
+        assert log.records == clean.records[:3] and log.records[2].E_mod != log.records[2].E
 
-    def test_records_complete_inside_observer(self, threaded):
+    def test_records_complete_inside_observer(self):
         p, phi0 = small_run()
         log, seen = EnergyLog(phi0, p), []
 
@@ -496,88 +480,24 @@ class TestThreadedLog:
         steppers.run_fixed_mesh(phi0, self.STEPS, p, "bdf2", observer=observer)
         assert seen == [(k + 2, True, True) for k in range(len(self.STEPS))]
 
-    def test_logs_share_one_worker_thread(self, threaded):
-        p, phi0 = small_run()
-        first, second = EnergyLog(phi0, p), EnergyLog(phi0, p)
-        state = StepperState(phi0)
-        for tau in (0.01, 0.02):
-            phi, stats = steppers.bdf2_step(state, tau, p)
-            state = state.advanced(phi, tau)
-            first(state, stats)
-            second(state, stats)
-        assert first.records == second.records
-        workers = set(threaded) - {threading.current_thread()}
-        assert len(threaded) == 6 and len(workers) == 1
-
-    def test_worker_lets_the_process_exit(self):
-        # the executor's thread is no daemon: the interpreter joins it at exit,
-        # which returns once the thread is idle
-        script = """
-import pfc.experiments as ex
-from pfc.grid import Grid2D
-from pfc.model import PfcParams
-ex.LOG_THREAD_MIN_M = 32
-ex._usable_cpus = lambda: 2
-p = PfcParams(0.2, Grid2D(32, 8.0))
-phi0 = ex.random_initial(0.1, 0.02, p.grid, 11)
-log = ex.EnergyLog(phi0, p)
-ex.run_fixed_mesh(phi0, [0.01] * 3, p, observer=log)
-assert len(log.records) == 4 and log._executor is ex._log_worker[1]
-"""
-        run = run_script(script)
-        assert run.returncode == 0, run.stderr
-
-    def test_forked_child_starts_its_own_thread(self, threaded, monkeypatch):
-        # a child made by fork inherits the parent's executor, whose thread
-        # the child does not have
-        p, phi0 = small_run()
-        inherited = object()
-        monkeypatch.setattr(ex, "_log_worker", (-1, inherited))
-        log = EnergyLog(phi0, p)
-        own = ex._log_worker[1]
-        try:
-            assert ex._log_worker[0] == os.getpid()
-            assert own is not inherited and log._executor is own
-            assert len(run_with_energy_log(phi0, [0.01] * 3, p)[1]) == 4
-        finally:
-            own.shutdown()
-
-    def test_threads_logging_first_at_once_share_one_executor(self, threaded, monkeypatch):
-        # both threads see another pid's executor; a slowed constructor holds
-        # open the window in which each would make its own
-        import concurrent.futures
-        made, make = [], concurrent.futures.ThreadPoolExecutor
-
-        def slow(*args, **kwargs):
-            time.sleep(0.2)
-            made.append(make(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", slow)
-        monkeypatch.setattr(ex, "_log_worker", (-1, None))
-        n = 4   # more threads than the host's two cores
-        ready, logs = threading.Barrier(n), []
-
-        def first_log():
-            p, phi0 = small_run()
-            ready.wait()
-            logs.append(EnergyLog(phi0, p))
-
-        workers = [threading.Thread(target=first_log) for _ in range(n)]
-        try:
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-            assert not any(w.is_alive() for w in workers)
-            assert len(logs) == n and len(made) == 1
-            assert all(log._executor is made[0] for log in logs)
-        finally:
-            for executor in made:
-                executor.shutdown()
+    @pytest.mark.parametrize("leg", ["uniform", "adaptive"])
+    def test_logged_256_run_starts_no_thread(self, leg):
+        # both legs of the polycrystal run, on its grid, for two steps
+        g = Grid2D(256, 256.0)
+        p = PfcParams(0.25, g)
+        phi0 = patched_initial(g, seed=2023)
+        before = threading.enumerate()
+        if leg == "uniform":
+            recs = run_with_energy_log(phi0, [0.05, 0.05], p)[1]
+        else:
+            log = EnergyLog(phi0, p)
+            adaptive_run(phi0, 2 * adaptive.TAU_MIN, p, observer=log)
+            recs = log.records
+        assert len(recs) == 3 and recs[1].E_mod != recs[1].E
+        assert threading.enumerate() == before
 
     def test_import_skips_concurrent_futures(self):
-        # the executor's module is imported when a log first needs the worker
+        # neither the package nor a log needs an executor
         script = "import sys, pfc; assert 'concurrent.futures' not in sys.modules"
         run = run_script(script)
         assert run.returncode == 0, run.stderr

@@ -78,6 +78,22 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Field(g, vals)
 
+    @pytest.mark.parametrize("make", [lambda g, v: Field(g, v),
+                                      lambda g, v: Field.unchecked(g, v, None)],
+                             ids=["checked", "unchecked"])
+    def test_field_values_read_only(self, make):
+        # a field's cached spectrum holds only while its values do not change;
+        # the array it was made from stays its owner's to write
+        g = make_grid(8)
+        vals = np.zeros((8, 8))
+        f = make(g, vals)
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.values -= 1.0
+        vals[0, 0] = 2.0
+        assert vals.flags.writeable and f.values[0, 0] == 2.0
+
 
 class TestInnerProduct:
     def test_constants(self):

@@ -78,17 +78,28 @@ def test_claim_gates_are_collected():
                    for c in collected), gate
 
 
+def check_lines_parse(lines: list[str]):
+    """Fail with the first of the ``pfc`` command ``lines`` that does not parse."""
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except ValueError:   # the parser's usage error
+            pytest.fail(f"the README's command line does not parse: {line}")
+
+
 def test_command_lines_parse():
     """Every ``pfc`` line of the Command line section's sh blocks parses."""
     lines = [ln for block in fenced_blocks("## Command line", "sh")
              for ln in block.splitlines() if ln.startswith("pfc ")]
     assert len(lines) >= 9
-    parser = build_parser()
-    for line in lines:
-        try:
-            parser.parse_args(shlex.split(line, comments=True)[1:])
-        except SystemExit:
-            pytest.fail(f"the README's command line does not parse: {line}")
+    check_lines_parse(lines)
+
+
+def test_unparsed_command_line_is_named():
+    line = "pfc kernels --mesh random:100,1.0,7 --reprot k.csv"
+    with pytest.raises(pytest.fail.Exception, match=f"does not parse: {re.escape(line)}$"):
+        check_lines_parse(["pfc convergence --grid-m 64", line])
 
 
 def test_config_example_gives_documented_values(tmp_path):
