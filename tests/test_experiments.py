@@ -436,19 +436,27 @@ class TestThreadedLog:
         assert len(want) > 5 and any(r.E_mod != r.E for r in want)
         assert log.records == want
 
-    @pytest.mark.parametrize("run", ["fixed-3", "fixed-8", "adaptive"])
-    def test_error_raised_at_its_own_step(self, monkeypatch, run):
-        # step 3's distance fails: its observer call raises before step 4 is
-        # taken, and the log keeps the records before it, record 2's E_mod
-        # completed by step 3's ratio
+    @pytest.mark.parametrize("n_steps, wrapped", [(3, False), (8, False), (3, True), (8, True),
+                                                  (None, False)],
+                             ids=["3", "8", "inline-3", "inline-8", "adaptive"])
+    def test_error_raised_at_most_one_step_late(self, monkeypatch, n_steps, wrapped):
+        # step 3's distance fails: its own observer call raises, before step 4
+        # is taken (zero steps late), and the log keeps the records before it,
+        # record 2's E_mod completed by step 3's ratio. The log is the run's
+        # observer, or is called inside the caller's own observer ("inline-");
+        # n_steps None is an adaptive run
         p, phi0 = small_run()
 
         def logged_run(log):
-            if run == "adaptive":
-                adaptive_run(phi0, 0.5, p, observer=log)
+            observer = log
+            if wrapped:
+                def observer(state, stats):
+                    log(state, stats)
+            if n_steps is None:
+                adaptive_run(phi0, 0.5, p, observer=observer)
             else:
                 taus = [0.01, 0.02, 0.03, 0.01, 0.02, 0.01, 0.03, 0.01]
-                steppers.run_fixed_mesh(phi0, taus[:int(run[6:])], p, "bdf2", observer=log)
+                steppers.run_fixed_mesh(phi0, taus[:n_steps], p, "bdf2", observer=observer)
 
         clean = EnergyLog(phi0, p)
         logged_run(clean)
